@@ -84,21 +84,16 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
-    beta = apply_loss(config.constellation().amplitudes, config.kappa)
-    M = config.M
-    if config.osk:
-        idx0 = idx1 = np.arange(2 * M)
-    else:
-        idx0, idx1 = np.arange(M), np.arange(M, 2 * M)
+    rho0, rho1 = bit_hypothesis_ensembles(config)
+    beta = apply_loss(rho0.constellation.amplitudes, config.kappa)
     errors = 0
     for lo in range(0, len(record), _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
         ll = _log_gaussian_slab(y, beta)
-        l0 = logsumexp(ll[:, idx0], axis=1)
-        l1 = logsumexp(ll[:, idx1], axis=1)
+        l0 = logsumexp(ll[:, rho0.indices], axis=1)
+        l1 = logsumexp(ll[:, rho1.indices], axis=1)
         guess = (l1 > l0).astype(np.int64)
         errors += int(np.sum(guess != truth[lo:lo + len(y)]))
-    rho0, rho1 = bit_hypothesis_ensembles(config)
     return AttackReport("ctoa_data", _rate(errors, len(record)),
                         helstrom_binary_mixed(rho0, rho1), len(record), seed)
 
@@ -116,7 +111,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
     M = config.M
     n = len(record)
-    k_true = np.asarray(_true_symbols(config, n), dtype=np.int64)
+    k_true = np.asarray(running_key(config, n), dtype=np.int64)
     known = plaintext is not None
     x = np.asarray(plaintext, dtype=np.int64) if known else None
     if known and len(x) != n:
@@ -143,10 +138,6 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     bound = srm_symmetric(M if known else 2 * M, config.S)
     kind = "kpa_key" if known else "ctoa_key"
     return AttackReport(kind, _rate(errors, n), bound, n, seed)
-
-
-def _true_symbols(config: CipherConfig, count: int) -> np.ndarray:
-    return running_key(config, count)
 
 
 def symmetric_symbol_error_mc(N: int, S: float, trials: int,
@@ -196,7 +187,7 @@ def _all_seed_symbol_matrix(config: CipherConfig, slots: int) -> tuple[np.ndarra
     osk = np.empty((len(seeds), slots), dtype=np.int64)
     for i, s in enumerate(seeds):
         cfg = config.with_seed(int(s))
-        symbols[i] = _true_symbols(cfg, slots)
+        symbols[i] = running_key(cfg, slots)
         osk[i] = osk_stream(cfg, slots)
     return seeds, symbols, osk
 

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -136,12 +135,7 @@ def cmd_bounds(args) -> int:
     if any(n < 2 for n, _ in grid) or any(s < 0 for _, s in grid):
         print("error: invalid grid (need n >= 2, s >= 0)", file=sys.stderr)
         return 2
-    work = lambda point: _bound_row(point[0], point[1], args.kind)
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(work, grid))  # map preserves grid order
-    else:
-        rows = [work(p) for p in grid]
+    rows = [_bound_row(n, s, args.kind) for n, s in grid]
     out, path = _open_out(args, f"bounds_{args.kind}.{args.format}")
     try:
         _write_rows(rows, out, args.format)
@@ -344,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["helstrom", "quadrature-homodyne", "quadrature-heterodyne", "srm", "usd"])
     b.add_argument("--format", default="csv", choices=["csv", "json"])
     b.add_argument("--out", default=None, help="output directory (default: stdout)")
-    b.add_argument("--threads", type=int, default=1)
     b.set_defaults(fn=cmd_bounds)
 
     s = sub.add_parser("simulate", help="encrypt, transmit, and run receiver/attack reports")

@@ -83,10 +83,6 @@ class Constellation:
     def __len__(self) -> int:
         return len(self.amplitudes)
 
-    @property
-    def points(self) -> list[CoherentPoint]:
-        return [CoherentPoint(complex(a)) for a in self.amplitudes]
-
     def neighbor_distance(self) -> float:
         """Smallest chord distance between adjacent points (wrapping for PSK)."""
         amps = self.amplitudes

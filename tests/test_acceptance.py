@@ -6,8 +6,8 @@ reference values that are themselves unattainable at the stated tolerance
 (see the printed detail and the repository README):
 
   2a  the 3e-12 unambiguous-discrimination figure equals the double-precision
-      DFT noise floor; the true value is ~7.5e-21 and the honest clamped
-      output is 0,
+      DFT noise floor; the true value, which the package reports, is
+      3.03e-21 (the minimum over k, at k=984 in usd_symmetric's convention),
   2c  the optimal success at N=2000, S=1e4 is 0.2507, a hair outside the
       one-significant-figure band 0.2 +/- 0.05 (0.2449 at N=2047 is inside),
   3b  the finite-window regression slope of the exact homodyne tail is

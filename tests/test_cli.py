@@ -26,7 +26,7 @@ class TestBounds:
         rows = list(csv.DictReader(out.splitlines()))
         assert len(rows) == 1
         assert abs(float(rows[0]["value"]) - 0.975) < 0.02
-        assert rows[0]["method"] == "srm_fft"
+        assert rows[0]["method"] == "srm_spectrum"
 
     def test_vacuum_binary(self):
         code, out, _ = run_cli("bounds", "--n", "2", "--s", "0", "--kind", "srm")
@@ -38,12 +38,11 @@ class TestBounds:
         code, out, _ = run_cli("bounds", "--n", "2000", "--s", "10000", "--kind", "usd")
         assert code == 0
         row = next(csv.DictReader(out.splitlines()))
-        # the spectral floor clamps to zero at this operating point
+        # the true minimum, 3.03e-21, far below the 3e-12 reference
         assert float(row["value"]) <= 1e-11
 
-    def test_grid_order_and_threads(self):
-        code, out, _ = run_cli("bounds", "--n", "4,8", "--s", "1,2",
-                               "--kind", "srm", "--threads", "4")
+    def test_grid_order(self):
+        code, out, _ = run_cli("bounds", "--n", "4,8", "--s", "1,2", "--kind", "srm")
         assert code == 0
         rows = list(csv.DictReader(out.splitlines()))
         got = [(int(r["n"]), float(r["s"])) for r in rows]
@@ -54,7 +53,7 @@ class TestBounds:
                                "--kind", "srm", "--format", "json")
         assert code == 0
         rows = json.loads(out)
-        assert rows[0]["method"] == "srm_fft"
+        assert rows[0]["method"] == "srm_spectrum"
         assert rows[0]["optimality_residual"] is not None
 
     def test_invalid_grid_exits_nonzero(self):

@@ -1,8 +1,10 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from alphaeta.constellation import gaussian_tail, make_psk, overlap
@@ -24,13 +26,34 @@ N_GRID = tuple(2 ** k for k in range(1, 12))  # 2 .. 2048
 
 amplitudes = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
+# (N, S) points checked against the 60-digit ring spectrum
+ORACLE_POINTS = [(4, 1.0), (64, 10.0), (2047, 100.0), (2047, 1e4), (2000, 1e4)]
+
+
+@functools.lru_cache(maxsize=None)
+def ring_spectrum_mpmath(N, S):
+    """60-digit circulant Gram spectrum lambda_k = N e^-S sum_{m = k mod N} S^m/m!,
+    summed term by term until every class is reached and the Poisson tail is
+    below 1e-80 of its peak."""
+    with mpmath.workdps(60):
+        s = mpmath.mpf(S)
+        term = peak = mpmath.exp(-s)
+        sums = [mpmath.mpf(0)] * N
+        m = 0
+        while m < N or m <= s or term > peak * mpmath.mpf(10) ** -80:
+            sums[m % N] += term
+            peak = max(peak, term)
+            m += 1
+            term = term * s / m
+        return [N * x for x in sums]
+
 
 def two_state_trace_norm(a, b, p0, p1):
     """Dense 2x2 oracle: orthonormalize {|a>, |b>} explicitly and
     eigendecompose the signed operator."""
     ov = overlap(a, b)
-    # |b> = ov |a> + sqrt(1-|ov|^2) |perp>
-    s = math.sqrt(max(0.0, 1.0 - abs(ov) ** 2))
+    # |b> = ov |a> + sqrt(1-|ov|^2) |perp>, with 1-|ov|^2 = -expm1(-|a-b|^2)
+    s = math.sqrt(-math.expm1(-abs(complex(a) - complex(b)) ** 2))
     vb = np.array([ov, s])
     rho_a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     rho_b = np.outer(vb, vb.conj())
@@ -53,6 +76,7 @@ class TestHelstromPure:
         assert rep.value == pytest.approx(4.598e-3, rel=1e-3)
 
     @given(amplitudes, amplitudes, st.floats(0.01, 0.99))
+    @example(1 + 1j, 1 + 1j, 0.5)
     def test_matches_dense_oracle(self, a, b, p0):
         prior = BinaryPrior(p0, 1.0 - p0)
         rep = helstrom_binary_pure(a, b, prior)
@@ -195,23 +219,30 @@ class TestSrmSymmetric:
         assert srm_symmetric(4, s).value == pytest.approx(want, abs=1e-12)
 
     def test_vacuum_states_are_pure_guessing(self):
-        # DFT noise below the clamp threshold square-roots into ~sqrt(n*eps)
+        # the vacuum spectrum is exactly (n, 0, ..., 0)
         for n in (2, 3, 17, 64):
             assert srm_symmetric(n, 0.0).success == pytest.approx(1.0 / n, abs=1e-7)
+
+    @pytest.mark.parametrize("N,S", ORACLE_POINTS)
+    def test_matches_mpmath_spectrum(self, N, S):
+        with mpmath.workdps(60):
+            lam = ring_spectrum_mpmath(N, S)
+            want = (mpmath.fsum(mpmath.sqrt(x) for x in lam) / N) ** 2
+        assert srm_symmetric(N, S).success == pytest.approx(float(want), abs=1e-11)
 
     def test_known_design_points(self):
         assert srm_symmetric(2047, 100.0).value == pytest.approx(0.975, abs=0.02)
         assert srm_symmetric(2047, 1e4).value == pytest.approx(0.755, abs=0.02)
 
-    def test_dft_matches_span_computation(self):
+    def test_spectrum_matches_span_certificate(self):
         # the span route projects out Gram directions below 1e-10 relative,
-        # whose square roots the exact DFT route still carries; agreement is
-        # therefore only to ~n*sqrt(clamp)/n ~ 1e-5 for ill-conditioned rings
-        from alphaeta.detection import _srm_span
+        # whose square roots the exact spectrum route still carries; agreement
+        # is therefore only to ~n*sqrt(clamp)/n ~ 1e-5 for ill-conditioned rings
+        from alphaeta.detection import _srm_certificate
 
         for n in (3, 8, 33, 64):
             for s in (0.1, 1.0, 10.0):
-                success, _ = _srm_span(n, s)
+                success, _ = _srm_certificate(n, s, ())
                 assert srm_symmetric(n, s).success == pytest.approx(success, abs=5e-5)
 
     def test_error_nondecreasing_in_states(self):
@@ -250,17 +281,25 @@ class TestUsdSymmetric:
 
     def test_success_kind(self):
         rep = usd_symmetric(2, 1.0)
-        assert rep.kind == "success" and rep.method == "usd_dft"
+        assert rep.kind == "success" and rep.method == "usd_spectrum"
 
     def test_never_beats_minimum_error_success(self):
         for n in N_GRID:
             for s in S_GRID:
                 assert usd_symmetric(n, s).success <= srm_symmetric(n, s).success + 1e-10
 
-    def test_large_ring_value_is_resolution_limited(self):
-        # the spectral minimum at N=2000, S=1e4 sits ~1e-21, far below the
-        # double-precision DFT floor, so the clamped honest answer is 0
-        assert usd_symmetric(2000, 1e4).value == 0.0
+    @pytest.mark.parametrize("N,S", ORACLE_POINTS)
+    def test_matches_mpmath_spectrum(self, N, S):
+        # the minima sit far below the double-precision DFT floor (3.03e-21
+        # at N=2000, S=1e4); at N=2047, S=100 the true value, 1.9e-1836, is
+        # below the double range and must come out as exactly 0
+        with mpmath.workdps(60):
+            want = min(ring_spectrum_mpmath(N, S))
+        got = usd_symmetric(N, S).value
+        if want > mpmath.mpf("1e-300"):
+            assert got == pytest.approx(float(want), rel=1e-9, abs=0.0)
+        else:
+            assert got == 0.0
 
     def test_vacuum_gives_zero(self):
         assert usd_symmetric(8, 0.0).value == pytest.approx(0.0, abs=1e-12)
