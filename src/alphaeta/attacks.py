@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .channel import MeasurementRecord, apply_loss
-from .cipher import CipherConfig, _lfsr_orbit, osk_stream, running_key
+from .cipher import _CYCLE_CACHE_MAX_BITS, CipherConfig, _lfsr_cycle, running_key
 from .detection import (
     BoundReport,
     WeightedEnsemble,
@@ -156,67 +156,46 @@ def symmetric_symbol_error_mc(N: int, S: float, trials: int,
 
 # --- exhaustive key posterior ------------------------------------------------
 
-def _all_seed_symbol_matrix(config: CipherConfig, slots: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(seeds, symbols, osk bits) for every nonzero seed, vectorized via the
-    single-cycle structure of a maximal-length register: every seed's stream
-    is a rotation of one master cycle."""
-    period = (1 << config.key_bits) - 1
-    bps = config.bits_per_symbol
-    nbits = slots * bps
-    seeds = np.arange(1, period + 1, dtype=np.int64)
-
-    main_cycle, main_pos = _lfsr_orbit(config.taps, config.key_bits, 1)
-    osk_cycle, osk_pos = _lfsr_orbit(config.osk_taps, config.key_bits, 1)
-    maximal = len(main_cycle) == period and len(osk_cycle) == period
-    if maximal:
-        mpos = np.array([main_pos[int(s)] for s in seeds])
-        take = (mpos[:, None] + np.arange(nbits)[None, :]) % period
-        bits = main_cycle[take]
-        if bps:
-            weights = 1 << np.arange(bps - 1, -1, -1)
-            symbols = bits.reshape(len(seeds), slots, bps) @ weights
-        else:
-            symbols = np.zeros((len(seeds), slots), dtype=np.int64)
-        opos = np.array([osk_pos[int(s)] for s in seeds])
-        otake = (opos[:, None] + np.arange(slots)[None, :]) % period
-        osk = osk_cycle[otake].astype(np.int64)
-        return seeds, symbols, osk
-
-    # non-maximal taps: per-seed streams
-    symbols = np.empty((len(seeds), slots), dtype=np.int64)
-    osk = np.empty((len(seeds), slots), dtype=np.int64)
-    for i, s in enumerate(seeds):
-        cfg = config.with_seed(int(s))
-        symbols[i] = running_key(cfg, slots)
-        osk[i] = osk_stream(cfg, slots)
-    return seeds, symbols, osk
-
-
 def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
                           plaintext) -> float:
     """Shannon entropy (bits) of the exact key posterior given Eve's record.
 
     Enumerates all 2^|K|-1 seeds, scores each seed's deterministic state
     sequence against the Gaussian record, and normalizes.  This is the
-    brute-force key-security oracle; it requires |K| <= 20.
+    brute-force key-security oracle; it requires |K| <= 20 and maximal-length
+    taps.  Every seed's streams are rotations of the two register cycles, so
+    seeds are scored in blocks gathered through the cycle-position tables, in
+    O(2^|K| + block * slots) memory.
     """
-    if config.key_bits > 20:
-        raise ValueError("exhaustive posterior is limited to |K| <= 20")
+    k = config.key_bits
+    if k > _CYCLE_CACHE_MAX_BITS:
+        raise ValueError(f"exhaustive posterior is limited to |K| <= {_CYCLE_CACHE_MAX_BITS}")
     x = np.asarray(plaintext, dtype=np.int64)
     slots = len(record)
     if len(x) != slots:
         raise ValueError("record and plaintext lengths differ")
-
-    seeds, symbols, osk = _all_seed_symbol_matrix(config, slots)
-    xs = (x[None, :] ^ osk) if config.osk else np.broadcast_to(x, symbols.shape)
-    indices = symbols + xs * config.M
+    period = (1 << k) - 1
+    main, main_pos = _lfsr_cycle(config.taps, k)
+    if len(main) != period:
+        raise ValueError("exhaustive posterior needs maximal-length taps")
+    # the reciprocal of a primitive polynomial is primitive: the OSK cycle is maximal too
+    osk, osk_pos = _lfsr_cycle(config.osk_taps, k)
+    bps = config.bits_per_symbol
+    symbol_at = np.zeros(period, dtype=np.int64)  # big-endian bps-bit window at each position
+    for i in range(bps):
+        symbol_at |= np.roll(main, -i).astype(np.int64) << (bps - 1 - i)
 
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
     y = record.samples
-    loglik = np.empty(len(seeds))
-    for lo in range(0, len(seeds), 256):
-        pts = beta[indices[lo:lo + 256]]
-        loglik[lo:lo + 256] = -np.sum(np.abs(y[None, :] - pts) ** 2, axis=1)
+    t = np.arange(slots)
+    block = max(1, (1 << 18) // max(slots, 1))
+    loglik = np.empty(period)
+    for lo in range(0, period, block):
+        seeds = np.arange(lo + 1, min(lo + block, period) + 1)
+        sym = symbol_at[(main_pos[seeds][:, None] + t * bps) % period]
+        bit = x ^ osk[(osk_pos[seeds][:, None] + t) % period] if config.osk else x
+        pts = beta[sym + bit * config.M]
+        loglik[lo:lo + len(seeds)] = -np.sum(np.abs(y[None, :] - pts) ** 2, axis=1)
 
     log_post = loglik - logsumexp(loglik)
     p = np.exp(log_post)

@@ -87,6 +87,9 @@ def bob_receive(values, config: CipherConfig, rng: np.random.Generator | None = 
     """
     y = np.asarray(values, dtype=np.complex128)
     n = len(y)
+    truth = None if plaintext is None else np.asarray(plaintext, dtype=np.int64)
+    if truth is not None and len(truth) != n:
+        raise ValueError("record and plaintext lengths differ")
     k = running_key(config, n)
     c = config.constellation()
     root_kappa = np.sqrt(config.kappa)
@@ -108,8 +111,7 @@ def bob_receive(values, config: CipherConfig, rng: np.random.Generator | None = 
     if config.osk:
         raw = raw ^ osk_stream(config, n)
     ber = None
-    if plaintext is not None:
-        truth = np.asarray(plaintext, dtype=np.int64)
+    if truth is not None:
         ber = float(np.mean(raw != truth)) if n else 0.0
     return raw, ber
 

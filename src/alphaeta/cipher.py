@@ -15,7 +15,7 @@ from .constellation import Constellation, ModulationKind, make_ask, make_psk
 # Feedback masks of primitive polynomials, keyed by register length.  The mask
 # holds the coefficients of x^0..x^(n-1); bit j set means the recurrence
 # s[t+n] += s[t+j].  Every entry is verified maximal-length by the test suite.
-PRIMITIVE_TAPS: dict[int, int] = {
+PRIMITIVE_TAPS = {
     4: 0b0011,                # x^4 + x + 1
     5: 0b00101,               # x^5 + x^2 + 1
     6: 0b000011,              # x^6 + x + 1
@@ -73,22 +73,32 @@ def _lfsr_bits_from(state: int, taps: int, nbits: int, count: int) -> np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _lfsr_orbit(taps: int, nbits: int, start: int) -> tuple[np.ndarray, dict[int, int]]:
-    """One full cycle of output bits from ``start`` plus a state -> index map."""
-    bits: list[int] = []
-    pos: dict[int, int] = {}
-    state = start
-    while state not in pos:
-        pos[state] = len(bits)
+def _lfsr_cycle(taps: int, nbits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Output bits of the register cycle through state 1, and ``pos``, each
+    state's position on that cycle (-1 for states off it).
+
+    Needs the x^0 tap, which makes the state map invertible, so the orbit of
+    state 1 closes on itself.  The state at position p is the next ``nbits``
+    output bits read little-endian, which fills ``pos`` with one scatter.
+    """
+    if not taps & 1:
+        raise ValueError("taps without the x^0 coefficient have no cycle through state 1")
+    bits = bytearray()
+    state = 1
+    while True:
         bits.append(state & 1)
         fb = (state & taps).bit_count() & 1
         state = (state >> 1) | (fb << (nbits - 1))
-    if state != start:
-        # pathological taps: the orbit fell onto a sub-cycle not through start
-        raise ValueError("seed state is not on a closed LFSR cycle for these taps")
-    arr = np.array(bits, dtype=np.uint8)
-    arr.setflags(write=False)
-    return arr, pos
+        if state == 1:
+            break
+    cycle = np.frombuffer(bytes(bits), dtype=np.uint8)
+    states = np.zeros(len(cycle), dtype=np.int64)
+    for i in range(nbits):
+        states |= np.roll(cycle, -i).astype(np.int64) << i
+    pos = np.full(1 << nbits, -1, dtype=np.int64)
+    pos[states] = np.arange(len(cycle))
+    pos.setflags(write=False)
+    return cycle, pos
 
 
 def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
@@ -106,22 +116,16 @@ def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
         raise ValueError("seed must be a nonzero state of the register")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if key_bits <= _CYCLE_CACHE_MAX_BITS:
-        try:
-            cycle, pos = _lfsr_orbit(taps, key_bits, 1)
-            if seed not in pos:
-                cycle, pos = _lfsr_orbit(taps, key_bits, seed)
-        except ValueError:
-            # taps without the x^0 coefficient make the state map non-invertible;
-            # fall back to plain iteration
-            return _lfsr_bits_from(seed, taps, key_bits, count)
-        idx = (pos[seed] + np.arange(count)) % len(cycle)
-        return cycle[idx]
+    if key_bits <= _CYCLE_CACHE_MAX_BITS and taps & 1:
+        cycle, pos = _lfsr_cycle(taps, key_bits)
+        if pos[seed] >= 0:
+            return cycle[(pos[seed] + np.arange(count)) % len(cycle)]
     return _lfsr_bits_from(seed, taps, key_bits, count)
 
 
-def lfsr_period(taps: int, key_bits: int, seed: int = 1) -> int:
-    return len(_lfsr_orbit(taps & ((1 << key_bits) - 1), key_bits, seed)[0])
+def lfsr_period(taps: int, key_bits: int) -> int:
+    """Length of the register cycle through state 1; 2^|K|-1 for maximal taps."""
+    return len(_lfsr_cycle(taps & ((1 << key_bits) - 1), key_bits)[0])
 
 
 @dataclass(frozen=True)
@@ -279,7 +283,7 @@ def write_indices(path, indices, fmt: str = "bin") -> None:
     """Index streams travel as little-endian uint16 or a one-column CSV."""
     idx = np.asarray(indices, dtype=np.int64)
     if fmt == "bin":
-        if idx.size and idx.max() >= 1 << 16:
+        if idx.size and (idx.min() < 0 or idx.max() >= 1 << 16):
             raise ValueError("binary index format holds 16-bit indices only")
         idx.astype("<u2").tofile(path)
     elif fmt == "csv":

@@ -165,10 +165,11 @@ class TestKeyPosterior:
         h = key_posterior_entropy(rec, cfg, x)
         assert 0.0 <= h <= 8.0
 
-    def test_matches_per_seed_loop(self):
-        # the vectorized single-cycle path must agree with a plain per-seed
+    @pytest.mark.parametrize("M, osk", [(4, True), (4, False), (2, False)])
+    def test_matches_per_seed_loop(self, M, osk):
+        # the block-streamed cycle-table path must agree with a plain per-seed
         # likelihood loop
-        cfg = CipherConfig(M=4, S=0.8, key_bits=6, seed=0x21, osk=True)
+        cfg = CipherConfig(M=M, S=0.8, key_bits=6, seed=0x21, osk=osk)
         rng = np.random.default_rng(4)
         n = 40
         x = rng.integers(0, 2, n)
@@ -189,6 +190,12 @@ class TestKeyPosterior:
         p = np.exp(lp)
         want = float(-(p[p > 0] * lp[p > 0]).sum() / math.log(2))
         assert got == pytest.approx(want, abs=1e-9)
+
+    def test_non_maximal_taps_rejected(self):
+        cfg = CipherConfig(M=2, S=1.0, key_bits=4, seed=1, lfsr_taps=0b0101)
+        rec = transmit(encode(np.zeros(4, dtype=int), cfg), cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="maximal-length"):
+            key_posterior_entropy(rec, cfg, np.zeros(4, dtype=int))
 
     def test_key_size_cap(self):
         cfg = CipherConfig(M=2, S=1.0, key_bits=24, seed=1, lfsr_taps=0xC20001)

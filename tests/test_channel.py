@@ -143,6 +143,13 @@ class TestBobReceive:
         _, ber = bob_receive(amps, cfg, plaintext=x)
         assert ber == 0.0
 
+    def test_plaintext_length_must_match(self):
+        # a 1-element plaintext would otherwise broadcast against every slot
+        cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x17)
+        amps = cfg.constellation().amplitudes[encode(np.zeros(10, dtype=int), cfg)]
+        with pytest.raises(ValueError, match="lengths differ"):
+            bob_receive(amps, cfg, plaintext=[0])
+
 
 class TestRecordFiles:
     @pytest.mark.parametrize("fmt", ["bin", "csv"])

@@ -74,8 +74,11 @@ class TestLfsr:
             assert gf_pow_mod(x, order // q, coeffs, 2, ZZ) != [1]
 
     def test_matches_reference_implementation(self):
-        for nbits, taps in [(4, 0b0011), (8, PRIMITIVE_TAPS[8]), (12, PRIMITIVE_TAPS[12])]:
-            for seed in (1, 3, (1 << nbits) - 1):
+        # 0b0101 is non-maximal (seed 6 lies on a 3-cycle off state 1) and
+        # 0b0110 lacks the x^0 tap: both leave the cycle table for iteration
+        for nbits, taps in [(4, 0b0011), (8, PRIMITIVE_TAPS[8]), (12, PRIMITIVE_TAPS[12]),
+                            (4, 0b0101), (4, 0b0110)]:
+            for seed in (1, 3, 6, (1 << nbits) - 1):
                 got = lfsr_stream(seed, taps, 200, nbits)
                 assert got.tolist() == lfsr_reference(seed, taps, nbits, 200)
 
@@ -300,3 +303,8 @@ class TestKeyAndIndexFiles:
     def test_binary_rejects_wide_indices(self, tmp_path):
         with pytest.raises(ValueError):
             write_indices(tmp_path / "idx.bin", np.array([1 << 16]), "bin")
+
+    def test_binary_rejects_negative_indices(self, tmp_path):
+        # uint16 would wrap -1 to 65535
+        with pytest.raises(ValueError):
+            write_indices(tmp_path / "idx.bin", np.array([3, -1]), "bin")
