@@ -20,9 +20,9 @@ from .detection import (
     BoundReport,
     EQUAL_PRIORS,
     WeightedEnsemble,
-    even_odd_mixtures,
     helstrom_binary_mixed,
     helstrom_binary_pure,
+    helstrom_even_odd,
     quadrature_binary,
     srm_symmetric,
     srm_symmetric_residual,
@@ -76,7 +76,7 @@ __all__ = [
     "gram_matrix", "log_overlap", "make_ask", "make_psk", "neighbor_error",
     "overlap",
     "BinaryPrior", "BoundReport", "EQUAL_PRIORS", "WeightedEnsemble",
-    "even_odd_mixtures", "helstrom_binary_mixed", "helstrom_binary_pure",
+    "helstrom_binary_mixed", "helstrom_binary_pure", "helstrom_even_odd",
     "quadrature_binary", "srm_symmetric", "srm_symmetric_residual",
     "usd_symmetric",
     "CipherConfig", "decode", "default_taps", "encode", "lfsr_period",

@@ -1,8 +1,10 @@
 """Eavesdropper strategies and security metrics.
 
 Eve's simulated receiver is heterodyne followed by optimal classical
-post-processing (MAP over Gaussian mixture likelihoods); quantum-optimal
-attacks enter only as bounds, so the empirical/bound gap stays visible.
+post-processing (MAP over Gaussian mixture likelihoods, scored over the
+points within reach of each sample with a recorded bound on the mass left
+out); quantum-optimal attacks enter only as bounds, so the empirical/bound
+gap stays visible.
 The exhaustive key-posterior oracle enumerates every seed at desk scale.
 """
 from __future__ import annotations
@@ -15,6 +17,7 @@ from scipy.special import logsumexp
 
 from .channel import MeasurementRecord, apply_loss
 from .cipher import _CYCLE_CACHE_MAX_BITS, CipherConfig, _lfsr_cycle, running_key
+from .constellation import ModulationKind
 from .detection import (
     BoundReport,
     WeightedEnsemble,
@@ -23,7 +26,11 @@ from .detection import (
     usd_symmetric,
 )
 
-_CHUNK = 4096  # slots per likelihood block; bounds peak memory at ~2M floats per state
+_CHUNK = 4096  # slots per likelihood block
+# Likelihood mass a window may leave out, relative to the nearest point's:
+# below the 2^-53 rounding of the decisions' own sums, so no MAP decision
+# can turn on it.
+_DROPPED_MASS_TOL = 2.0 ** -60
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,9 @@ class AttackReport:
     trials: int
     seed: int | None = None
     key_posterior_entropy_bits: float | None = None
+    # largest per-slot bound on the likelihood mass the MAP window left out,
+    # relative to the nearest point's; 0.0 when it scored every point
+    dropped_mass_bound: float = 0.0
 
 
 def _rate(errors: int, n: int) -> EmpiricalRate:
@@ -67,10 +77,70 @@ def bit_hypothesis_ensembles(config: CipherConfig) -> tuple[WeightedEnsemble, We
             WeightedEnsemble.uniform(c, np.arange(M, 2 * M)))
 
 
-def _log_gaussian_slab(samples: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """log f(y | point) up to a constant, heterodyne variance 1/2 per quadrature."""
-    d2 = np.abs(samples[:, None] - points[None, :]) ** 2
-    return -d2
+def _require_heterodyne(record: MeasurementRecord) -> None:
+    if record.mode != "heterodyne":
+        raise ValueError(f"the likelihood is the heterodyne Husimi density; "
+                         f"got a {record.mode} record")
+
+
+def _window(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
+            half: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The constellation points within reach of each sample: their indices
+    (slots x width), their log-likelihoods -|y - beta_j|^2 (up to a constant,
+    heterodyne variance 1/2 per quadrature) and the bound on the likelihood
+    mass left out, relative to the nearest point's.
+
+    The window is the 2w+1 points around the nearest one.  On the PSK ring
+    the centre comes from the phase of y and the indices wrap mod 2M; on the
+    ASK ladder it comes from Re y and the window is clamped inside [0, 2M).
+    Every dropped point is at least g(w) further in squared distance than the
+    nearest, g(w) = 2|y| r (cos(pi/2M) - cos((w+1/2) pi/M)) on a ring of
+    radius r and step^2 w(w+1) on a ladder, so the dropped mass is at most
+    (2M-2w-1) e^{-g(w)}.  w is the smallest half-width whose bound at the
+    chunk's smallest |y| is below _DROPPED_MASS_TOL; when none is, the window
+    is the whole constellation in index order (ties break as in a full scan)
+    and the bound 0.  ``half`` (one bit per slot) widens the window until it
+    holds a point of each slot's half {k + half M}; the window holds the
+    points nearest y, so it then holds that half's nearest point.
+    """
+    n = len(beta)
+    M = n // 2
+    w_all = np.arange(M)  # half-widths whose window 2w+1 < 2M
+    if kind is ModulationKind.PSK:
+        centre = np.rint(np.angle(y) * (n / (2 * math.pi))).astype(np.int64) % n
+        gap = 2 * np.abs(y).min() * abs(beta[0]) * (
+            math.cos(math.pi / n) - np.cos((2 * w_all + 1) * (math.pi / n)))
+    else:
+        step = beta[1].real - beta[0].real
+        centre = np.clip(np.rint((y.real - beta[0].real) / step), 0, n - 1).astype(np.int64)
+        gap = step ** 2 * w_all * (w_all + 1)
+    log_bound = np.log(n - 1 - 2 * w_all) - gap  # decreasing in w
+    fits = np.flatnonzero(log_bound <= math.log(_DROPPED_MASS_TOL))
+    w = int(fits[0]) if len(fits) else M
+    if half is not None:
+        lo = half * M  # the half's first index; it runs to lo + M - 1
+        if kind is ModulationKind.PSK:
+            rel = (centre - lo) % n
+            reach = np.where(rel < M, 0, np.minimum(rel - (M - 1), n - rel))
+        else:
+            reach = np.maximum(0, np.maximum(lo - centre, centre - (lo + M - 1)))
+        w = max(w, int(reach.max()))
+    if 2 * w + 1 >= n:
+        idx = np.broadcast_to(np.arange(n), (len(y), n))
+        bound = 0.0
+    else:
+        offsets = np.arange(2 * w + 1)
+        if kind is ModulationKind.PSK:
+            idx = (centre[:, None] - w + offsets) % n
+        else:
+            idx = np.clip(centre - w, 0, n - 1 - 2 * w)[:, None] + offsets
+        bound = math.exp(log_bound[w])
+    return idx, -np.abs(y[:, None] - beta[idx]) ** 2, bound
+
+
+def _pick(idx: np.ndarray, score: np.ndarray) -> np.ndarray:
+    """Per row, the index whose score is largest (first on ties)."""
+    return np.take_along_axis(idx, np.argmax(score, axis=1)[:, None], axis=1)[:, 0]
 
 
 def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
@@ -78,24 +148,31 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     """Ciphertext-only attack on the data: per-slot MAP bit decision.
 
     Likelihoods are prior-weighted Gaussian mixtures over each bit's index
-    set; the reported bound is the mixed-state Helstrom value for the same
-    two hypothesis ensembles.
+    set, summed over the window of points within reach (``_window``); the
+    reported bound is the mixed-state Helstrom value for the same two
+    hypothesis ensembles.  With OSK both sets are the whole ring, so every
+    slot is a tie, decided as 0.
     """
+    _require_heterodyne(record)
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
     rho0, rho1 = bit_hypothesis_ensembles(config)
-    beta = apply_loss(rho0.constellation.amplitudes, config.kappa)
-    errors = 0
+    c = rho0.constellation
+    beta = apply_loss(c.amplitudes, config.kappa)
+    member = np.zeros((2, len(c)), dtype=bool)
+    member[0, rho0.indices] = member[1, rho1.indices] = True
+    errors, dropped = 0, 0.0
     for lo in range(0, len(record), _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
-        ll = _log_gaussian_slab(y, beta)
-        l0 = logsumexp(ll[:, rho0.indices], axis=1)
-        l1 = logsumexp(ll[:, rho1.indices], axis=1)
+        idx, ll, bound = _window(y, beta, c.kind)
+        l0, l1 = (logsumexp(np.where(m[idx], ll, -np.inf), axis=1) for m in member)
         guess = (l1 > l0).astype(np.int64)
         errors += int(np.sum(guess != truth[lo:lo + len(y)]))
+        dropped = max(dropped, bound)
     return AttackReport("ctoa_data", _rate(errors, len(record)),
-                        helstrom_binary_mixed(rho0, rho1), len(record), seed)
+                        helstrom_binary_mixed(rho0, rho1), len(record), seed,
+                        dropped_mass_bound=dropped)
 
 
 def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
@@ -104,10 +181,12 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
 
     With known plaintext the per-slot candidates are the M states of symbol k
     (two antipodal points each under OSK, polarity marginalized); without it
-    all 2M states compete and the symbol estimate is the index mod M.  The
-    bound is the symmetric-ensemble optimum at N = M (known plaintext) or
-    N = 2M (ciphertext-only).
+    all 2M states compete and the symbol estimate is the index mod M.  Only
+    the window of points within reach is scored (``_window``).  The bound is
+    the symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
+    (ciphertext-only).
     """
+    _require_heterodyne(record)
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
     M = config.M
     n = len(record)
@@ -117,27 +196,27 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     if known and len(x) != n:
         raise ValueError("record and plaintext lengths differ")
 
-    errors = 0
+    errors, dropped = 0, 0.0
     for lo in range(0, n, _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
-        ll = _log_gaussian_slab(y, beta)  # (chunk, 2M)
+        xb = x[lo:lo + len(y)] if known and not config.osk else None
+        idx, ll, bound = _window(y, beta, config.kind, half=xb)
         if not known:
-            guess = np.argmax(ll, axis=1) % M
+            guess = _pick(idx, ll) % M
         elif config.osk:
-            # symbol k appears as k + (x xor r) M with r marginalized: the
-            # antipodal pair collapses onto the same symbol either way
-            pair = np.logaddexp(ll[:, :M], ll[:, M:])
-            guess = np.argmax(pair, axis=1)
+            # symbol k appears as k + (x xor r) M with r marginalized; window
+            # positions i and i + M hold the antipodal pair of one symbol
+            q = max(0, idx.shape[1] - M)
+            pair = np.concatenate([np.logaddexp(ll[:, :q], ll[:, M:M + q]), ll[:, q:M]], axis=1)
+            guess = _pick(idx[:, :pair.shape[1]], pair) % M
         else:
-            xb = x[lo:lo + len(y)]
-            cand = np.where(xb[:, None] == 0, np.arange(M)[None, :],
-                            np.arange(M)[None, :] + M)
-            guess = np.argmax(np.take_along_axis(ll, cand, axis=1), axis=1)
+            guess = _pick(idx, np.where(idx // M == xb[:, None], ll, -np.inf)) % M
         errors += int(np.sum(guess != k_true[lo:lo + len(y)]))
+        dropped = max(dropped, bound)
 
     bound = srm_symmetric(M if known else 2 * M, config.S)
     kind = "kpa_key" if known else "ctoa_key"
-    return AttackReport(kind, _rate(errors, n), bound, n, seed)
+    return AttackReport(kind, _rate(errors, n), bound, n, seed, dropped_mass_bound=dropped)
 
 
 def symmetric_symbol_error_mc(N: int, S: float, trials: int,
@@ -167,6 +246,7 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     seeds are scored in blocks gathered through the cycle-position tables, in
     O(2^|K| + block * slots) memory.
     """
+    _require_heterodyne(record)
     k = config.key_bits
     if k > _CYCLE_CACHE_MAX_BITS:
         raise ValueError(f"exhaustive posterior is limited to |K| <= {_CYCLE_CACHE_MAX_BITS}")

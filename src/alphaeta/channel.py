@@ -69,8 +69,9 @@ def transmit(indices, config: CipherConfig, rng: np.random.Generator,
     if mode == "heterodyne":
         samples = heterodyne_sample(amps, rng)
     elif mode == "homodyne":
-        # one fixed quadrature (the real axis) at intrinsic variance
-        samples = amps + rng.normal(0.0, HOMODYNE_SIGMA, size=amps.shape)
+        # one fixed quadrature (the real axis) at intrinsic variance; the
+        # conjugate quadrature is not measured
+        samples = amps.real + rng.normal(0.0, HOMODYNE_SIGMA, size=amps.shape)
     else:
         raise ValueError(f"unknown mode: {mode}")
     return MeasurementRecord(samples, mode, config.kappa)

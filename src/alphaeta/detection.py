@@ -73,13 +73,6 @@ class WeightedEnsemble:
         return cls(constellation, np.array([1.0]), np.array([index]))
 
 
-def even_odd_mixtures(c: Constellation) -> tuple[WeightedEnsemble, WeightedEnsemble]:
-    """Uniform mixtures over the even- and odd-index points of a constellation."""
-    n = len(c)
-    return (WeightedEnsemble.uniform(c, np.arange(0, n, 2)),
-            WeightedEnsemble.uniform(c, np.arange(1, n, 2)))
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """A computed discrimination figure plus method tag and diagnostics.
@@ -91,7 +84,9 @@ class BoundReport:
 
     value: float
     kind: str  # "error" | "success"
-    method: str  # closed_form | span_eigen | srm_spectrum | usd_spectrum | quadrature
+    # closed_form | equal_mixtures | span_eigen | even_odd_spectrum |
+    # srm_spectrum | usd_spectrum | quadrature
+    method: str
     optimality_residual: float | None = None
     eig_clamp_rel: float = EIG_CLAMP_REL
     residual_alarm: float = RESIDUAL_ALARM
@@ -176,11 +171,15 @@ def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
     """Minimum error between two coherent-state mixtures.
 
     Pe = 1/2 - Tr|p1 rho1 - p0 rho0| / 2, with the trace norm computed exactly
-    in the span of the underlying constellation.
+    in the span of the underlying constellation.  Two equal mixtures give
+    Tr|p1 rho - p0 rho| = |p1 - p0|, so Pe = min(p0, p1) exactly.
     """
     c0, c1 = rho0.constellation, rho1.constellation
     if c0 is not c1 and not np.array_equal(c0.amplitudes, c1.amplitudes):
         raise ValueError("ensembles must reference the same constellation")
+    weights = [np.bincount(r.indices, r.probabilities, minlength=len(c0)) for r in (rho0, rho1)]
+    if np.array_equal(*weights):
+        return BoundReport(min(prior.p0, prior.p1), "error", "equal_mixtures")
     coords = _span_coordinates(c0.amplitudes)
     delta = (_ensemble_matrix(coords, rho1, prior.p1)
              - _ensemble_matrix(coords, rho0, prior.p0))
@@ -223,6 +222,23 @@ def _ring_log_spectrum(N: int, S: float) -> np.ndarray:
     with np.errstate(divide="ignore"):
         per_class = top + np.log(np.exp(by_class - top).sum(axis=0))
     return math.log(N) + per_class - math.log(np.exp(log_terms).sum())
+
+
+def helstrom_even_odd(M: int, S: float) -> BoundReport:
+    """Minimum error between the uniform even- and odd-index mixtures of the
+    2M-point ring of energy S, under equal priors.
+
+    Both mixtures are diagonal in the circulant eigenbasis; the signed
+    operator (rho_odd - rho_even)/2 pairs eigenvectors k and k+M into
+    eigenvalues +-sqrt(lambda_k lambda_{k+M}) / (2M), with lambda the
+    log-domain spectrum of the N = 2M ring, so
+    Pe = 1/2 - sum_{k<M} sqrt(lambda_k lambda_{k+M}) / (2M).  O(M + S) and
+    accurate to about 1e-16 S ln S relative, with no span projection.
+    """
+    _check_ring(2 * M, S)
+    log_lam = _ring_log_spectrum(2 * M, S)
+    half_trace_norm = np.exp(0.5 * (log_lam[:M] + log_lam[M:])).sum() / (2 * M)
+    return BoundReport(_clip01(0.5 - half_trace_norm), "error", "even_odd_spectrum")
 
 
 def _symmetric_amplitudes(N: int, S: float) -> np.ndarray:

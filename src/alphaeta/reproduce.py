@@ -167,8 +167,7 @@ def _claim_otp_bound():
     t0 = time.perf_counter()
     cfg = _otp_config()
     ne = neighbor_error(cfg.constellation())
-    rho_even, rho_odd = detection.even_odd_mixtures(cfg.constellation())
-    pe = detection.helstrom_binary_mixed(rho_even, rho_odd).value
+    pe = detection.helstrom_even_odd(cfg.M, cfg.S).value
     ok = pe >= 0.499 and ne >= 0.3
     return _result("4a", "one-time-pad bound at the designed point",
                    pe, ">= 0.499 (neighbor confusion >= 0.3)", ok, t0,
@@ -187,7 +186,10 @@ def _claim_otp_empirical():
     ok = abs(rep.empirical.value - 0.5) <= 0.01
     return _result("4b", "one-time-pad empirical bit error",
                    rep.empirical.value, "0.5 +/- 0.01", ok, t0,
-                   f"stderr={rep.empirical.stderr:.2e}, bound Pe={rep.bound.value:.6f}")
+                   f"stderr={rep.empirical.stderr:.2e}, bound Pe={rep.bound.value:.6f} "
+                   f"({rep.bound.method}); every slot is a MAP tie between equal "
+                   f"mixtures, decided as 0, so the rate is the plaintext's "
+                   f"ones-fraction {plaintext.mean():.5f}")
 
 
 @_claim("5a", "designed config: exhaustive key posterior keeps positive entropy")

@@ -1,10 +1,11 @@
 """Independent test oracles, computed without the package's own routines.
 
 ``ring_spectrum_mpmath`` is the 60-digit circulant Gram spectrum of a
-symmetric coherent-state ring.  ``RED_CLAIMS`` lists the reproduce checks
-whose published reference the true figure cannot meet; each entry carries the
-oracle for the measured figure, the claim's own stated band and a check that
-the claim's detail string is true.
+symmetric coherent-state ring.  ``full_slab_errors`` counts the eavesdropper's
+MAP errors by scoring every sample against every constellation point.
+``RED_CLAIMS`` lists the reproduce checks whose published reference the true
+figure cannot meet; each entry carries the oracle for the measured figure, the
+claim's own stated band and a check that the claim's detail string is true.
 """
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ from typing import Callable
 
 import mpmath
 import numpy as np
+from scipy.special import logsumexp
+
+from alphaeta.channel import apply_loss
+from alphaeta.cipher import running_key
+from alphaeta.detection import WeightedEnsemble
 
 
 @functools.lru_cache(maxsize=None)
@@ -45,6 +51,44 @@ def ring_srm_success(N, S) -> float:
     with mpmath.workdps(60):
         lam = ring_spectrum_mpmath(N, S)
         return float((mpmath.fsum(mpmath.sqrt(x) for x in lam) / N) ** 2)
+
+
+def ring_even_odd_helstrom(M, S) -> float:
+    """Helstrom error between the even and odd mixtures of the 2M-point ring,
+    1/2 - sum_{k<M} sqrt(lambda_k lambda_{k+M}) / (2M), at 60 digits."""
+    with mpmath.workdps(60):
+        lam = ring_spectrum_mpmath(2 * M, S)
+        return float(mpmath.mpf(1) / 2
+                     - mpmath.fsum(mpmath.sqrt(lam[k] * lam[k + M]) for k in range(M)) / (2 * M))
+
+
+def even_odd_mixtures(c) -> tuple[WeightedEnsemble, WeightedEnsemble]:
+    """Uniform mixtures over the even- and odd-index points of a constellation."""
+    n = len(c)
+    return (WeightedEnsemble.uniform(c, np.arange(0, n, 2)),
+            WeightedEnsemble.uniform(c, np.arange(1, n, 2)))
+
+
+def full_slab_errors(record, config, kind, plaintext) -> int:
+    """MAP error count of one eavesdropper attack ("ctoa_data", "ctoa_key" or
+    "kpa_key"), scoring every sample against all 2M points at once."""
+    beta = apply_loss(config.constellation().amplitudes, config.kappa)
+    ll = -np.abs(record.samples[:, None] - beta[None, :]) ** 2
+    M = config.M
+    x = np.asarray(plaintext, dtype=np.int64)
+    if kind == "ctoa_data":
+        # bit b sits on the half {k + b M}; OSK marginalizes it onto the whole ring
+        sets = [np.arange(2 * M)] * 2 if config.osk else [np.arange(M), np.arange(M, 2 * M)]
+        l0, l1 = (logsumexp(ll[:, s], axis=1) for s in sets)
+        return int(np.sum((l1 > l0).astype(np.int64) != x))
+    if kind == "ctoa_key":
+        guess = np.argmax(ll, axis=1) % M
+    elif config.osk:
+        guess = np.argmax(np.logaddexp(ll[:, :M], ll[:, M:]), axis=1)
+    else:
+        cand = np.where(x[:, None] == 0, np.arange(M)[None, :], np.arange(M)[None, :] + M)
+        guess = np.argmax(np.take_along_axis(ll, cand, axis=1), axis=1)
+    return int(np.sum(guess != running_key(config, len(record))))
 
 
 def dft_spectrum_floor(N, S) -> float:

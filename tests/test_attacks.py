@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alphaeta.attacks import (
+    _DROPPED_MASS_TOL,
     binary_entropy,
     bit_hypothesis_ensembles,
     collective_success,
@@ -21,6 +22,8 @@ from alphaeta.attacks import (
 from alphaeta.channel import transmit
 from alphaeta.cipher import CipherConfig, encode, slots_per_period
 from alphaeta.detection import quadrature_binary, srm_symmetric
+
+from oracles import full_slab_errors
 
 
 def _run(config, n, rng, plaintext=None):
@@ -73,6 +76,66 @@ class TestCtoaData:
         _, rec = _run(cfg, 10, rng)
         with pytest.raises(ValueError):
             eve_ctoa_data(rec, cfg, np.zeros(9, dtype=int))
+
+
+class TestWindowedMap:
+    # (config fields, whether the window is narrower than the constellation);
+    # a two-point ring never is: the one-point window's gap bound is 0 when y
+    # is equidistant from both points.  At S = 0 every likelihood ties, so
+    # each decision falls to the first candidate in index order.
+    CASES = {
+        "psk4-vacuum": (dict(M=4, S=0.0), False),
+        "psk1-low": (dict(M=1, S=1.0), False),
+        "psk1-high": (dict(M=1, S=100.0), False),
+        "psk2-low": (dict(M=2, S=0.5), False),
+        "psk2-high": (dict(M=2, S=100.0), True),
+        "psk8-low": (dict(M=8, S=1.0), False),
+        "psk8-high": (dict(M=8, S=400.0), True),
+        "psk64-low": (dict(M=64, S=2.0), False),
+        "psk64-high": (dict(M=64, S=4000.0), True),
+        "ask8-low": (dict(M=8, S=4.0, kind="ask", ask_S_min=2.0, ask_S_max=4.0), False),
+        "ask8-high": (dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0), True),
+    }
+
+    @pytest.mark.parametrize("osk", [False, True])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_slab(self, case, osk):
+        fields, narrow = self.CASES[case]
+        cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **fields)
+        rng = np.random.default_rng(fields["M"])
+        x, rec = _run(cfg, 10_000, rng)  # spans three likelihood chunks
+        reports = [eve_ctoa_data(rec, cfg, x), eve_key_symbol(rec, cfg, None)]
+        if cfg.M > 1:  # one candidate symbol: no known-plaintext bound at N = 1
+            reports.append(eve_key_symbol(rec, cfg, x))
+        for rep in reports:
+            want = full_slab_errors(rec, cfg, rep.attack_kind, x)
+            assert rep.empirical.value == want / len(x), rep.attack_kind
+            if narrow:
+                assert 0.0 < rep.dropped_mass_bound <= _DROPPED_MASS_TOL
+            else:
+                assert rep.dropped_mass_bound == 0.0
+
+    @pytest.mark.parametrize("case", ["psk8-high", "ask8-high"])
+    def test_window_reaches_the_known_half(self, case):
+        # a wrong plaintext puts each sample in the other half, out of reach of
+        # the bound's window; the maximum over the known half must still be
+        # found
+        cfg = CipherConfig(key_bits=12, seed=0x5A5, **self.CASES[case][0])
+        x, rec = _run(cfg, 5_000, np.random.default_rng(9))
+        rep = eve_key_symbol(rec, cfg, 1 - x)
+        assert rep.empirical.value == full_slab_errors(rec, cfg, "kpa_key", 1 - x) / len(x)
+        assert rep.empirical.value > 0.5
+
+    def test_requires_heterodyne_record(self):
+        cfg = CipherConfig(M=2, S=4.0, key_bits=8, seed=0x55)
+        x = np.zeros(64, dtype=np.int64)
+        rec = transmit(encode(x, cfg), cfg, np.random.default_rng(0), mode="homodyne")
+        for attack in (lambda: eve_ctoa_data(rec, cfg, x),
+                       lambda: eve_key_symbol(rec, cfg, x),
+                       lambda: eve_key_symbol(rec, cfg, None),
+                       lambda: key_posterior_entropy(rec, cfg, x)):
+            with pytest.raises(ValueError, match="heterodyne"):
+                attack()
 
 
 class TestKeySymbolAttacks:

@@ -85,6 +85,16 @@ class TestTransmit:
         assert rec.mode == "heterodyne"
         assert rec.kappa == 0.5
 
+    def test_homodyne_reads_one_quadrature(self):
+        # the real axis at variance 1/4; the conjugate quadrature is not measured
+        cfg = CipherConfig(M=2, S=4.0, key_bits=8, seed=0x55)
+        idx = encode(np.random.default_rng(1).integers(0, 2, 50_000), cfg)
+        rec = transmit(idx, cfg, np.random.default_rng(2), mode="homodyne")
+        assert rec.mode == "homodyne"
+        np.testing.assert_array_equal(rec.samples.imag, 0.0)
+        noise = rec.samples.real - cfg.constellation().amplitudes[idx].real
+        assert noise.var() == pytest.approx(0.25, abs=0.005)
+
     def test_reproducible_across_runs(self):
         cfg = CipherConfig(M=4, S=2.0, key_bits=8, seed=0x21)
         idx = encode(np.zeros(128, dtype=int), cfg)

@@ -10,16 +10,21 @@ from alphaeta.detection import (
     BinaryPrior,
     BoundReport,
     WeightedEnsemble,
-    even_odd_mixtures,
     helstrom_binary_mixed,
     helstrom_binary_pure,
+    helstrom_even_odd,
     quadrature_binary,
     srm_symmetric,
     srm_symmetric_residual,
     usd_symmetric,
 )
 
-from oracles import ring_srm_success, ring_usd_success
+from oracles import (
+    even_odd_mixtures,
+    ring_even_odd_helstrom,
+    ring_srm_success,
+    ring_usd_success,
+)
 
 S_GRID = (0.1, 1.0, 10.0, 100.0, 1e4)
 N_GRID = tuple(2 ** k for k in range(1, 12))  # 2 .. 2048
@@ -120,6 +125,10 @@ class TestHelstromMixed:
         c = make_psk(4, 2.0)
         rho = WeightedEnsemble.uniform(c, np.arange(8))
         assert helstrom_binary_mixed(rho, rho).value == pytest.approx(0.5, abs=1e-12)
+        # the same mixture listed in another order; Tr|p1 rho - p0 rho| = |p1 - p0|
+        same = WeightedEnsemble.uniform(c, np.arange(8)[::-1])
+        rep = helstrom_binary_mixed(rho, same, BinaryPrior(0.3, 0.7))
+        assert rep.value == 0.3 and rep.method == "equal_mixtures"
 
     def test_singletons_reduce_to_pure(self):
         c = make_psk(4, 3.0)
@@ -179,6 +188,29 @@ class TestHelstromMixed:
         rho0 = WeightedEnsemble(c, np.array([0.8, 0.2]), np.array([0, 2]))
         rho1 = WeightedEnsemble(c, np.array([0.8, 0.2]), np.array([8, 10]))
         assert helstrom_binary_mixed(rho0, rho1).value >= pure - 1e-12
+
+
+class TestHelstromEvenOdd:
+    @pytest.mark.parametrize("M, S", [(16, 5.0), (64, 100.0)])
+    def test_matches_mpmath_spectrum(self, M, S):
+        rep = helstrom_even_odd(M, S)
+        assert rep.method == "even_odd_spectrum"
+        assert rep.value == pytest.approx(ring_even_odd_helstrom(M, S), rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("S", [0.7, 2.5])
+    def test_matches_dense_oracle(self, S):
+        from alphaeta.reproduce import _dense_mixed_helstrom
+
+        c = make_psk(2, S)
+        rho_e, rho_o = even_odd_mixtures(c)
+        want = _dense_mixed_helstrom(c.amplitudes, rho_e, rho_o)
+        assert helstrom_even_odd(2, S).value == pytest.approx(want, abs=1e-10)
+
+    def test_rejects_degenerate_input(self):
+        with pytest.raises(ValueError):
+            helstrom_even_odd(0, 1.0)
+        with pytest.raises(ValueError):
+            helstrom_even_odd(4, -1.0)
 
 
 class TestSrmSymmetric:
