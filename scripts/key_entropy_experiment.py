@@ -21,17 +21,20 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--key-bits", type=int, default=12)
     ap.add_argument("--m", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=0x5A5)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="register seed (default: 0x5A5 reduced into the |K|-bit range)")
     ap.add_argument("--record-seed", type=int, default=99)
     ap.add_argument("--s", type=float, nargs="+",
                     default=[0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0])
     args = ap.parse_args()
+    # 0x5A5 itself for |K| >= 11; always a nonzero |K|-bit state
+    seed = args.seed if args.seed is not None else (0x5A5 - 1) % (2 ** args.key_bits - 1) + 1
 
     print(f"M={args.m}  |K|={args.key_bits}  one period, all-zero plaintext")
     print(f"{'S':>10}  {'slots':>6}  {'posterior entropy (bits)':>25}")
     for s in args.s:
         cfg = CipherConfig(M=args.m, S=s, key_bits=args.key_bits,
-                           seed=args.seed, osk=True)
+                           seed=seed, osk=True)
         slots = slots_per_period(cfg)
         x = np.zeros(slots, dtype=np.int64)
         rec = transmit(encode(x, cfg), cfg, np.random.default_rng(args.record_seed))

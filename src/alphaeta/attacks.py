@@ -184,7 +184,8 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     all 2M states compete and the symbol estimate is the index mod M.  Only
     the window of points within reach is scored (``_window``).  The bound is
     the symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
-    (ciphertext-only).
+    (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
+    bound is an error of exactly 0 (method ``single_state``).
     """
     _require_heterodyne(record)
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
@@ -214,7 +215,10 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
         errors += int(np.sum(guess != k_true[lo:lo + len(y)]))
         dropped = max(dropped, bound)
 
-    bound = srm_symmetric(M if known else 2 * M, config.S)
+    if known and M == 1:  # one candidate symbol: the guess cannot err
+        bound = BoundReport(0.0, "error", "single_state")
+    else:
+        bound = srm_symmetric(M if known else 2 * M, config.S)
     kind = "kpa_key" if known else "ctoa_key"
     return AttackReport(kind, _rate(errors, n), bound, n, seed, dropped_mass_bound=dropped)
 

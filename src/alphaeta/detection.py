@@ -1,14 +1,15 @@
 """Quantum detection bounds: binary Helstrom (pure/mixed), square-root measurement,
 quadrature receivers, and unambiguous discrimination of symmetric coherent states.
 
-State-space work happens in the span of the occurring coherent points
+Symmetric (PSK) rings take their circulant Gram spectrum from one
+log-domain closed form (Poisson mass by residue class, relative error about
+1e-16 S ln S, no clamp), which the minimum-error, unambiguous and
+mixed-state Helstrom figures all read.  Only ASK ladders, which are not
+circulant, are worked in the span of the occurring coherent points
 (dimension <= number of states), never in a truncated photon-number basis;
-that keeps S = 1e4 exact.  Span Gram eigenvalues are clamped at a relative
-tolerance of 1e-10 and square-root-measurement optimality is certified
-through the Holevo-Yuen conditions with an alarm at 1e-8.  Symmetric rings
-take their circulant Gram spectrum from one log-domain closed form (Poisson
-mass by residue class, relative error about 1e-16 S ln S, no clamp), which
-both the minimum-error and the unambiguous figures read.
+span Gram eigenvalues are clamped at a relative tolerance of 1e-10.
+Square-root-measurement optimality is certified through the Holevo-Yuen
+conditions with an alarm at 1e-8.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .constellation import Constellation, gaussian_tail, gram_matrix, _amp
+from .constellation import Constellation, ModulationKind, gaussian_tail, gram_matrix, _amp
 
 EIG_CLAMP_REL = 1e-10
 RESIDUAL_ALARM = 1e-8
@@ -84,8 +85,9 @@ class BoundReport:
 
     value: float
     kind: str  # "error" | "success"
-    # closed_form | equal_mixtures | span_eigen | even_odd_spectrum |
-    # srm_spectrum | usd_spectrum | quadrature
+    # closed_form | equal_mixtures | ring_spectrum (PSK mixtures) |
+    # span_eigen (ASK mixtures) | even_odd_spectrum | srm_spectrum |
+    # usd_spectrum | quadrature | single_state
     method: str
     optimality_residual: float | None = None
     eig_clamp_rel: float = EIG_CLAMP_REL
@@ -170,9 +172,20 @@ def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
                           prior: BinaryPrior = EQUAL_PRIORS) -> BoundReport:
     """Minimum error between two coherent-state mixtures.
 
-    Pe = 1/2 - Tr|p1 rho1 - p0 rho0| / 2, with the trace norm computed exactly
-    in the span of the underlying constellation.  Two equal mixtures give
-    Tr|p1 rho - p0 rho| = |p1 - p0|, so Pe = min(p0, p1) exactly.
+    Pe = 1/2 - Tr|Delta| / 2 with Delta = p1 rho1 - p0 rho0 = sum_j w_j |a_j><a_j|
+    and w_j = p1 q1_j - p0 q0_j the signed point weights.  Two equal mixtures
+    give Tr|Delta| = |p1 - p0|, so Pe = min(p0, p1) exactly.
+
+    On a PSK ring of N = 2M points and energy S, point j has coordinates
+    sqrt(lambda_k / N) omega^{jk} in the circulant eigenbasis, so
+    Delta = D^{1/2} C D^{1/2} / N with D = diag(lambda) from the log-domain
+    spectrum and C_kl = w^(k - l), w^(d) = sum_j w_j omega^{jd}.  When
+    w_{j+M} = -w_j (the half rings at equal priors), w^ vanishes at even d,
+    Delta only couples even k to odd l, and Tr|Delta| is twice the singular
+    value sum of that M x M block; any other weights take one N x N Hermitian
+    eigensolve.  No span projection is involved; the spectrum's relative
+    error of about 1e-16 S ln S carries into Pe.  ASK ladders are not
+    circulant and are solved exactly in the span of the constellation.
     """
     c0, c1 = rho0.constellation, rho1.constellation
     if c0 is not c1 and not np.array_equal(c0.amplitudes, c1.amplitudes):
@@ -180,12 +193,31 @@ def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
     weights = [np.bincount(r.indices, r.probabilities, minlength=len(c0)) for r in (rho0, rho1)]
     if np.array_equal(*weights):
         return BoundReport(min(prior.p0, prior.p1), "error", "equal_mixtures")
+    if c0.kind is ModulationKind.PSK:
+        w = prior.p1 * weights[1] - prior.p0 * weights[0]
+        trace_norm = _ring_trace_norm(w, abs(c0.amplitudes[0]) ** 2)
+        return BoundReport(_clip01(0.5 - 0.5 * trace_norm), "error", "ring_spectrum")
     coords = _span_coordinates(c0.amplitudes)
     delta = (_ensemble_matrix(coords, rho1, prior.p1)
              - _ensemble_matrix(coords, rho0, prior.p0))
     eig = np.linalg.eigvalsh(delta)
     trace_norm = float(np.abs(eig).sum())
     return BoundReport(_clip01(0.5 - 0.5 * trace_norm), "error", "span_eigen")
+
+
+def _ring_trace_norm(w: np.ndarray, S: float) -> float:
+    """Tr|sum_j w_j |a_j><a_j|| over the N-point ring of energy S, from the
+    circulant spectrum (see ``helstrom_binary_mixed``)."""
+    N = len(w)
+    root = np.exp(0.5 * _ring_log_spectrum(N, S))
+    w_hat = N * np.fft.ifft(w)
+    k = np.arange(N)
+    if np.array_equal(w[N // 2:], -w[:N // 2]):
+        even, odd = k[::2], k[1::2]
+        block = root[even, None] * w_hat[(even[:, None] - odd) % N] * root[odd]
+        return 2.0 * float(np.linalg.svd(block, compute_uv=False).sum()) / N
+    delta = root[:, None] * w_hat[(k[:, None] - k) % N] * root
+    return float(np.abs(np.linalg.eigvalsh(delta)).sum()) / N
 
 
 def _check_ring(N: int, S: float) -> None:

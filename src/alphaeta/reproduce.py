@@ -235,18 +235,18 @@ def _claim_usd_vs_srm_grid():
                    worst, "<= 1e-10", ok, t0, "worst (usd - optimal) gap")
 
 
-@_claim("7a", "span trace norm matches dense orthonormalized brute force to 1e-10")
+@_claim("7a", "mixed-state Helstrom bound matches dense orthonormalized brute force to 1e-10")
 def _claim_small_oracle():
     t0 = time.perf_counter()
     c = make_psk(2, 1.3)
     rho0 = detection.WeightedEnsemble(c, np.array([0.7, 0.3]), np.array([0, 1]))
     rho1 = detection.WeightedEnsemble(c, np.array([0.6, 0.4]), np.array([2, 3]))
-    pe = detection.helstrom_binary_mixed(rho0, rho1).value
+    rep = detection.helstrom_binary_mixed(rho0, rho1)
     pe_dense = _dense_mixed_helstrom(c.amplitudes, rho0, rho1)
-    diff = abs(pe - pe_dense)
-    return _result("7a", "mixed-Helstrom dual-route agreement",
+    diff = abs(rep.value - pe_dense)
+    return _result("7a", f"mixed-Helstrom {rep.method} vs dense agreement",
                    diff, "<= 1e-10", diff <= 1e-10, t0,
-                   f"span={pe:.12f}, dense={pe_dense:.12f}")
+                   f"{rep.method}={rep.value:.12f}, dense={pe_dense:.12f}")
 
 
 @_claim("7b", "two-slot joint success equals per-slot success squared (MC)")

@@ -1,8 +1,10 @@
 """Independent test oracles, computed without the package's own routines.
 
 ``ring_spectrum_mpmath`` is the 60-digit circulant Gram spectrum of a
-symmetric coherent-state ring.  ``full_slab_errors`` counts the eavesdropper's
-MAP errors by scoring every sample against every constellation point.
+symmetric coherent-state ring; ``ring_mixture_helstrom`` reads the Helstrom
+error of any signed mixture over that ring from it.  ``full_slab_errors``
+counts the eavesdropper's MAP errors by scoring every sample against every
+constellation point.
 ``RED_CLAIMS`` lists the reproduce checks whose published reference the true
 figure cannot meet; each entry carries the oracle for the measured figure, the
 claim's own stated band and a check that the claim's detail string is true.
@@ -60,6 +62,24 @@ def ring_even_odd_helstrom(M, S) -> float:
         lam = ring_spectrum_mpmath(2 * M, S)
         return float(mpmath.mpf(1) / 2
                      - mpmath.fsum(mpmath.sqrt(lam[k] * lam[k + M]) for k in range(M)) / (2 * M))
+
+
+def ring_mixture_helstrom(w, S) -> float:
+    """Helstrom error 1/2 - Tr|Delta| / 2 of Delta = sum_j w_j |a_j><a_j| over
+    the N = len(w) point ring of energy S, at 60 digits: in the circulant
+    eigenbasis Delta_kl = sqrt(lambda_k lambda_l) w^(k - l) / N with
+    w^(d) = sum_j w_j omega^{jd}, and its eigenvalues come from mpmath."""
+    N = len(w)
+    with mpmath.workdps(60):
+        root = [mpmath.sqrt(x) for x in ring_spectrum_mpmath(N, S)]
+        w_hat = [mpmath.fsum(mpmath.mpf(w[j]) * mpmath.expjpi(mpmath.mpf(2 * j * d) / N)
+                             for j in range(N)) for d in range(N)]
+        delta = mpmath.matrix(N, N)
+        for k in range(N):
+            for l in range(N):
+                delta[k, l] = root[k] * root[l] * w_hat[(k - l) % N] / N
+        eig = mpmath.eighe(delta, eigvals_only=True)
+        return float(mpmath.mpf(1) / 2 - mpmath.fsum(abs(e) for e in eig) / 2)
 
 
 def even_odd_mixtures(c) -> tuple[WeightedEnsemble, WeightedEnsemble]:

@@ -104,9 +104,8 @@ class TestWindowedMap:
         cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **fields)
         rng = np.random.default_rng(fields["M"])
         x, rec = _run(cfg, 10_000, rng)  # spans three likelihood chunks
-        reports = [eve_ctoa_data(rec, cfg, x), eve_key_symbol(rec, cfg, None)]
-        if cfg.M > 1:  # one candidate symbol: no known-plaintext bound at N = 1
-            reports.append(eve_key_symbol(rec, cfg, x))
+        reports = [eve_ctoa_data(rec, cfg, x), eve_key_symbol(rec, cfg, None),
+                   eve_key_symbol(rec, cfg, x)]
         for rep in reports:
             want = full_slab_errors(rec, cfg, rep.attack_kind, x)
             assert rep.empirical.value == want / len(x), rep.attack_kind
@@ -185,6 +184,15 @@ class TestKeySymbolAttacks:
         rec = transmit(encode(x, cfg), cfg, rng)
         rep = eve_key_symbol(rec, cfg, x)
         assert rep.empirical.value < 0.01  # far-separated states
+
+    @pytest.mark.parametrize("osk", [False, True])
+    def test_single_symbol_kpa_cannot_err(self, osk):
+        # M = 1 leaves one candidate symbol once the plaintext is known
+        cfg = CipherConfig(M=1, S=4.0, key_bits=8, seed=0x55, osk=osk)
+        x, rec = _run(cfg, 1_000, np.random.default_rng(7))
+        rep = eve_key_symbol(rec, cfg, x)
+        assert rep.empirical.value == 0.0
+        assert rep.bound.value == 0.0 and rep.bound.method == "single_state"
 
 
 class TestKeyPosterior:

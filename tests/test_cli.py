@@ -112,6 +112,16 @@ class TestSimulate:
                      "report_kpa_key.json", "report_key_entropy.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_plain_ring_bound_reads_the_spectrum(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**GOOD_CONFIG, "osk": False}))
+        out = tmp_path / "plain"
+        code, _, _ = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                             "--bits", "2000", "--attack", "ctoa-data", "--out", str(out))
+        assert code == 0
+        rep = json.loads((out / "report_ctoa_data.json").read_text())
+        assert rep["bound"]["method"] == "ring_spectrum"
+
     def test_zero_plaintext_probe_is_kpa_setup(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**GOOD_CONFIG, "M": 4, "S": 100.0}))

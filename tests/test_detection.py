@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from alphaeta.constellation import gaussian_tail, make_psk, overlap
+from alphaeta.constellation import (
+    Constellation,
+    ModulationKind,
+    gaussian_tail,
+    make_ask,
+    make_psk,
+    overlap,
+)
 from alphaeta.detection import (
     BinaryPrior,
     BoundReport,
@@ -22,6 +29,7 @@ from alphaeta.detection import (
 from oracles import (
     even_odd_mixtures,
     ring_even_odd_helstrom,
+    ring_mixture_helstrom,
     ring_srm_success,
     ring_usd_success,
 )
@@ -155,6 +163,18 @@ class TestHelstromMixed:
         want = _dense_mixed_helstrom(c.amplitudes, rho0, rho1)
         assert got == pytest.approx(want, abs=1e-10)
 
+    def test_ask_ladder_dense_oracle(self):
+        # ladders are not circulant: they keep the span route
+        from alphaeta.reproduce import _dense_mixed_helstrom
+
+        c = make_ask(2, 1.5, 6.0, 1.0)
+        rho0 = WeightedEnsemble(c, np.array([0.7, 0.3]), np.array([0, 1]))
+        rho1 = WeightedEnsemble(c, np.array([0.6, 0.4]), np.array([2, 3]))
+        rep = helstrom_binary_mixed(rho0, rho1)
+        assert rep.method == "span_eigen"
+        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, rho0, rho1),
+                                          abs=1e-10)
+
     def test_designed_even_odd_mixtures_near_half(self):
         c = make_psk(512, 4000.0)
         rho_e, rho_o = even_odd_mixtures(c)
@@ -177,8 +197,9 @@ class TestHelstromMixed:
             want = 0.5 - 0.5 * trace_norm
             rho_e, rho_o = even_odd_mixtures(c)
             got = helstrom_binary_mixed(rho_e, rho_o).value
-            # span projection drops sqrt(clamped-out gamma) cross terms
-            assert got == pytest.approx(want, abs=1e-6)
+            # the gap, about 1.3e-11 at (256, 2000), is the rounding of this
+            # oracle's own DFT of the overlap row, not of the ring route
+            assert got == pytest.approx(want, abs=1e-10)
 
     def test_mixing_congruent_pairs_never_helps(self):
         # each added pair is a rotated copy of the base antipodal pair, so the
@@ -188,6 +209,78 @@ class TestHelstromMixed:
         rho0 = WeightedEnsemble(c, np.array([0.8, 0.2]), np.array([0, 2]))
         rho1 = WeightedEnsemble(c, np.array([0.8, 0.2]), np.array([8, 10]))
         assert helstrom_binary_mixed(rho0, rho1).value >= pure - 1e-12
+
+
+class TestHelstromRing:
+    """The spectrum route that every pair of mixtures on a PSK ring takes."""
+
+    @staticmethod
+    def half_rings(M, S):
+        c = make_psk(M, S)
+        return (WeightedEnsemble.uniform(c, np.arange(M)),
+                WeightedEnsemble.uniform(c, np.arange(M, 2 * M)))
+
+    @staticmethod
+    def signed_weights(rho0, rho1, prior):
+        n = len(rho0.constellation)
+        return (prior.p1 * np.bincount(rho1.indices, rho1.probabilities, minlength=n)
+                - prior.p0 * np.bincount(rho0.indices, rho0.probabilities, minlength=n))
+
+    @pytest.mark.parametrize("M", [1, 2, 4, 8])
+    def test_half_rings_match_dense_oracle(self, M):
+        from alphaeta.reproduce import _dense_mixed_helstrom
+
+        # at S = 10 the oracle's Gram-Schmidt keeps every direction; at low S
+        # it drops near-dependent ones and is itself off by up to 7e-12
+        rho0, rho1 = self.half_rings(M, 10.0)
+        rep = helstrom_binary_mixed(rho0, rho1)
+        assert rep.method == "ring_spectrum"
+        want = _dense_mixed_helstrom(rho0.constellation.amplitudes, rho0, rho1)
+        assert rep.value == pytest.approx(want, abs=1e-15)
+
+    def test_unequal_weights_match_dense_oracle(self):
+        # w_{j+M} != -w_j, so the route takes the full Hermitian eigensolve
+        from alphaeta.reproduce import _dense_mixed_helstrom
+
+        c = make_psk(4, 10.0)
+        rho0 = WeightedEnsemble(c, np.array([0.7, 0.2, 0.1]), np.array([0, 1, 3]))
+        rho1 = WeightedEnsemble(c, np.array([0.5, 0.5]), np.array([4, 6]))
+        rep = helstrom_binary_mixed(rho0, rho1)
+        assert rep.method == "ring_spectrum"
+        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, rho0, rho1),
+                                          abs=1e-15)
+
+    @pytest.mark.parametrize("prior", [BinaryPrior(0.5, 0.5), BinaryPrior(0.3, 0.7)])
+    def test_matches_span_route(self, prior):
+        # the same points labelled as a ladder take the span route
+        rho0, rho1 = self.half_rings(64, 100.0)
+        c = rho0.constellation
+        ladder = Constellation(c.amplitudes, ModulationKind.ASK, c.num_bases)
+        span = helstrom_binary_mixed(WeightedEnsemble(ladder, rho0.probabilities, rho0.indices),
+                                     WeightedEnsemble(ladder, rho1.probabilities, rho1.indices),
+                                     prior)
+        assert span.method == "span_eigen"
+        assert helstrom_binary_mixed(rho0, rho1, prior).value == pytest.approx(
+            span.value, abs=1e-12)
+
+    @pytest.mark.parametrize("N, S", [(8, 5.0), (16, 50.0)])
+    @pytest.mark.parametrize("prior", [BinaryPrior(0.5, 0.5), BinaryPrior(0.3, 0.7)])
+    def test_matches_mpmath_oracle(self, N, S, prior):
+        rho0, rho1 = self.half_rings(N // 2, S)
+        want = ring_mixture_helstrom(self.signed_weights(rho0, rho1, prior), S)
+        got = helstrom_binary_mixed(rho0, rho1, prior).value
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("M, S", [(16, 5.0), (64, 100.0)])
+    def test_even_odd_mixtures_match_pairing_formula(self, M, S):
+        rep = helstrom_binary_mixed(*even_odd_mixtures(make_psk(M, S)))
+        assert rep.method == "ring_spectrum"
+        assert rep.value == pytest.approx(ring_even_odd_helstrom(M, S), rel=0, abs=1e-15)
+
+    def test_designed_half_rings(self):
+        # M = 512, S = 4000: the span route's clamp left this 6.7e-12 high
+        rep = helstrom_binary_mixed(*self.half_rings(512, 4000.0))
+        assert rep.value == pytest.approx(0.0015669998138, rel=0, abs=1e-13)
 
 
 class TestHelstromEvenOdd:
