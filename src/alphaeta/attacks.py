@@ -44,7 +44,7 @@ class EmpiricalRate:
 
 @dataclass(frozen=True)
 class AttackReport:
-    attack_kind: str  # ctoa_data | ctoa_key | kpa_key | collective | repetition
+    attack_kind: str  # ctoa_data | ctoa_key | kpa_key
     empirical: EmpiricalRate
     bound: BoundReport
     trials: int
@@ -223,20 +223,6 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     return AttackReport(kind, _rate(errors, n), bound, n, seed, dropped_mass_bound=dropped)
 
 
-def symmetric_symbol_error_mc(N: int, S: float, trials: int,
-                              rng: np.random.Generator, kappa: float = 1.0) -> EmpiricalRate:
-    """Heterodyne symbol error for N symmetric states under uniform symbols.
-
-    Detection-level experiment (no cipher machinery), so N need not be a
-    power of two; nearest-state decoding reduces to phase quantization.
-    """
-    symbols = rng.integers(0, N, size=trials)
-    amps = math.sqrt(S * kappa) * np.exp(2j * np.pi * symbols / N)
-    y = amps + rng.normal(0, math.sqrt(0.5), trials) + 1j * rng.normal(0, math.sqrt(0.5), trials)
-    guess = np.round(np.angle(y) / (2 * np.pi / N)).astype(np.int64) % N
-    return _rate(int(np.sum(guess != symbols)), trials)
-
-
 # --- exhaustive key posterior ------------------------------------------------
 
 def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
@@ -289,27 +275,6 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
 
 # --- closed-form security metrics --------------------------------------------
 
-def binary_entropy(p: float) -> float:
-    """h(p) in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability out of range")
-    if p in (0.0, 1.0):
-        return 0.0
-    return float(-p * math.log2(p) - (1 - p) * math.log2(1 - p))
-
-
-def data_equivocation(pe_eve: float, n_bits: int, key_bits: int) -> tuple[float, bool]:
-    """Total data equivocation n*h(pe) and whether it exceeds the key length.
-
-    Crossing the key length is the signature that the cipher's secrecy has
-    left the classical key-uncertainty regime.
-    """
-    if not 0.0 <= pe_eve <= 0.5:
-        raise ValueError("pe_eve must lie in [0, 1/2]")
-    total = n_bits * binary_entropy(pe_eve)
-    return total, total > key_bits
-
-
 def collective_success(per_slot_pd: float, L: int) -> float:
     """log2 of the joint success probability pd^L.
 
@@ -327,17 +292,6 @@ def collective_success(per_slot_pd: float, L: int) -> float:
     return L * math.log2(per_slot_pd)
 
 
-def repetition_success(pd: float, J: int) -> float:
-    """Success of J independent repetitions, 1 - (1 - pd)^J, stable for tiny pd."""
-    if not 0.0 <= pd <= 1.0:
-        raise ValueError("pd out of range")
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if pd == 1.0:
-        return 1.0
-    return float(-math.expm1(J * math.log1p(-pd)))
-
-
 def collective_usd_bound(N: int, S: float, key_bits: int) -> tuple[float, bool]:
     """Collective unambiguous-attack success over one key's worth of slots.
 
@@ -349,12 +303,3 @@ def collective_usd_bound(N: int, S: float, key_bits: int) -> tuple[float, bool]:
     L = max(1, int(key_bits / math.log2(N)))
     log2_pd = collective_success(pd, L)
     return log2_pd, log2_pd < -key_bits
-
-
-def keygen_advantage(pe_bob: float, pe_eve: float) -> bool:
-    """True when Eve's equivocation exceeds Bob's, the condition for keyed
-    advantage creation (both error rates as binary-symmetric proxies)."""
-    for p in (pe_bob, pe_eve):
-        if not 0.0 <= p <= 0.5:
-            raise ValueError("error rates must lie in [0, 1/2]")
-    return binary_entropy(pe_eve) > binary_entropy(pe_bob)

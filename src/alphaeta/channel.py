@@ -119,49 +119,14 @@ def bob_receive(values, config: CipherConfig, rng: np.random.Generator | None = 
 
 # --- record files -----------------------------------------------------------
 
-def save_record(path, record: MeasurementRecord, fmt: str = "bin",
-                seed: int | None = None) -> None:
-    """Binary records are interleaved float64 (re, im) with a JSON sidecar;
-    CSV records carry the metadata as comment lines."""
+def save_record(path, record: MeasurementRecord, seed: int | None = None) -> None:
+    """Interleaved little-endian float64 (re, im) samples, with the mode,
+    kappa, seed and length in a JSON sidecar at ``path`` + ".json"."""
     path = Path(path)
+    inter = np.empty(2 * len(record), dtype="<f8")
+    inter[0::2] = record.samples.real
+    inter[1::2] = record.samples.imag
+    inter.tofile(path)
     meta = {"mode": record.mode, "kappa": record.kappa,
             "seed": seed, "length": len(record)}
-    if fmt == "bin":
-        inter = np.empty(2 * len(record), dtype="<f8")
-        inter[0::2] = record.samples.real
-        inter[1::2] = record.samples.imag
-        inter.tofile(path)
-        path.with_suffix(path.suffix + ".json").write_text(
-            json.dumps(meta, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        with open(path, "w") as f:
-            for key in sorted(meta):
-                f.write(f"# {key}={meta[key]}\n")
-            f.write("re,im\n")
-            for v in record.samples:
-                f.write(f"{v.real:.17g},{v.imag:.17g}\n")
-    else:
-        raise ValueError(f"unknown format: {fmt}")
-
-
-def load_record(path, fmt: str = "bin") -> MeasurementRecord:
-    path = Path(path)
-    if fmt == "bin":
-        meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-        inter = np.fromfile(path, dtype="<f8")
-        samples = inter[0::2] + 1j * inter[1::2]
-        return MeasurementRecord(samples, meta["mode"], float(meta["kappa"]))
-    if fmt == "csv":
-        meta = {}
-        rows = []
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    meta[key] = val
-                elif line and not line.startswith("re,"):
-                    re_s, _, im_s = line.partition(",")
-                    rows.append(complex(float(re_s), float(im_s)))
-        return MeasurementRecord(np.array(rows), meta["mode"], float(meta["kappa"]))
-    raise ValueError(f"unknown format: {fmt}")
+    path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, sort_keys=True) + "\n")

@@ -2,11 +2,9 @@
 bit-to-state mapping with optional overlap selection keying, keyed decoding."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -250,53 +248,3 @@ def sequence_count_log2(config: CipherConfig) -> float:
         return math.ldexp(per_block, config.key_bits)
     except OverflowError:
         return math.inf
-
-
-# --- key and index-stream files -------------------------------------------
-
-def write_key_file(path, config: CipherConfig) -> None:
-    """One JSON header line (taps and sizes) followed by the raw seed bytes."""
-    header = {
-        "key_bits": config.key_bits,
-        "taps": hex(config.taps),
-        "osk_taps": hex(config.osk_taps),
-    }
-    nbytes = (config.key_bits + 7) // 8
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        f.write(config.seed.to_bytes(nbytes, "big"))
-
-
-def read_key_file(path) -> dict:
-    raw = Path(path).read_bytes()
-    line, _, seed_bytes = raw.partition(b"\n")
-    header = json.loads(line)
-    return {
-        "key_bits": int(header["key_bits"]),
-        "taps": int(header["taps"], 16),
-        "osk_taps": int(header["osk_taps"], 16),
-        "seed": int.from_bytes(seed_bytes, "big"),
-    }
-
-
-def write_indices(path, indices, fmt: str = "bin") -> None:
-    """Index streams travel as little-endian uint16 or a one-column CSV."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if fmt == "bin":
-        if idx.size and (idx.min() < 0 or idx.max() >= 1 << 16):
-            raise ValueError("binary index format holds 16-bit indices only")
-        idx.astype("<u2").tofile(path)
-    elif fmt == "csv":
-        with open(path, "w") as f:
-            f.write("index\n")
-            f.writelines(f"{int(v)}\n" for v in idx)
-    else:
-        raise ValueError(f"unknown format: {fmt}")
-
-
-def read_indices(path, fmt: str = "bin") -> np.ndarray:
-    if fmt == "bin":
-        return np.fromfile(path, dtype="<u2").astype(np.int64)
-    if fmt == "csv":
-        return np.loadtxt(path, dtype=np.int64, skiprows=1, ndmin=1)
-    raise ValueError(f"unknown format: {fmt}")

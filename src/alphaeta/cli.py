@@ -120,8 +120,7 @@ def _bound_row(n: int, s: float, kind: str) -> dict:
         raise SystemExit(f"unknown bound kind: {kind}")
     return {
         "n": n, "s": s, "attack": kind, "value": rep.value, "kind": rep.kind,
-        "method": rep.method, "optimality_residual": rep.optimality_residual,
-        "eig_clamp_rel": rep.eig_clamp_rel, "residual_alarm": rep.residual_alarm,
+        "method": rep.method,
     }
 
 
@@ -160,11 +159,6 @@ def _manifest(args, config_dict: dict, outputs: list[str]) -> dict:
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": outputs,
     }
-
-
-def _report_to_dict(rep: attacks.AttackReport) -> dict:
-    d = dataclasses.asdict(rep)
-    return d
 
 
 def cmd_simulate(args) -> int:
@@ -231,13 +225,13 @@ def cmd_simulate(args) -> int:
             })
         elif kind == "ctoa-data":
             rep = attacks.eve_ctoa_data(record, config, plaintext, seed=args.seed)
-            dump("report_ctoa_data.json", _report_to_dict(rep))
+            dump("report_ctoa_data.json", dataclasses.asdict(rep))
         elif kind == "ctoa-key":
             rep = attacks.eve_key_symbol(record, config, None, seed=args.seed)
-            dump("report_ctoa_key.json", _report_to_dict(rep))
+            dump("report_ctoa_key.json", dataclasses.asdict(rep))
         elif kind == "kpa":
             rep = attacks.eve_key_symbol(record, config, plaintext, seed=args.seed)
-            dump("report_kpa_key.json", _report_to_dict(rep))
+            dump("report_kpa_key.json", dataclasses.asdict(rep))
         elif kind == "key-entropy":
             h = attacks.key_posterior_entropy(record, config, plaintext)
             dump("report_key_entropy.json", {
@@ -252,7 +246,7 @@ def cmd_simulate(args) -> int:
 
     if args.save_record:
         rec_path = outdir / "record.bin"
-        channel.save_record(rec_path, record, "bin", seed=args.seed)
+        channel.save_record(rec_path, record, seed=args.seed)
         outputs += [str(rec_path), str(rec_path) + ".json"]
 
     manifest = _manifest(args, cfg_dict, outputs)
@@ -350,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy"])
     s.add_argument("--out", default="runs")
     s.add_argument("--save-record", action="store_true")
-    s.add_argument("--format", default="json", choices=["json"])
     s.set_defaults(fn=cmd_simulate)
 
     d = sub.add_parser("design", help="pick the base count for a target neighbor confusion")

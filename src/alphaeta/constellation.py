@@ -14,22 +14,6 @@ class ModulationKind(str, Enum):
     ASK = "ask"
 
 
-@dataclass(frozen=True)
-class CoherentPoint:
-    """A coherent state |alpha>, identified by its complex amplitude (units: sqrt(photons))."""
-
-    amplitude: complex
-
-    @property
-    def mean_photons(self) -> float:
-        """Mean photon number S = |alpha|^2."""
-        return abs(self.amplitude) ** 2
-
-
-def _amp(x) -> complex:
-    return complex(x.amplitude) if isinstance(x, CoherentPoint) else complex(x)
-
-
 def log_overlap(a, b) -> complex:
     """Complex logarithm of <a|b>.
 
@@ -37,7 +21,7 @@ def log_overlap(a, b) -> complex:
     log form keeps products of many overlaps finite at large photon numbers
     (log-magnitudes down to about -1e5 are routine there).
     """
-    za, zb = _amp(a), _amp(b)
+    za, zb = complex(a), complex(b)
     return -0.5 * (abs(za) ** 2 + abs(zb) ** 2) + za.conjugate() * zb
 
 

@@ -8,8 +8,9 @@ mixed-state Helstrom figures all read.  Only ASK ladders, which are not
 circulant, are worked in the span of the occurring coherent points
 (dimension <= number of states), never in a truncated photon-number basis;
 span Gram eigenvalues are clamped at a relative tolerance of 1e-10.
-Square-root-measurement optimality is certified through the Holevo-Yuen
-conditions with an alarm at 1e-8.
+The square-root measurement is optimal for every symmetric ring: in the
+circulant basis the Holevo-Yuen conditions hold with equality (see
+``srm_symmetric``), so no numerical certificate is computed.
 """
 from __future__ import annotations
 
@@ -19,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .constellation import Constellation, ModulationKind, gaussian_tail, gram_matrix, _amp
+from .constellation import Constellation, ModulationKind, gaussian_tail, gram_matrix
 
 EIG_CLAMP_REL = 1e-10
-RESIDUAL_ALARM = 1e-8
-# Span dimension above which the per-hypothesis optimality certificate is skipped.
-RESIDUAL_MAX_STATES = 64
 
 
 @dataclass(frozen=True)
@@ -76,12 +74,7 @@ class WeightedEnsemble:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """A computed discrimination figure plus method tag and diagnostics.
-
-    ``optimality_residual`` carries the largest Holevo-Yuen violation when the
-    square-root-measurement certificate was evaluated (N <= 64); ``None``
-    otherwise.  The clamp and alarm tolerances travel with every report.
-    """
+    """A computed discrimination figure and the tag of the method that produced it."""
 
     value: float
     kind: str  # "error" | "success"
@@ -89,9 +82,6 @@ class BoundReport:
     # span_eigen (ASK mixtures) | even_odd_spectrum | srm_spectrum |
     # usd_spectrum | quadrature | single_state
     method: str
-    optimality_residual: float | None = None
-    eig_clamp_rel: float = EIG_CLAMP_REL
-    residual_alarm: float = RESIDUAL_ALARM
 
     def __post_init__(self):
         if not 0.0 <= self.value <= 1.0:
@@ -120,7 +110,7 @@ def helstrom_binary_pure(a, b, prior: BinaryPrior = EQUAL_PRIORS) -> BoundReport
     result as x / (2 (1 + sqrt(...))), which stays accurate both for nearly
     identical states (Pe just under 1/2) and for far ones (Pe near 0).
     """
-    d2 = abs(_amp(a) - _amp(b)) ** 2
+    d2 = abs(complex(a) - complex(b)) ** 2
     p0, p1 = prior.p0, prior.p1
     disc = (p0 - p1) ** 2 - 4.0 * p0 * p1 * math.expm1(-d2) if d2 < 745.0 \
         else 1.0
@@ -143,7 +133,7 @@ def quadrature_binary(a, b, mode: str = "homodyne") -> BoundReport:
         sigma = math.sqrt(0.5)
     else:
         raise ValueError(f"unknown mode: {mode}")
-    d = abs(_amp(a) - _amp(b))
+    d = abs(complex(a) - complex(b))
     return BoundReport(_clip01(gaussian_tail(d / (2.0 * sigma))), "error", "quadrature")
 
 
@@ -273,65 +263,28 @@ def helstrom_even_odd(M: int, S: float) -> BoundReport:
     return BoundReport(_clip01(0.5 - half_trace_norm), "error", "even_odd_spectrum")
 
 
-def _symmetric_amplitudes(N: int, S: float) -> np.ndarray:
-    return math.sqrt(S) * np.exp(2j * np.pi * np.arange(N) / N)
-
-
-def _srm_certificate(N: int, S: float, hypotheses) -> tuple[float, float]:
-    """Square-root-measurement success and Holevo-Yuen residual in the span basis.
-
-    The SRM vectors are the Gram eigenvectors; optimality of the measurement
-    for the uniform ensemble requires Y - p_j rho_j >= 0 for every j, where
-    Y = sum_i p_i Pi_i rho_i.  The residual is the worst negative eigenvalue
-    over the listed hypotheses (0 when the conditions hold), folded with the
-    hermiticity defect of Y.
-    """
-    coords = _span_coordinates(_symmetric_amplitudes(N, S))
-    meas = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-    p = 1.0 / N
-    amp_match = np.einsum("di,di->i", meas.conj(), coords)
-    success = float(p * np.sum(np.abs(amp_match) ** 2))
-    upsilon = p * (meas * amp_match[None, :]) @ coords.conj().T
-    herm_defect = float(np.abs(upsilon - upsilon.conj().T).max())
-    upsilon = 0.5 * (upsilon + upsilon.conj().T)
-    worst = 0.0
-    for j in hypotheses:
-        sj = coords[:, j]
-        w = float(np.linalg.eigvalsh(upsilon - p * np.outer(sj, sj.conj()))[0])
-        worst = min(worst, w)
-    return success, max(-worst, herm_defect)
-
-
 def srm_symmetric(N: int, S: float) -> BoundReport:
     """Minimum-error figure for N symmetric coherent states under uniform priors.
 
     The square-root measurement achieves the optimum for this ensemble (phase
     symmetry forces the least-favorable prior to be uniform, so the value is
-    also the minimax one); its success probability is
-    (sum_k sqrt(lambda_k) / N)^2 with lambda_k the circulant Gram eigenvalues
+    also the minimax one); its success probability is a^2 with
+    a = sum_k sqrt(lambda_k) / N and lambda_k the circulant Gram eigenvalues
     from the log-domain spectrum (absolute error under 1e-11 for S <= 1e4).
-    Reports the error probability; the Holevo-Yuen certificate is attached for
-    N <= 64.
+    Reports the error probability.
+
+    Optimality is a theorem (Ban, Kurokawa, Momose & Hirota 1997), not a
+    numerical check: in the circulant eigenbasis state j has coordinates
+    u_k = sqrt(lambda_k / N) omega^{jk} and the SRM gives
+    Y = sum_j Pi_j rho_j / N = (a / N) diag(sqrt(lambda)).  Y - |alpha_0><alpha_0| / N
+    is that diagonal minus a rank-one term, positive semidefinite exactly when
+    the Sherman-Morrison test u^H Y^{-1} u / N = sum_k sqrt(lambda_k) / (N a)
+    is at most 1; it equals 1, so the Holevo-Yuen conditions hold with
+    equality for every ring.
     """
     _check_ring(N, S)
     success = float((np.exp(0.5 * _ring_log_spectrum(N, S)).sum() / N) ** 2)
-    residual = None
-    if N <= RESIDUAL_MAX_STATES:
-        residual = _srm_certificate(N, S, range(N))[1]
-    return BoundReport(_clip01(1.0 - success), "error", "srm_spectrum",
-                       optimality_residual=residual)
-
-
-def srm_symmetric_residual(N: int, S: float) -> float:
-    """Holevo-Yuen residual for the symmetric SRM at any N.
-
-    Above 64 states every hypothesis is equivalent under the phase rotation,
-    so the check collapses to a single j; this is the failure-path diagnostic
-    used when a reproduced error probability lands outside tolerance.
-    """
-    _check_ring(N, S)
-    hypotheses = range(N) if N <= RESIDUAL_MAX_STATES else (0,)
-    return _srm_certificate(N, S, hypotheses)[1]
+    return BoundReport(_clip01(1.0 - success), "error", "srm_spectrum")
 
 
 def usd_symmetric(N: int, S: float) -> BoundReport:

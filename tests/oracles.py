@@ -4,7 +4,10 @@
 symmetric coherent-state ring; ``ring_mixture_helstrom`` reads the Helstrom
 error of any signed mixture over that ring from it.  ``full_slab_errors``
 counts the eavesdropper's MAP errors by scoring every sample against every
-constellation point.
+constellation point.  ``srm_holevo_yuen_residual`` checks the optimality
+conditions of the square-root measurement on a symmetric ring in the span
+basis, and ``symmetric_symbol_error_mc`` samples the heterodyne symbol error
+of the same ring.
 ``RED_CLAIMS`` lists the reproduce checks whose published reference the true
 figure cannot meet; each entry carries the oracle for the measured figure, the
 claim's own stated band and a check that the claim's detail string is true.
@@ -19,6 +22,7 @@ import mpmath
 import numpy as np
 from scipy.special import logsumexp
 
+from alphaeta.attacks import EmpiricalRate
 from alphaeta.channel import apply_loss
 from alphaeta.cipher import running_key
 from alphaeta.detection import WeightedEnsemble
@@ -87,6 +91,47 @@ def even_odd_mixtures(c) -> tuple[WeightedEnsemble, WeightedEnsemble]:
     n = len(c)
     return (WeightedEnsemble.uniform(c, np.arange(0, n, 2)),
             WeightedEnsemble.uniform(c, np.arange(1, n, 2)))
+
+
+def srm_holevo_yuen_residual(N, S) -> tuple[float, float]:
+    """Square-root-measurement success on the N-point ring of energy S and its
+    Holevo-Yuen residual, from a dense span basis.
+
+    The states' coordinates come from an eigendecomposition of their Gram
+    matrix (directions below 1e-10 of the largest eigenvalue projected out);
+    the SRM vectors are the normalized coordinate rows.  With uniform priors
+    p = 1/N the measurement is optimal when Y - p rho_j >= 0 for every j,
+    Y = sum_i p Pi_i rho_i.  The residual is the worst negative eigenvalue of
+    those N operators (0 when all hold), folded with the hermiticity defect
+    of Y.
+    """
+    amps = np.sqrt(S) * np.exp(2j * np.pi * np.arange(N) / N)
+    gram = np.exp(-S + np.conj(amps)[:, None] * amps[None, :])
+    lam, vec = np.linalg.eigh(gram)
+    keep = lam > 1e-10 * lam.max()
+    coords = np.sqrt(lam[keep])[:, None] * vec[:, keep].conj().T
+    meas = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+    p = 1.0 / N
+    amp_match = np.einsum("di,di->i", meas.conj(), coords)
+    success = float(p * np.sum(np.abs(amp_match) ** 2))
+    upsilon = p * (meas * amp_match[None, :]) @ coords.conj().T
+    herm_defect = float(np.abs(upsilon - upsilon.conj().T).max())
+    upsilon = 0.5 * (upsilon + upsilon.conj().T)
+    worst = min(0.0, min(float(np.linalg.eigvalsh(upsilon - p * np.outer(c, c.conj()))[0])
+                         for c in coords.T))
+    return success, max(-worst, herm_defect)
+
+
+def symmetric_symbol_error_mc(N, S, trials, rng) -> EmpiricalRate:
+    """Heterodyne symbol error of N symmetric states under uniform symbols,
+    decoded by nearest phase; no cipher machinery, so N need not be a power
+    of two."""
+    symbols = rng.integers(0, N, size=trials)
+    amps = np.sqrt(S) * np.exp(2j * np.pi * symbols / N)
+    y = amps + rng.normal(0, np.sqrt(0.5), trials) + 1j * rng.normal(0, np.sqrt(0.5), trials)
+    guess = np.round(np.angle(y) / (2 * np.pi / N)).astype(np.int64) % N
+    p = float(np.mean(guess != symbols))
+    return EmpiricalRate(p, float(np.sqrt(max(p * (1 - p), 1.0 / trials) / trials)), trials)
 
 
 def full_slab_errors(record, config, kind, plaintext) -> int:

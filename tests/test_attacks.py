@@ -2,28 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from alphaeta.attacks import (
     _DROPPED_MASS_TOL,
-    binary_entropy,
     bit_hypothesis_ensembles,
     collective_success,
     collective_usd_bound,
-    data_equivocation,
     eve_ctoa_data,
     eve_key_symbol,
     key_posterior_entropy,
-    keygen_advantage,
-    repetition_success,
-    symmetric_symbol_error_mc,
 )
 from alphaeta.channel import transmit
 from alphaeta.cipher import CipherConfig, encode, slots_per_period
 from alphaeta.detection import quadrature_binary, srm_symmetric
 
-from oracles import full_slab_errors
+from oracles import full_slab_errors, symmetric_symbol_error_mc
 
 
 def _run(config, n, rng, plaintext=None):
@@ -276,32 +269,6 @@ class TestKeyPosterior:
 
 
 class TestClosedFormMetrics:
-    def test_binary_entropy_values(self):
-        assert binary_entropy(0.5) == 1.0
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(0.11) == pytest.approx(0.49992, abs=1e-5)
-
-    def test_data_equivocation_exceeds_key(self):
-        total, exceeds = data_equivocation(0.5, 1000, 100)
-        assert total == pytest.approx(1000.0)
-        assert exceeds
-
-    def test_data_equivocation_zero_error(self):
-        total, exceeds = data_equivocation(0.0, 1000, 100)
-        assert total == 0.0 and not exceeds
-
-    def test_data_equivocation_boundary(self):
-        total, exceeds = data_equivocation(0.11, 2000, 1000)
-        assert total == pytest.approx(999.835, abs=0.01)
-        assert not exceeds
-
-    @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5))
-    def test_equivocation_monotone_in_eve_error(self, p_small, p_big):
-        lo, hi = sorted((p_small, p_big))
-        t_lo, _ = data_equivocation(lo, 100, 10)
-        t_hi, _ = data_equivocation(hi, 100, 10)
-        assert t_hi >= t_lo - 1e-12
-
     def test_collective_success_values(self):
         assert collective_success(0.5, 10) == pytest.approx(-10.0)
         assert collective_success(1.0, 7) == 0.0
@@ -310,11 +277,6 @@ class TestClosedFormMetrics:
     def test_collective_monotone_in_slots(self):
         vals = [collective_success(0.3, L) for L in (1, 2, 5, 10)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_repetition_values(self):
-        assert repetition_success(0.5, 2) == pytest.approx(0.75)
-        assert repetition_success(0.123, 1) == pytest.approx(0.123)
-        assert repetition_success(1e-6, 10 ** 6) == pytest.approx(1 - math.exp(-1), rel=1e-3)
 
     def test_collective_usd_reference(self):
         log2_pd, below = collective_usd_bound(2000, 1e4, 110)
@@ -333,25 +295,6 @@ class TestClosedFormMetrics:
         cfg_log2, below = collective_usd_bound(2, 0.0, 8)
         assert cfg_log2 == -math.inf and below
 
-    def test_keygen_advantage(self):
-        assert keygen_advantage(1e-9, 0.5)
-        assert not keygen_advantage(0.3, 0.3)
-        assert keygen_advantage(math.exp(-8), math.exp(-4))
-
-    @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5), st.floats(0.0, 0.5))
-    def test_advantage_monotone(self, pb, pe1, pe2):
-        lo, hi = sorted((pe1, pe2))
-        if keygen_advantage(pb, lo):
-            assert keygen_advantage(pb, hi) or hi == lo
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            binary_entropy(1.2)
-        with pytest.raises(ValueError):
-            data_equivocation(0.7, 10, 5)
-        with pytest.raises(ValueError):
             collective_success(0.5, 0)
-        with pytest.raises(ValueError):
-            repetition_success(-0.1, 3)
-        with pytest.raises(ValueError):
-            keygen_advantage(0.6, 0.1)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,14 +13,10 @@ from alphaeta.cipher import (
     encode,
     lfsr_period,
     lfsr_stream,
-    read_indices,
-    read_key_file,
     reciprocal_taps,
     running_key,
     sequence_count_log2,
     slots_per_period,
-    write_indices,
-    write_key_file,
 )
 
 
@@ -277,34 +272,3 @@ class TestPeriods:
         a = running_key(cfg, 2 * sym_period)
         assert np.array_equal(a[:sym_period], a[sym_period:])
         assert bit_period % sym_period == 0
-
-
-class TestKeyAndIndexFiles:
-    def test_key_file_round_trip(self, tmp_path):
-        cfg = CipherConfig(M=16, S=1.0, key_bits=12, seed=0x7AB, osk=True)
-        path = tmp_path / "key.bin"
-        write_key_file(path, cfg)
-        got = read_key_file(path)
-        assert got["seed"] == 0x7AB
-        assert got["key_bits"] == 12
-        assert got["taps"] == cfg.taps
-        assert got["osk_taps"] == cfg.osk_taps
-        # header line is valid JSON followed by raw bytes
-        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-        assert set(header) == {"key_bits", "taps", "osk_taps"}
-
-    @pytest.mark.parametrize("fmt", ["bin", "csv"])
-    def test_index_stream_round_trip(self, tmp_path, fmt):
-        idx = np.array([0, 1, 1023, 65535, 7])
-        path = tmp_path / f"idx.{fmt}"
-        write_indices(path, idx, fmt)
-        np.testing.assert_array_equal(read_indices(path, fmt), idx)
-
-    def test_binary_rejects_wide_indices(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_indices(tmp_path / "idx.bin", np.array([1 << 16]), "bin")
-
-    def test_binary_rejects_negative_indices(self, tmp_path):
-        # uint16 would wrap -1 to 65535
-        with pytest.raises(ValueError):
-            write_indices(tmp_path / "idx.bin", np.array([3, -1]), "bin")

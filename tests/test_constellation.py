@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alphaeta.constellation import (
-    CoherentPoint,
     ModulationKind,
     design_bases,
     gaussian_tail,
@@ -45,9 +44,6 @@ class TestOverlap:
             psi_b = (2 / math.pi) ** 0.25 * np.exp(-((x - b) ** 2))
             braket = np.trapezoid(psi_a * psi_b, x)
             assert abs(overlap(a, b)) == pytest.approx(braket, rel=1e-9)
-
-    def test_accepts_points(self):
-        assert overlap(CoherentPoint(1 + 1j), CoherentPoint(1 + 1j)) == pytest.approx(1.0)
 
     @given(amplitudes, amplitudes)
     def test_magnitude_at_most_one(self, a, b):

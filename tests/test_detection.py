@@ -22,7 +22,6 @@ from alphaeta.detection import (
     helstrom_even_odd,
     quadrature_binary,
     srm_symmetric,
-    srm_symmetric_residual,
     usd_symmetric,
 )
 
@@ -32,6 +31,7 @@ from oracles import (
     ring_mixture_helstrom,
     ring_srm_success,
     ring_usd_success,
+    srm_holevo_yuen_residual,
 )
 
 S_GRID = (0.1, 1.0, 10.0, 100.0, 1e4)
@@ -342,11 +342,9 @@ class TestSrmSymmetric:
         # the span route projects out Gram directions below 1e-10 relative,
         # whose square roots the exact spectrum route still carries; agreement
         # is therefore only to ~n*sqrt(clamp)/n ~ 1e-5 for ill-conditioned rings
-        from alphaeta.detection import _srm_certificate
-
         for n in (3, 8, 33, 64):
             for s in (0.1, 1.0, 10.0):
-                success, _ = _srm_certificate(n, s, ())
+                success, _ = srm_holevo_yuen_residual(n, s)
                 assert srm_symmetric(n, s).success == pytest.approx(success, abs=5e-5)
 
     def test_error_nondecreasing_in_states(self):
@@ -355,17 +353,11 @@ class TestSrmSymmetric:
             assert all(b >= a - 1e-12 for a, b in zip(errors, errors[1:]))
 
     def test_optimality_certificate_small_n(self):
-        for n in (2, 3, 5, 16, 33, 64):
+        # the docstring's theorem, checked numerically in a dense span basis:
+        # the square-root measurement meets every optimality condition
+        for n in (2, 3, 5, 8, 16, 33, 64):
             for s in (0.1, 1.0, 10.0, 100.0):
-                rep = srm_symmetric(n, s)
-                assert rep.optimality_residual is not None
-                assert rep.optimality_residual < rep.residual_alarm
-
-    def test_certificate_absent_above_cutoff(self):
-        assert srm_symmetric(65, 1.0).optimality_residual is None
-
-    def test_reduced_residual_any_n(self):
-        assert srm_symmetric_residual(129, 10.0) < 1e-8
+                assert srm_holevo_yuen_residual(n, s)[1] < 1e-12
 
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
@@ -418,11 +410,6 @@ class TestBoundReport:
             BoundReport(1.2, "error", "closed_form")
         with pytest.raises(ValueError):
             BoundReport(0.2, "likelihood", "closed_form")
-
-    def test_tolerances_travel_with_report(self):
-        rep = srm_symmetric(8, 1.0)
-        assert rep.eig_clamp_rel == 1e-10
-        assert rep.residual_alarm == 1e-8
 
 
 class TestEnsembleValidation:

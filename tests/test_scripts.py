@@ -1,5 +1,7 @@
-"""Smoke runs of the experiment scripts at tiny sizes."""
+"""Smoke runs of the experiment scripts at tiny sizes, and of the README's
+Python quick start, so that a deleted name the docs still use fails here."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +14,6 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args, header", [
     ("key_entropy_experiment.py", ["--key-bits", "8", "--m", "4", "--s", "0.01"],
      "M=4  |K|=8  one period, all-zero plaintext"),
-    ("bounds_vs_energy.py", ["--n", "8", "--s", "1.0"],
-     "n,s,ring_error,usd_success,keyed_binary_error,unkeyed_homodyne_error"),
 ])
 def test_script_runs(script, args, header):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -21,3 +21,13 @@ def test_script_runs(script, args, header):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks, "README has no python block"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", blocks[0]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
