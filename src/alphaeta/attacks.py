@@ -5,7 +5,8 @@ post-processing (MAP over Gaussian mixture likelihoods, scored over the
 points within reach of each sample with a recorded bound on the mass left
 out); quantum-optimal attacks enter only as bounds, so the empirical/bound
 gap stays visible.
-The exhaustive key-posterior oracle enumerates every seed at desk scale.
+The exhaustive key-posterior oracle scores every seed at desk scale with one
+Walsh-Hadamard transform over the seed space, in O(2^|K| + chunk * 2M) memory.
 """
 from __future__ import annotations
 
@@ -225,16 +226,42 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
 
 # --- exhaustive key posterior ------------------------------------------------
 
+def _hadamard(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of the C-contiguous float array
+    ``a`` along its last axis, whose length is a power of two; in place."""
+    for i in range(a.shape[-1].bit_length() - 1):
+        pair = a.reshape(-1, 2, 1 << i)
+        lo, hi = pair[:, 0], pair[:, 1]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+    return a
+
+
+def _seed_masks(taps: int, k: int, j: np.ndarray) -> np.ndarray:
+    """Output bit j of the register started at seed s is parity(mask_j & s);
+    by linearity mask_j holds bit j of each unit seed's stream.  Needs every
+    unit seed on the cycle through state 1 (maximal-length taps)."""
+    cycle, pos = _lfsr_cycle(taps, k)
+    mask = np.zeros(j.shape, dtype=np.int64)
+    for b in range(k):
+        mask |= cycle[(pos[1 << b] + j) % len(cycle)].astype(np.int64) << b
+    return mask
+
+
 def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
                           plaintext) -> float:
     """Shannon entropy (bits) of the exact key posterior given Eve's record.
 
-    Enumerates all 2^|K|-1 seeds, scores each seed's deterministic state
-    sequence against the Gaussian record, and normalizes.  This is the
-    brute-force key-security oracle; it requires |K| <= 20 and maximal-length
-    taps.  Every seed's streams are rotations of the two register cycles, so
-    seeds are scored in blocks gathered through the cycle-position tables, in
-    O(2^|K| + block * slots) memory.
+    Scores all 2^|K|-1 seeds against the Gaussian record and normalizes;
+    this is the brute-force key-security oracle, for |K| <= 20 and
+    maximal-length taps.  Every keyed bit is a GF(2)-linear function of the
+    seed, so slot t's log-likelihood is a table f_t(z) over its z = symbol
+    bits (plus the polarity bit under OSK), and each Walsh character u of
+    f_t is the character of one seed mask v_t(u).  The characters of all
+    slots are summed into one 2^|K| table whose Walsh-Hadamard transform is
+    every seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time,
+    O(2^|K| + chunk * 2M) memory.
     """
     _require_heterodyne(record)
     k = config.key_bits
@@ -244,33 +271,32 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     slots = len(record)
     if len(x) != slots:
         raise ValueError("record and plaintext lengths differ")
-    period = (1 << k) - 1
-    main, main_pos = _lfsr_cycle(config.taps, k)
-    if len(main) != period:
+    if len(_lfsr_cycle(config.taps, k)[0]) != (1 << k) - 1:
         raise ValueError("exhaustive posterior needs maximal-length taps")
-    # the reciprocal of a primitive polynomial is primitive: the OSK cycle is maximal too
-    osk, osk_pos = _lfsr_cycle(config.osk_taps, k)
-    bps = config.bits_per_symbol
-    symbol_at = np.zeros(period, dtype=np.int64)  # big-endian bps-bit window at each position
-    for i in range(bps):
-        symbol_at |= np.roll(main, -i).astype(np.int64) << (bps - 1 - i)
-
+    M, bps = config.M, config.bits_per_symbol
+    zbits = bps + config.osk  # z = polarity * M + symbol
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
-    y = record.samples
-    t = np.arange(slots)
-    block = max(1, (1 << 18) // max(slots, 1))
-    loglik = np.empty(period)
-    for lo in range(0, period, block):
-        seeds = np.arange(lo + 1, min(lo + block, period) + 1)
-        sym = symbol_at[(main_pos[seeds][:, None] + t * bps) % period]
-        bit = x ^ osk[(osk_pos[seeds][:, None] + t) % period] if config.osk else x
-        pts = beta[sym + bit * config.M]
-        loglik[lo:lo + len(seeds)] = -np.sum(np.abs(y[None, :] - pts) ** 2, axis=1)
+    z = np.arange(1 << zbits)
+    coeff = np.zeros(1 << k)
+    for lo in range(0, slots, _CHUNK):
+        t = np.arange(lo, min(lo + _CHUNK, slots))
+        # point sym + (x xor polarity) M, i.e. (z + x M) mod 2M
+        pts = beta[(z + x[t, None] * M) % (2 * M)]
+        f = _hadamard(-np.abs(record.samples[t, None] - pts) ** 2) / len(z)
+        # the symbol is big-endian: z bit i is stream bit t*bps + bps-1-i
+        bit_masks = _seed_masks(config.taps, k, t[:, None] * bps + np.arange(bps - 1, -1, -1))
+        if config.osk:
+            # the reciprocal of a primitive polynomial is primitive: all unit seeds are on its cycle
+            bit_masks = np.column_stack([bit_masks, _seed_masks(config.osk_taps, k, t)])
+        v = np.zeros((len(t), 1), dtype=np.int64)
+        for i in range(zbits):  # character u's mask: the XOR of its bits' masks
+            v = np.concatenate([v, v ^ bit_masks[:, i:i + 1]], axis=1)
+        coeff += np.bincount(v.ravel(), weights=f.ravel(), minlength=1 << k)
+    coeff[0] = 0.0  # the same for every seed
+    loglik = _hadamard(coeff)[1:]
 
     log_post = loglik - logsumexp(loglik)
-    p = np.exp(log_post)
-    nz = p > 0
-    return max(0.0, float(-(p[nz] * log_post[nz]).sum() / math.log(2)))
+    return max(0.0, float(-(np.exp(log_post) @ log_post) / math.log(2)))
 
 
 # --- closed-form security metrics --------------------------------------------

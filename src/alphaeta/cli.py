@@ -170,9 +170,6 @@ def cmd_simulate(args) -> int:
         ns.plaintext = manifest["plaintext"]
         ns.attack = manifest["attacks"]
         cfg_dict = manifest["config"]
-        problems = validate_config_dict(cfg_dict)
-        if problems:
-            raise SystemExit("invalid config:\n" + "\n".join("  " + p for p in problems))
         args = ns
     elif args.config is None:
         print("error: --config or --from-manifest is required", file=sys.stderr)

@@ -27,7 +27,7 @@ RUNTIME_BUDGET_S = {
     "2a": 5.0, "2b": 5.0, "2c": 5.0,
     "3a": 1.0, "3b": 1.0,
     "4a": 10.0, "4b": 10.0,
-    "5a": 600.0, "5b": 600.0,
+    "5a": 10.0, "5b": 10.0,
     "6": 120.0,
     "7a": 60.0, "7b": 60.0, "7c": 60.0,
     "8": 5.0,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,11 +230,20 @@ class TestKeyPosterior:
         h = key_posterior_entropy(rec, cfg, x)
         assert 0.0 <= h <= 8.0
 
-    @pytest.mark.parametrize("M, osk", [(4, True), (4, False), (2, False)])
-    def test_matches_per_seed_loop(self, M, osk):
-        # the block-streamed cycle-table path must agree with a plain per-seed
-        # likelihood loop
-        cfg = CipherConfig(M=M, S=0.8, key_bits=6, seed=0x21, osk=osk)
+    @pytest.mark.parametrize("M, osk, ask", [
+        pytest.param(4, True, False, id="4-True"),
+        pytest.param(4, False, False, id="4-False"),
+        pytest.param(2, False, False, id="2-False"),
+        pytest.param(1, True, False, id="1-True"),
+        pytest.param(1, False, False, id="1-False"),
+        pytest.param(64, True, False, id="64-True"),
+        pytest.param(4, True, True, id="ask-4-True"),
+    ])
+    def test_matches_per_seed_loop(self, M, osk, ask):
+        # the Walsh-Hadamard fold over seed masks must agree with a plain
+        # per-seed likelihood loop over re-encoded records
+        ladder = dict(kind="ask", kappa=0.7, ask_S_min=1.5, ask_S_max=4.0) if ask else {}
+        cfg = CipherConfig(M=M, S=0.8, key_bits=6, seed=0x21, osk=osk, **ladder)
         rng = np.random.default_rng(4)
         n = 40
         x = rng.integers(0, 2, n)
@@ -254,6 +264,22 @@ class TestKeyPosterior:
         p = np.exp(lp)
         want = float(-(p[p > 0] * lp[p > 0]).sum() / math.log(2))
         assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("osk", [True, False])
+    def test_full_register_fits(self, osk):
+        # the documented limit runs: |K| = 20 over 682 slots stays under the
+        # README's 64 MB on top of the cached cycle tables, which encode builds
+        cfg = CipherConfig(M=64, S=0.005, key_bits=20, seed=0x5A5A5, osk=osk)
+        x = np.zeros(682, dtype=np.int64)
+        rec = transmit(encode(x, cfg), cfg, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            h = key_posterior_entropy(rec, cfg, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(h) and 0.0 <= h <= 20.0
+        assert peak < 64 * 2**20
 
     def test_non_maximal_taps_rejected(self):
         cfg = CipherConfig(M=2, S=1.0, key_bits=4, seed=1, lfsr_taps=0b0101)

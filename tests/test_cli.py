@@ -86,6 +86,21 @@ class TestSimulate:
         assert code == 2
         assert "/S:" in err and "/M:" in err
 
+    def test_invalid_manifest_config_exits_like_config(self, tmp_path):
+        bad = {"M": 3, "S": -1, "key_bits": 12, "seed": 9}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(bad))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"seed": 5, "bits": 100, "plaintext": "random",
+                                        "attacks": ["bob"], "config": bad}))
+        via_config = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                             "--out", str(tmp_path / "a"))
+        via_manifest = run_cli("simulate", "--from-manifest", str(manifest),
+                               "--out", str(tmp_path / "b"))
+        assert via_manifest[0] == via_config[0] == 2
+        assert via_manifest[2] == via_config[2]
+        assert "/M:" in via_manifest[2]
+
     def test_full_run_and_manifest_rerun(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(GOOD_CONFIG))
