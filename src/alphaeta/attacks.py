@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .channel import MeasurementRecord, apply_loss
 from .cipher import _CYCLE_CACHE_MAX_BITS, CipherConfig, _lfsr_cycle, running_key
@@ -167,8 +166,10 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     for lo in range(0, len(record), _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
         idx, ll, bound = _window(y, beta, c.kind)
-        l0, l1 = (logsumexp(np.where(m[idx], ll, -np.inf), axis=1) for m in member)
-        guess = (l1 > l0).astype(np.int64)
+        # likelihoods relative to each row's nearest point, which is 1
+        lik = np.exp(ll - ll.max(axis=1, keepdims=True))
+        s0, s1 = (np.where(m[idx], lik, 0.0).sum(axis=1) for m in member)
+        guess = (s1 > s0).astype(np.int64)
         errors += int(np.sum(guess != truth[lo:lo + len(y)]))
         dropped = max(dropped, bound)
     return AttackReport("ctoa_data", _rate(errors, len(record)),
@@ -295,7 +296,8 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     coeff[0] = 0.0  # the same for every seed
     loglik = _hadamard(coeff)[1:]
 
-    log_post = loglik - logsumexp(loglik)
+    top = loglik.max()
+    log_post = loglik - (top + math.log(np.exp(loglik - top).sum()))
     return max(0.0, float(-(np.exp(log_post) @ log_post) / math.log(2)))
 
 

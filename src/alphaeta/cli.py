@@ -17,26 +17,26 @@ import time
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the module
 
 from . import __version__, attacks, channel, cipher, detection, reproduce
 from .constellation import ModulationKind, design_bases, make_ask, make_psk, neighbor_error
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["M", "S", "key_bits", "seed"],
-    "additionalProperties": False,
-    "properties": {
-        "M": {"type": "integer", "minimum": 1},
-        "S": {"type": "number", "minimum": 0},
-        "key_bits": {"type": "integer", "minimum": 4},
-        "seed": {"type": "integer", "minimum": 1},
-        "lfsr_taps": {"type": ["integer", "string"]},
-        "osk": {"type": "boolean"},
-        "kind": {"enum": ["psk", "ask"]},
-        "kappa": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "ask_S_min": {"type": "number"},
-        "ask_S_max": {"type": "number"},
-    },
+# exact Python types of each parsed JSON type: neither True nor 4.0 is an integer
+_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,)}
+_REQUIRED = ("M", "S", "key_bits", "seed")
+# field: (accepted JSON types, test of a value of those types, what it must be)
+_CONFIG_FIELDS = {
+    "M": (("integer",), lambda v: v >= 1 and not v & (v - 1), "a power of two"),
+    "S": (("number",), lambda v: v >= 0, ">= 0"),
+    "key_bits": (("integer",), lambda v: v >= 4, ">= 4"),
+    "seed": (("integer",), lambda v: v >= 1, ">= 1"),
+    "lfsr_taps": (("integer", "string"), None, None),
+    "osk": (("boolean",), None, None),
+    "kind": (("string",), lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
+    "kappa": (("number",), lambda v: 0 < v <= 1, "in (0, 1]"),
+    "ask_S_min": (("number",), None, None),
+    "ask_S_max": (("number",), None, None),
 }
 
 
@@ -47,17 +47,24 @@ def _fmt(x) -> str:
 
 
 def validate_config_dict(cfg: dict) -> list[str]:
-    """Schema violations as '/json/pointer: message' strings; empty when valid."""
-    import jsonschema
+    """Config violations as '/json/pointer: message' strings; empty when valid.
 
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    problems = []
-    for err in sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path)):
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        problems.append(f"{pointer}: {err.message}")
-    m = cfg.get("M")
-    if isinstance(m, int) and m >= 1 and m & (m - 1):
-        problems.append("/M: must be a power of two for encoding")
+    Each field has a JSON type, a range or an enumeration; the four
+    _REQUIRED fields must be present and no other field may be.
+    """
+    if type(cfg) is not dict:
+        return [f"/: {cfg!r} is not of type 'object'"]
+    problems = [f"/: {name!r} is a required property" for name in _REQUIRED if name not in cfg]
+    extra = sorted(set(cfg) - set(_CONFIG_FIELDS))
+    if extra:
+        problems.append(f"/: unexpected properties {', '.join(map(repr, extra))}")
+    for name in sorted(set(cfg) & set(_CONFIG_FIELDS)):
+        types, check, want = _CONFIG_FIELDS[name]
+        v = cfg[name]
+        if not any(type(v) in _JSON_TYPES[t] for t in types):
+            problems.append(f"/{name}: {v!r} is not of type {', '.join(map(repr, types))}")
+        elif check and not check(v):
+            problems.append(f"/{name}: {v!r} is not {want}")
     if cfg.get("kind", "psk") == "ask" and (
             "ask_S_min" not in cfg or "ask_S_max" not in cfg):
         problems.append("/kind: ask requires ask_S_min and ask_S_max")

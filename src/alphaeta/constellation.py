@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import erfc
 
 
 class ModulationKind(str, Enum):
@@ -133,7 +132,7 @@ COHERENT_SIGMA = 0.5
 
 def gaussian_tail(t: float) -> float:
     """P(Z > t) for standard normal Z."""
-    return 0.5 * erfc(t / math.sqrt(2.0))
+    return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
 def neighbor_error(c: Constellation) -> float:

@@ -2,8 +2,9 @@
 quadrature receivers, and unambiguous discrimination of symmetric coherent states.
 
 Symmetric (PSK) rings take their circulant Gram spectrum from one
-log-domain closed form (Poisson mass by residue class, relative error about
-1e-16 S ln S, no clamp), which the minimum-error, unambiguous and
+log-domain closed form (Poisson mass by residue class, relative error under
+1.2e-12 per eigenvalue against 60-digit mpmath at N <= 4096, S <= 3e4, no
+clamp), which the minimum-error, unambiguous and
 mixed-state Helstrom figures all read.  Only ASK ladders, which are not
 circulant, are worked in the span of the occurring coherent points
 (dimension <= number of states), never in a truncated photon-number basis;
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+import numpy.fft  # numpy 2 loads it on first use; load it with the module
 
 from .constellation import Constellation, ModulationKind, gaussian_tail, gram_matrix
 
@@ -174,7 +175,7 @@ def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
     Delta only couples even k to odd l, and Tr|Delta| is twice the singular
     value sum of that M x M block; any other weights take one N x N Hermitian
     eigensolve.  No span projection is involved; the spectrum's relative
-    error of about 1e-16 S ln S carries into Pe.  ASK ladders are not
+    error, under 1.2e-12 per eigenvalue, carries into Pe.  ASK ladders are not
     circulant and are solved exactly in the span of the constellation.
     """
     c0, c1 = rho0.constellation, rho1.constellation
@@ -222,26 +223,33 @@ def _ring_log_spectrum(N: int, S: float) -> np.ndarray:
 
     Expanding exp(S w^j) in the overlap row gives the closed form
     lambda_k = N e^{-S} sum_{m = k (mod N)} S^m / m!, Poisson(S) mass summed by
-    residue class.  Terms enter as gammaln log-ratios to the Poisson mode
-    c = floor(S), so the largest is 1; they are summed per class in the log
-    domain and divided by their total so that sum_k lambda_k = N = Tr G,
-    which applies e^{-S} without cancelling S-sized logs.  The window keeps
-    every m within N + w of c, with w = ceil(12 (sqrt(S) + 1)); by
-    log-concavity each dropped term is below e^-57 of a kept term of its own
-    class.  Rounding the log-factorials leaves a relative error of about
-    1e-16 S ln S per eigenvalue (under 1e-11 at S = 1e4); eigenvalues below
-    the double range come out as -inf, exactly.
+    residue class.  Terms enter as log-ratios to the Poisson mode c = floor(S),
+    log(S^(m-c) c! / m!) = sum_{j in (c, m]} log(S / j), and minus the sum over
+    (m, c] below the mode: two cumulative sums outward from the mode, whose
+    term is 1.  They are summed per class in the log domain and divided by
+    their total so that sum_k lambda_k = N = Tr G, which applies e^{-S}
+    without cancelling S-sized logs.  The window keeps every m within N + w
+    of c, with w = ceil(12 (sqrt(S) + 1)); by log-concavity each dropped term
+    is below e^-57 of a kept term of its own class.  Against 60-digit mpmath
+    (N <= 4096, S <= 3e4) log lambda_k is within 1.2e-12 wherever lambda_k
+    lies in the double range (a relative error of lambda_k), and within
+    4e-15 |log lambda_k| below it, where every caller reads exactly 0;
+    S = 0 gives exactly -inf off k = 0.
     """
     c = math.floor(S)
     w = math.ceil(12.0 * (math.sqrt(S) + 1.0))
     lo = max(0, c - N - w) // N * N
     rows = (c + N + w - lo) // N + 1
     m = lo + np.arange(rows * N)
-    log_terms = xlogy(m - c, S) - (gammaln(m + 1.0) - gammaln(c + 1.0))
-    by_class = log_terms.reshape(rows, N)
-    # S = 0 leaves whole classes at -inf; a finite shift keeps them -inf, not nan
-    top = np.maximum(by_class.max(axis=0), -np.finfo(float).max)
+    i = c - lo  # the mode's position
+    # S = 0: log(S / j) = -inf for every j > 0, so every m > 0 gets -inf
     with np.errstate(divide="ignore"):
+        above = np.cumsum(np.log(S / m[i + 1:]))
+        below = np.cumsum(np.log(m[i:0:-1] / S))[::-1]
+        log_terms = np.concatenate([below, [0.0], above])
+        by_class = log_terms.reshape(rows, N)
+        # S = 0 leaves whole classes at -inf; a finite shift keeps them -inf, not nan
+        top = np.maximum(by_class.max(axis=0), -np.finfo(float).max)
         per_class = top + np.log(np.exp(by_class - top).sum(axis=0))
     return math.log(N) + per_class - math.log(np.exp(log_terms).sum())
 
@@ -255,7 +263,7 @@ def helstrom_even_odd(M: int, S: float) -> BoundReport:
     eigenvalues +-sqrt(lambda_k lambda_{k+M}) / (2M), with lambda the
     log-domain spectrum of the N = 2M ring, so
     Pe = 1/2 - sum_{k<M} sqrt(lambda_k lambda_{k+M}) / (2M).  O(M + S) and
-    accurate to about 1e-16 S ln S relative, with no span projection.
+    accurate to 1.2e-12 relative, the spectrum's, with no span projection.
     """
     _check_ring(2 * M, S)
     log_lam = _ring_log_spectrum(2 * M, S)
@@ -270,7 +278,8 @@ def srm_symmetric(N: int, S: float) -> BoundReport:
     symmetry forces the least-favorable prior to be uniform, so the value is
     also the minimax one); its success probability is a^2 with
     a = sum_k sqrt(lambda_k) / N and lambda_k the circulant Gram eigenvalues
-    from the log-domain spectrum (absolute error under 1e-11 for S <= 1e4).
+    from the log-domain spectrum (relative error under 1.2e-12 each, so the
+    success is within 1.2e-12 relative).
     Reports the error probability.
 
     Optimality is a theorem (Ban, Kurokawa, Momose & Hirota 1997), not a
@@ -293,8 +302,8 @@ def usd_symmetric(N: int, S: float) -> BoundReport:
     P_D = N * min_k |c_k|^2 where
     |c_k|^2 = (1/N) sum_j exp(2*pi*i*j*k/N) exp(S (exp(2*pi*i*j/N) - 1))
             = e^{-S} sum_{m = -k (mod N)} S^m / m! = lambda_{-k} / N,
-    so P_D is the smallest eigenvalue of the log-domain spectrum, to about
-    1e-16 S ln S relative; values below the double range are exactly 0.
+    so P_D is the smallest eigenvalue of the log-domain spectrum, to 1.2e-12
+    relative; values below the double range are exactly 0.
     """
     _check_ring(N, S)
     p_d = math.exp(float(_ring_log_spectrum(N, S).min()))

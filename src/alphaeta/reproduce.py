@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use; load it with the module
 
 from . import attacks, channel, cipher, detection
 from .constellation import make_psk, neighbor_error, overlap

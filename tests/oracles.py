@@ -31,18 +31,24 @@ from alphaeta.detection import WeightedEnsemble
 @functools.lru_cache(maxsize=None)
 def ring_spectrum_mpmath(N, S):
     """60-digit circulant Gram spectrum lambda_k = N e^-S sum_{m = k mod N} S^m/m!,
-    summed term by term until every class is reached and the Poisson tail is
-    below 1e-80 of its peak."""
+    summed term by term until every class has a term, m > S, and the term is
+    below 1e-80 of the smallest class sum.  Past the mode the terms fall
+    geometrically, so what is left of any class is a small multiple of that.
+    The class sums only grow, so their minimum, taken once per sweep of the
+    N classes, is a lower bound between sweeps."""
     with mpmath.workdps(60):
         s = mpmath.mpf(S)
-        term = peak = mpmath.exp(-s)
+        tol = mpmath.mpf(10) ** -80
+        term = mpmath.exp(-s)
         sums = [mpmath.mpf(0)] * N
+        floor = mpmath.mpf(0)  # min(sums) at the last full sweep
         m = 0
-        while m < N or m <= s or term > peak * mpmath.mpf(10) ** -80:
+        while m <= s or term > tol * floor:
             sums[m % N] += term
-            peak = max(peak, term)
             m += 1
             term = term * s / m
+            if m % N == 0:
+                floor = min(sums)
         return [N * x for x in sums]
 
 

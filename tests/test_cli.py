@@ -86,6 +86,16 @@ class TestSimulate:
         assert code == 2
         assert "/S:" in err and "/M:" in err
 
+    @pytest.mark.parametrize("field", ["M", "key_bits", "seed"])
+    def test_integral_float_in_integer_field_exits_2(self, tmp_path, field):
+        # 4.0 passes a JSON Schema "integer" but is a float to CipherConfig
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**GOOD_CONFIG, field: float(GOOD_CONFIG[field])}))
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                               "--bits", "100", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert f"/{field}:" in err and "Traceback" not in err
+
     def test_invalid_manifest_config_exits_like_config(self, tmp_path):
         bad = {"M": 3, "S": -1, "key_bits": 12, "seed": 9}
         cfg = tmp_path / "cfg.json"
@@ -177,6 +187,85 @@ class TestValidation:
     def test_unknown_field_flagged(self):
         problems = validate_config_dict({**GOOD_CONFIG, "bogus": 1})
         assert problems
+
+
+# the JSON Schema the validator replaced, kept as the oracle of its verdicts
+OLD_CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["M", "S", "key_bits", "seed"],
+    "additionalProperties": False,
+    "properties": {
+        "M": {"type": "integer", "minimum": 1},
+        "S": {"type": "number", "minimum": 0},
+        "key_bits": {"type": "integer", "minimum": 4},
+        "seed": {"type": "integer", "minimum": 1},
+        "lfsr_taps": {"type": ["integer", "string"]},
+        "osk": {"type": "boolean"},
+        "kind": {"enum": ["psk", "ask"]},
+        "kappa": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "ask_S_min": {"type": "number"},
+        "ask_S_max": {"type": "number"},
+    },
+}
+
+# (config, pointers the validator adds to the schema's): JSON Schema counts an
+# integral float as an integer, which CipherConfig does not
+SCHEMA_CASES = {
+    "good": (GOOD_CONFIG, []),
+    "required-only": ({"M": 64, "S": 40.0, "key_bits": 12, "seed": 1445}, []),
+    "M-string": ({**GOOD_CONFIG, "M": "64"}, []),
+    "S-string": ({**GOOD_CONFIG, "S": "40"}, []),
+    "key_bits-list": ({**GOOD_CONFIG, "key_bits": [12]}, []),
+    "seed-null": ({**GOOD_CONFIG, "seed": None}, []),
+    "taps-float": ({**GOOD_CONFIG, "lfsr_taps": 1.5}, []),
+    "taps-string": ({**GOOD_CONFIG, "lfsr_taps": "0x829"}, []),
+    "osk-int": ({**GOOD_CONFIG, "osk": 1}, []),
+    "kappa-string": ({**GOOD_CONFIG, "kappa": "1"}, []),
+    "ask-min-bool": ({**GOOD_CONFIG, "ask_S_min": True}, []),
+    "M-bool": ({**GOOD_CONFIG, "M": True}, []),
+    "seed-bool": ({**GOOD_CONFIG, "seed": False}, []),
+    "missing-S-seed": ({"M": 64, "key_bits": 12}, []),
+    "extra-field": ({**GOOD_CONFIG, "bogus": 1}, []),
+    "kappa-0": ({**GOOD_CONFIG, "kappa": 0}, []),
+    "kappa-1": ({**GOOD_CONFIG, "kappa": 1}, []),
+    "kappa-1.5": ({**GOOD_CONFIG, "kappa": 1.5}, []),
+    "bad-kind": ({**GOOD_CONFIG, "kind": "qam"}, []),
+    "S-negative": ({**GOOD_CONFIG, "S": -1}, []),
+    "M-float": ({**GOOD_CONFIG, "M": 64.0}, ["/M"]),
+    "key_bits-float": ({**GOOD_CONFIG, "key_bits": 12.0}, ["/key_bits"]),
+    "seed-float": ({**GOOD_CONFIG, "seed": 1445.0}, ["/seed"]),
+}
+
+
+class TestValidatorMatchesSchema:
+    @pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+    def test_same_pointers_as_schema(self, case):
+        import jsonschema
+
+        cfg, added = SCHEMA_CASES[case]
+        oracle = jsonschema.Draft202012Validator(OLD_CONFIG_SCHEMA)
+        want = ["/" + "/".join(map(str, e.absolute_path)) for e in oracle.iter_errors(cfg)]
+        got = [p.split(": ", 1)[0] for p in validate_config_dict(cfg)]
+        assert sorted(got) == sorted(want + added)
+
+
+class TestRuntimeImports:
+    def test_runs_on_numpy_alone(self, tmp_path):
+        # scipy or jsonschema would add a third of a second to every start-up
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**GOOD_CONFIG, "osk": False}))
+        argv = ["simulate", "--config", str(cfg), "--seed", "3", "--bits", "500",
+                "--attack", "bob", "ctoa-data", "ctoa-key", "kpa", "--out", str(tmp_path / "o")]
+        script = (
+            "import sys\n"
+            "import alphaeta, alphaeta.cli\n"
+            "from alphaeta import reproduce\n"
+            f"assert alphaeta.cli.main({argv!r}) == 0\n"
+            "assert reproduce.run_claim('1a').passed\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
 
 
 class TestReproduceCommand:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -14,6 +15,7 @@ from alphaeta.constellation import (
     overlap,
 )
 from alphaeta.detection import (
+    _ring_log_spectrum,
     BinaryPrior,
     BoundReport,
     WeightedEnsemble,
@@ -29,6 +31,7 @@ from oracles import (
     even_odd_mixtures,
     ring_even_odd_helstrom,
     ring_mixture_helstrom,
+    ring_spectrum_mpmath,
     ring_srm_success,
     ring_usd_success,
     srm_holevo_yuen_residual,
@@ -40,7 +43,7 @@ N_GRID = tuple(2 ** k for k in range(1, 12))  # 2 .. 2048
 amplitudes = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
 # (N, S) points checked against the 60-digit ring spectrum
-ORACLE_POINTS = [(4, 1.0), (64, 10.0), (2047, 100.0), (2047, 1e4), (2000, 1e4)]
+ORACLE_POINTS = [(4, 1.0), (64, 10.0), (2047, 100.0), (2047, 1e3), (2047, 1e4), (2000, 1e4)]
 
 
 def two_state_trace_norm(a, b, p0, p1):
@@ -281,6 +284,22 @@ class TestHelstromRing:
         # M = 512, S = 4000: the span route's clamp left this 6.7e-12 high
         rep = helstrom_binary_mixed(*self.half_rings(512, 4000.0))
         assert rep.value == pytest.approx(0.0015669998138, rel=0, abs=1e-13)
+
+
+class TestRingSpectrum:
+    @pytest.mark.parametrize("N, S", [(64, 10.0), (1024, 4000.0), (2047, 1000.0), (2000, 1e4)])
+    def test_log_spectrum_matches_mpmath(self, N, S):
+        # the relative precision of every eigenvalue that the docs promise
+        got = _ring_log_spectrum(N, S)
+        with mpmath.workdps(60):
+            want = np.array([float(mpmath.log(x)) for x in ring_spectrum_mpmath(N, S)])
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - want).max() < 2e-12
+
+    def test_vacuum_is_exactly_one_state(self):
+        # S = 0: all weight on k = 0, every other eigenvalue exactly 0, no nan
+        assert np.array_equal(_ring_log_spectrum(5, 0.0),
+                              [math.log(5.0)] + [-np.inf] * 4)
 
 
 class TestHelstromEvenOdd:
