@@ -20,7 +20,6 @@ from .detection import (
     WeightedEnsemble,
     helstrom_binary_mixed,
     helstrom_binary_pure,
-    helstrom_even_odd,
     quadrature_binary,
     srm_symmetric,
     usd_symmetric,
@@ -61,8 +60,8 @@ __all__ = [
     "Constellation", "ModulationKind", "design_bases", "gram_matrix",
     "make_ask", "make_psk", "neighbor_error", "overlap",
     "BinaryPrior", "BoundReport", "EQUAL_PRIORS", "WeightedEnsemble",
-    "helstrom_binary_mixed", "helstrom_binary_pure", "helstrom_even_odd",
-    "quadrature_binary", "srm_symmetric", "usd_symmetric",
+    "helstrom_binary_mixed", "helstrom_binary_pure", "quadrature_binary",
+    "srm_symmetric", "usd_symmetric",
     "CipherConfig", "decode", "default_taps", "encode", "lfsr_period",
     "lfsr_stream", "osk_stream", "reciprocal_taps", "running_key",
     "sequence_count_log2", "slots_per_period",

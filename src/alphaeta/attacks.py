@@ -47,9 +47,7 @@ class AttackReport:
     attack_kind: str  # ctoa_data | ctoa_key | kpa_key
     empirical: EmpiricalRate
     bound: BoundReport
-    trials: int
     seed: int | None = None
-    key_posterior_entropy_bits: float | None = None
     # largest per-slot bound on the likelihood mass the MAP window left out,
     # relative to the nearest point's; 0.0 when it scored every point
     dropped_mass_bound: float = 0.0
@@ -173,7 +171,7 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
         errors += int(np.sum(guess != truth[lo:lo + len(y)]))
         dropped = max(dropped, bound)
     return AttackReport("ctoa_data", _rate(errors, len(record)),
-                        helstrom_binary_mixed(rho0, rho1), len(record), seed,
+                        helstrom_binary_mixed(rho0, rho1), seed,
                         dropped_mass_bound=dropped)
 
 
@@ -222,7 +220,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     else:
         bound = srm_symmetric(M if known else 2 * M, config.S)
     kind = "kpa_key" if known else "ctoa_key"
-    return AttackReport(kind, _rate(errors, n), bound, n, seed, dropped_mass_bound=dropped)
+    return AttackReport(kind, _rate(errors, n), bound, seed, dropped_mass_bound=dropped)
 
 
 # --- exhaustive key posterior ------------------------------------------------

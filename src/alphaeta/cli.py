@@ -50,7 +50,10 @@ def validate_config_dict(cfg: dict) -> list[str]:
     """Config violations as '/json/pointer: message' strings; empty when valid.
 
     Each field has a JSON type, a range or an enumeration; the four
-    _REQUIRED fields must be present and no other field may be.
+    _REQUIRED fields must be present and no other field may be.  A config
+    that passes the table is then built with its constellation, and a
+    ValueError there (a seed wider than the key, no shipped taps, an ASK
+    energy range) is reported at '/'.
     """
     if type(cfg) is not dict:
         return [f"/: {cfg!r} is not of type 'object'"]
@@ -68,6 +71,11 @@ def validate_config_dict(cfg: dict) -> list[str]:
     if cfg.get("kind", "psk") == "ask" and (
             "ask_S_min" not in cfg or "ask_S_max" not in cfg):
         problems.append("/kind: ask requires ask_S_min and ask_S_max")
+    if not problems:
+        try:
+            _config_from_dict(cfg).constellation()
+        except ValueError as exc:
+            problems.append(f"/: {exc}")
     return problems
 
 
@@ -82,12 +90,19 @@ def _config_from_dict(cfg: dict) -> cipher.CipherConfig:
         ask_S_min=cfg.get("ask_S_min"), ask_S_max=cfg.get("ask_S_max"))
 
 
-def load_config(path) -> cipher.CipherConfig:
-    cfg = json.loads(Path(path).read_text())
+def _checked_config(cfg: dict) -> cipher.CipherConfig:
+    """The config built from ``cfg``, or exit 2 with every violation on stderr."""
     problems = validate_config_dict(cfg)
     if problems:
-        raise SystemExit("invalid config:\n" + "\n".join("  " + p for p in problems))
+        print("invalid config:", file=sys.stderr)
+        for p in problems:
+            print("  " + p, file=sys.stderr)
+        raise SystemExit(2)
     return _config_from_dict(cfg)
+
+
+def load_config(path) -> cipher.CipherConfig:
+    return _checked_config(json.loads(Path(path).read_text()))
 
 
 def _write_rows(rows: list[dict], out, fmt: str) -> None:
@@ -187,13 +202,7 @@ def cmd_simulate(args) -> int:
         print("error: --seed is required (no silent nondeterminism)", file=sys.stderr)
         return 2
 
-    problems = validate_config_dict(cfg_dict)
-    if problems:
-        print("invalid config:", file=sys.stderr)
-        for p in problems:
-            print("  " + p, file=sys.stderr)
-        return 2
-    config = _config_from_dict(cfg_dict)
+    config = _checked_config(cfg_dict)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -225,7 +234,7 @@ def cmd_simulate(args) -> int:
                               "trials": n},
                 "bound": dataclasses.asdict(
                     detection.helstrom_binary_pure(np.sqrt(config.S), -np.sqrt(config.S))),
-                "trials": n, "seed": args.seed,
+                "seed": args.seed,
             })
         elif kind == "ctoa-data":
             rep = attacks.eve_ctoa_data(record, config, plaintext, seed=args.seed)

@@ -5,7 +5,9 @@ Symmetric (PSK) rings take their circulant Gram spectrum from one
 log-domain closed form (Poisson mass by residue class, relative error under
 1.2e-12 per eigenvalue against 60-digit mpmath at N <= 4096, S <= 3e4, no
 clamp), which the minimum-error, unambiguous and
-mixed-state Helstrom figures all read.  Only ASK ladders, which are not
+mixed-state Helstrom figures all read; every pair of mixtures on a ring,
+the even/odd and half-ring pairs included, takes the one route in
+``helstrom_binary_mixed``.  Only ASK ladders, which are not
 circulant, are worked in the span of the occurring coherent points
 (dimension <= number of states), never in a truncated photon-number basis;
 span Gram eigenvalues are clamped at a relative tolerance of 1e-10.
@@ -80,8 +82,8 @@ class BoundReport:
     value: float
     kind: str  # "error" | "success"
     # closed_form | equal_mixtures | ring_spectrum (PSK mixtures) |
-    # span_eigen (ASK mixtures) | even_odd_spectrum | srm_spectrum |
-    # usd_spectrum | quadrature | single_state
+    # span_eigen (ASK mixtures) | srm_spectrum | usd_spectrum |
+    # quadrature | single_state
     method: str
 
     def __post_init__(self):
@@ -170,13 +172,19 @@ def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
     On a PSK ring of N = 2M points and energy S, point j has coordinates
     sqrt(lambda_k / N) omega^{jk} in the circulant eigenbasis, so
     Delta = D^{1/2} C D^{1/2} / N with D = diag(lambda) from the log-domain
-    spectrum and C_kl = w^(k - l), w^(d) = sum_j w_j omega^{jd}.  When
-    w_{j+M} = -w_j (the half rings at equal priors), w^ vanishes at even d,
-    Delta only couples even k to odd l, and Tr|Delta| is twice the singular
-    value sum of that M x M block; any other weights take one N x N Hermitian
-    eigensolve.  No span projection is involved; the spectrum's relative
-    error, under 1.2e-12 per eigenvalue, carries into Pe.  ASK ladders are not
-    circulant and are solved exactly in the span of the constellation.
+    spectrum and C_kl = w^(k - l), w^(d) = sum_j w_j omega^{jd}.  Take the
+    smallest shift s with 2s | N and w_{j+s} = -w_j (exactly, in floats).
+    Then w^ vanishes except at odd multiples of g = N / 2s, and Delta splits
+    into g bipartite blocks: E_r = r + 2g i against O_r = E_r + g (r < g,
+    i < s), B_r[i, i'] = root(E_r[i]) w^(E_r[i] - O_r[i']) root(O_r[i'])
+    with root = sqrt(lambda), and Tr|Delta| = (2/N) sum_r sum sigma(B_r).
+    s = M (the half rings at equal priors) is one M x M block; s = 1 (the
+    even/odd mixtures) is M 1 x 1 blocks, Tr|Delta| = (2/N) |w^(M)|
+    sum_{k<M} sqrt(lambda_k lambda_{k+M}).  Weights with no such shift take
+    one N x N Hermitian eigensolve.  No span projection is involved; the
+    spectrum's relative error, under 1.2e-12 per eigenvalue, carries into Pe.
+    ASK ladders are not circulant and are solved exactly in the span of the
+    constellation.
     """
     c0, c1 = rho0.constellation, rho1.constellation
     if c0 is not c1 and not np.array_equal(c0.amplitudes, c1.amplitudes):
@@ -202,11 +210,16 @@ def _ring_trace_norm(w: np.ndarray, S: float) -> float:
     N = len(w)
     root = np.exp(0.5 * _ring_log_spectrum(N, S))
     w_hat = N * np.fft.ifft(w)
+    s = next((s for s in range(1, N // 2 + 1)
+              if N % (2 * s) == 0 and np.array_equal(np.roll(w, -s), -w)), None)
+    if s is not None:
+        g = N // (2 * s)
+        even = np.arange(g)[:, None] + 2 * g * np.arange(s)
+        odd = even + g
+        blocks = (root[even][:, :, None] * w_hat[(even[:, :, None] - odd[:, None, :]) % N]
+                  * root[odd][:, None, :])
+        return 2.0 * float(np.linalg.svd(blocks, compute_uv=False).sum()) / N
     k = np.arange(N)
-    if np.array_equal(w[N // 2:], -w[:N // 2]):
-        even, odd = k[::2], k[1::2]
-        block = root[even, None] * w_hat[(even[:, None] - odd) % N] * root[odd]
-        return 2.0 * float(np.linalg.svd(block, compute_uv=False).sum()) / N
     delta = root[:, None] * w_hat[(k[:, None] - k) % N] * root
     return float(np.abs(np.linalg.eigvalsh(delta)).sum()) / N
 
@@ -252,23 +265,6 @@ def _ring_log_spectrum(N: int, S: float) -> np.ndarray:
         top = np.maximum(by_class.max(axis=0), -np.finfo(float).max)
         per_class = top + np.log(np.exp(by_class - top).sum(axis=0))
     return math.log(N) + per_class - math.log(np.exp(log_terms).sum())
-
-
-def helstrom_even_odd(M: int, S: float) -> BoundReport:
-    """Minimum error between the uniform even- and odd-index mixtures of the
-    2M-point ring of energy S, under equal priors.
-
-    Both mixtures are diagonal in the circulant eigenbasis; the signed
-    operator (rho_odd - rho_even)/2 pairs eigenvectors k and k+M into
-    eigenvalues +-sqrt(lambda_k lambda_{k+M}) / (2M), with lambda the
-    log-domain spectrum of the N = 2M ring, so
-    Pe = 1/2 - sum_{k<M} sqrt(lambda_k lambda_{k+M}) / (2M).  O(M + S) and
-    accurate to 1.2e-12 relative, the spectrum's, with no span projection.
-    """
-    _check_ring(2 * M, S)
-    log_lam = _ring_log_spectrum(2 * M, S)
-    half_trace_norm = np.exp(0.5 * (log_lam[:M] + log_lam[M:])).sum() / (2 * M)
-    return BoundReport(_clip01(0.5 - half_trace_norm), "error", "even_odd_spectrum")
 
 
 def srm_symmetric(N: int, S: float) -> BoundReport:

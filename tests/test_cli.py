@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from alphaeta.cli import validate_config_dict
+from alphaeta.cli import load_config, validate_config_dict
 
 from oracles import RED_CLAIMS
 
@@ -110,6 +110,29 @@ class TestSimulate:
         assert via_manifest[0] == via_config[0] == 2
         assert via_manifest[2] == via_config[2]
         assert "/M:" in via_manifest[2]
+
+    @pytest.mark.parametrize("config, message", [
+        ({**GOOD_CONFIG, "seed": 5000}, "seed must be a nonzero |K|-bit value"),
+        ({**GOOD_CONFIG, "key_bits": 24}, "no shipped maximal-length taps"),
+        ({**GOOD_CONFIG, "lfsr_taps": "zz"}, "invalid literal for int()"),
+        ({**GOOD_CONFIG, "lfsr_taps": 0}, "zero feedback polynomial"),
+        ({**GOOD_CONFIG, "kind": "ask", "ask_S_min": 0.5, "ask_S_max": 9.0},
+         "minimum-energy constraint"),
+        ({**GOOD_CONFIG, "kind": "ask", "ask_S_min": 9.0, "ask_S_max": 4.0},
+         "S_max must exceed S_min"),
+    ], ids=["seed-wider-than-key", "no-shipped-taps", "taps-not-a-number", "taps-zero",
+            "ask-below-energy-floor", "ask-range-reversed"])
+    def test_unbuildable_config_exits_2(self, tmp_path, config, message):
+        # each passes the field table but cannot be built into a cipher
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                               "--bits", "100", "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        with pytest.raises(SystemExit) as exc:
+            load_config(cfg)
+        assert exc.value.code == 2
 
     def test_full_run_and_manifest_rerun(self, tmp_path):
         cfg = tmp_path / "cfg.json"

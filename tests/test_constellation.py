@@ -120,6 +120,8 @@ class TestMakePsk:
     def test_rejects_zero_bases(self):
         with pytest.raises(ValueError):
             make_psk(0, 1.0)
+        with pytest.raises(ValueError):
+            make_psk(4, -1.0)
 
     def test_neighbor_chord_matches_design_spacing(self):
         c = make_psk(1000, 1e4)

@@ -21,7 +21,6 @@ from alphaeta.detection import (
     WeightedEnsemble,
     helstrom_binary_mixed,
     helstrom_binary_pure,
-    helstrom_even_odd,
     quadrature_binary,
     srm_symmetric,
     usd_symmetric,
@@ -181,8 +180,9 @@ class TestHelstromMixed:
     def test_designed_even_odd_mixtures_near_half(self):
         c = make_psk(512, 4000.0)
         rho_e, rho_o = even_odd_mixtures(c)
-        pe = helstrom_binary_mixed(rho_e, rho_o).value
-        assert abs(pe - 0.5) < 1e-3
+        rep = helstrom_binary_mixed(rho_e, rho_o)
+        assert rep.method == "ring_spectrum"
+        assert abs(rep.value - 0.5) < 1e-3
 
     def test_even_odd_matches_circulant_pairing(self):
         # independent route: the signed even/odd operator of a 2M-point ring has
@@ -280,6 +280,22 @@ class TestHelstromRing:
         assert rep.method == "ring_spectrum"
         assert rep.value == pytest.approx(ring_even_odd_helstrom(M, S), rel=0, abs=1e-15)
 
+    @pytest.mark.parametrize("pattern", [(0.7, 0.3), (0.4, 0.3, 0.2, 0.1)])
+    def test_shift_antisymmetric_weights_match_mpmath_oracle(self, pattern):
+        # w_{j+s} = -w_j with s = len(pattern) and no smaller shift: the route
+        # splits Delta into N / 2s bipartite s x s blocks
+        N, S = 16, 5.0
+        s = len(pattern)
+        j = np.arange(N)
+        q = np.array(pattern)[j % s] * (2 * s / N)  # each hypothesis holds N / 2s copies
+        first = j // s % 2 == 0  # runs of s points alternate between the hypotheses
+        rho1 = WeightedEnsemble(make_psk(N // 2, S), q[first], j[first])
+        rho0 = WeightedEnsemble(rho1.constellation, q[~first], j[~first])
+        w = self.signed_weights(rho0, rho1, BinaryPrior())
+        assert np.array_equal(np.roll(w, -s), -w)
+        got = helstrom_binary_mixed(rho0, rho1).value
+        assert got == pytest.approx(ring_mixture_helstrom(w, S), rel=0, abs=1e-15)
+
     def test_designed_half_rings(self):
         # M = 512, S = 4000: the span route's clamp left this 6.7e-12 high
         rep = helstrom_binary_mixed(*self.half_rings(512, 4000.0))
@@ -303,12 +319,6 @@ class TestRingSpectrum:
 
 
 class TestHelstromEvenOdd:
-    @pytest.mark.parametrize("M, S", [(16, 5.0), (64, 100.0)])
-    def test_matches_mpmath_spectrum(self, M, S):
-        rep = helstrom_even_odd(M, S)
-        assert rep.method == "even_odd_spectrum"
-        assert rep.value == pytest.approx(ring_even_odd_helstrom(M, S), rel=0, abs=1e-15)
-
     @pytest.mark.parametrize("S", [0.7, 2.5])
     def test_matches_dense_oracle(self, S):
         from alphaeta.reproduce import _dense_mixed_helstrom
@@ -316,13 +326,7 @@ class TestHelstromEvenOdd:
         c = make_psk(2, S)
         rho_e, rho_o = even_odd_mixtures(c)
         want = _dense_mixed_helstrom(c.amplitudes, rho_e, rho_o)
-        assert helstrom_even_odd(2, S).value == pytest.approx(want, abs=1e-10)
-
-    def test_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
-            helstrom_even_odd(0, 1.0)
-        with pytest.raises(ValueError):
-            helstrom_even_odd(4, -1.0)
+        assert helstrom_binary_mixed(rho_e, rho_o).value == pytest.approx(want, abs=1e-10)
 
 
 class TestSrmSymmetric:
