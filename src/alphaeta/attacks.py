@@ -5,8 +5,8 @@ post-processing (MAP over Gaussian mixture likelihoods, scored over the
 points within reach of each sample with a recorded bound on the mass left
 out); quantum-optimal attacks enter only as bounds, so the empirical/bound
 gap stays visible.
-The exhaustive key-posterior oracle scores every seed at desk scale with one
-Walsh-Hadamard transform over the seed space, in O(2^|K| + chunk * 2M) memory.
+The exhaustive key-posterior oracle scores every seed of any register up to
+22 bits with one Walsh-Hadamard transform over the seed space.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MeasurementRecord, apply_loss
-from .cipher import _CYCLE_CACHE_MAX_BITS, CipherConfig, _lfsr_cycle, running_key
+from .cipher import CipherConfig, _lfsr_extend, running_key
 from .constellation import ModulationKind
 from .detection import (
     BoundReport,
@@ -31,6 +31,7 @@ _CHUNK = 4096  # slots per likelihood block
 # below the 2^-53 rounding of the decisions' own sums, so no MAP decision
 # can turn on it.
 _DROPPED_MASS_TOL = 2.0 ** -60
+_POSTERIOR_MAX_KEY_BITS = 22  # largest register the key posterior enumerates
 
 
 @dataclass(frozen=True)
@@ -237,15 +238,11 @@ def _hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _seed_masks(taps: int, k: int, j: np.ndarray) -> np.ndarray:
-    """Output bit j of the register started at seed s is parity(mask_j & s);
-    by linearity mask_j holds bit j of each unit seed's stream.  Needs every
-    unit seed on the cycle through state 1 (maximal-length taps)."""
-    cycle, pos = _lfsr_cycle(taps, k)
-    mask = np.zeros(j.shape, dtype=np.int64)
-    for b in range(k):
-        mask |= cycle[(pos[1 << b] + j) % len(cycle)].astype(np.int64) << b
-    return mask
+def _seed_masks(taps: int, k: int, count: int) -> np.ndarray:
+    """Output bit j < count of the register started at seed s is
+    parity(mask_j & s), for any taps and every seed: by linearity mask_j
+    holds bit j of each unit seed's stream, the recurrence run on 1 << b."""
+    return _lfsr_extend(1 << np.arange(k, dtype=np.int64), taps, k, count)
 
 
 def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
@@ -253,43 +250,43 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     """Shannon entropy (bits) of the exact key posterior given Eve's record.
 
     Scores all 2^|K|-1 seeds against the Gaussian record and normalizes;
-    this is the brute-force key-security oracle, for |K| <= 20 and
-    maximal-length taps.  Every keyed bit is a GF(2)-linear function of the
-    seed, so slot t's log-likelihood is a table f_t(z) over its z = symbol
-    bits (plus the polarity bit under OSK), and each Walsh character u of
-    f_t is the character of one seed mask v_t(u).  The characters of all
-    slots are summed into one 2^|K| table whose Walsh-Hadamard transform is
-    every seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time,
-    O(2^|K| + chunk * 2M) memory.
+    this is the brute-force key-security oracle, for any taps and |K| <= 22
+    (_POSTERIOR_MAX_KEY_BITS; over 682 slots |K| = 22 takes about 0.6 s and
+    a 100 MB tracemalloc peak, |K| = 24 would take 390 MB).  Every keyed bit
+    is parity(mask & s) for a seed mask (``_seed_masks``), so slot t's
+    log-likelihood is a table f_t(z) over its z = symbol bits (plus the
+    polarity bit under OSK), and each Walsh character u of f_t is the
+    character of one seed mask v_t(u).  The characters of all slots are
+    summed into one 2^|K| table whose Walsh-Hadamard transform is every
+    seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time,
+    O(2^|K| + slots log2 2M + chunk * 2M) memory.
     """
     _require_heterodyne(record)
     k = config.key_bits
-    if k > _CYCLE_CACHE_MAX_BITS:
-        raise ValueError(f"exhaustive posterior is limited to |K| <= {_CYCLE_CACHE_MAX_BITS}")
+    if k > _POSTERIOR_MAX_KEY_BITS:
+        raise ValueError(f"exhaustive posterior is limited to |K| <= {_POSTERIOR_MAX_KEY_BITS}")
     x = np.asarray(plaintext, dtype=np.int64)
     slots = len(record)
     if len(x) != slots:
         raise ValueError("record and plaintext lengths differ")
-    if len(_lfsr_cycle(config.taps, k)[0]) != (1 << k) - 1:
-        raise ValueError("exhaustive posterior needs maximal-length taps")
     M, bps = config.M, config.bits_per_symbol
     zbits = bps + config.osk  # z = polarity * M + symbol
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
     z = np.arange(1 << zbits)
+    # slot t's z bit i < bps is stream bit t*bps + bps-1-i (the symbol is
+    # big-endian); bit bps is its polarity bit
+    bit_masks = _seed_masks(config.taps, k, slots * bps).reshape(slots, bps)[:, ::-1]
+    if config.osk:
+        bit_masks = np.column_stack([bit_masks, _seed_masks(config.osk_taps, k, slots)])
     coeff = np.zeros(1 << k)
     for lo in range(0, slots, _CHUNK):
         t = np.arange(lo, min(lo + _CHUNK, slots))
         # point sym + (x xor polarity) M, i.e. (z + x M) mod 2M
         pts = beta[(z + x[t, None] * M) % (2 * M)]
         f = _hadamard(-np.abs(record.samples[t, None] - pts) ** 2) / len(z)
-        # the symbol is big-endian: z bit i is stream bit t*bps + bps-1-i
-        bit_masks = _seed_masks(config.taps, k, t[:, None] * bps + np.arange(bps - 1, -1, -1))
-        if config.osk:
-            # the reciprocal of a primitive polynomial is primitive: all unit seeds are on its cycle
-            bit_masks = np.column_stack([bit_masks, _seed_masks(config.osk_taps, k, t)])
         v = np.zeros((len(t), 1), dtype=np.int64)
         for i in range(zbits):  # character u's mask: the XOR of its bits' masks
-            v = np.concatenate([v, v ^ bit_masks[:, i:i + 1]], axis=1)
+            v = np.concatenate([v, v ^ bit_masks[t, i:i + 1]], axis=1)
         coeff += np.bincount(v.ravel(), weights=f.ravel(), minlength=1 << k)
     coeff[0] = 0.0  # the same for every seed
     loglik = _hadamard(coeff)[1:]

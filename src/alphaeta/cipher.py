@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +32,6 @@ PRIMITIVE_TAPS = {
     20: 0b00100000000000000001,  # x^20 + x^17 + 1
 }
 
-# Registers longer than this never get their full cycle materialized.
-_CYCLE_CACHE_MAX_BITS = 20
-
 
 def default_taps(key_bits: int) -> int:
     try:
@@ -61,42 +57,41 @@ def reciprocal_taps(taps: int, key_bits: int) -> int:
     return rev & ((1 << key_bits) - 1)
 
 
-def _lfsr_bits_from(state: int, taps: int, nbits: int, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.uint8)
-    for i in range(count):
-        out[i] = state & 1
-        fb = (state & taps).bit_count() & 1
-        state = (state >> 1) | (fb << (nbits - 1))
-    return out
+def _mulmod(a: int, b: int, poly: int, nbits: int) -> int:
+    """a * b mod poly in GF(2)[x]; a, b below x^nbits, poly of degree nbits."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a >> nbits:
+            a ^= poly
+    return r
 
 
-@lru_cache(maxsize=32)
-def _lfsr_cycle(taps: int, nbits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Output bits of the register cycle through state 1, and ``pos``, each
-    state's position on that cycle (-1 for states off it).
+def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndarray:
+    """The first ``count`` terms of s[t+nbits] = XOR_{j in taps} s[t+j] from its
+    first ``nbits`` terms ``head``: stream bits (uint8) or, by linearity, the
+    seed masks of the unit seeds (int64).
 
-    Needs the x^0 tap, which makes the state map invertible, so the orbit of
-    state 1 closes on itself.  The state at position p is the next ``nbits``
-    output bits read little-endian, which fills ``pos`` with one scatter.
+    Jump-ahead by doubling: with L terms known, s[t+L] is the XOR of s[t+b]
+    over the bits b of x^L mod p, p = x^nbits + taps, which gives terms
+    L..2L-nbits from known ones.  L = 2^i + nbits - 1 at stage i.
     """
-    if not taps & 1:
-        raise ValueError("taps without the x^0 coefficient have no cycle through state 1")
-    bits = bytearray()
-    state = 1
-    while True:
-        bits.append(state & 1)
-        fb = (state & taps).bit_count() & 1
-        state = (state >> 1) | (fb << (nbits - 1))
-        if state == 1:
-            break
-    cycle = np.frombuffer(bytes(bits), dtype=np.uint8)
-    states = np.zeros(len(cycle), dtype=np.int64)
-    for i in range(nbits):
-        states |= np.roll(cycle, -i).astype(np.int64) << i
-    pos = np.full(1 << nbits, -1, dtype=np.int64)
-    pos[states] = np.arange(len(cycle))
-    pos.setflags(write=False)
-    return cycle, pos
+    poly = taps | 1 << nbits
+    out = np.zeros(max(count, nbits), dtype=head.dtype)
+    out[:nbits] = head
+    known, jump, x_pow2 = nbits, taps, _mulmod(1, 2, poly, nbits)  # x^known, x^(2^i) mod p
+    while known < count:
+        new = min(known - nbits + 1, count - known)
+        for b in range(nbits):
+            if jump >> b & 1:
+                out[known:known + new] ^= out[b:b + new]
+        known += new
+        jump = _mulmod(jump, x_pow2, poly, nbits)
+        x_pow2 = _mulmod(x_pow2, x_pow2, poly, nbits)
+    return out[:count]
 
 
 def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
@@ -104,7 +99,8 @@ def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
 
     The output bit is the register's low bit before the shift; feedback is the
     parity of the tapped bits, entering at the top.  A zero seed is rejected
-    (it generates the degenerate all-zero stream).
+    (it generates the degenerate all-zero stream).  Any nonzero taps and any
+    register length: the seed's bits are jumped ahead by ``_lfsr_extend``.
     """
     mask = (1 << key_bits) - 1
     taps &= mask
@@ -114,16 +110,23 @@ def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
         raise ValueError("seed must be a nonzero state of the register")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if key_bits <= _CYCLE_CACHE_MAX_BITS and taps & 1:
-        cycle, pos = _lfsr_cycle(taps, key_bits)
-        if pos[seed] >= 0:
-            return cycle[(pos[seed] + np.arange(count)) % len(cycle)]
-    return _lfsr_bits_from(seed, taps, key_bits, count)
+    head = np.array([seed >> i & 1 for i in range(key_bits)], dtype=np.uint8)
+    return _lfsr_extend(head, taps, key_bits, count)
 
 
 def lfsr_period(taps: int, key_bits: int) -> int:
-    """Length of the register cycle through state 1; 2^|K|-1 for maximal taps."""
-    return len(_lfsr_cycle(taps & ((1 << key_bits) - 1), key_bits)[0])
+    """Length of the register cycle through state 1; 2^|K|-1 for maximal taps.
+
+    A plain walk of the register.  Needs the x^0 tap, which makes the state
+    map invertible, so the orbit of state 1 closes on itself."""
+    taps &= (1 << key_bits) - 1
+    if not taps & 1:
+        raise ValueError("taps without the x^0 coefficient have no cycle through state 1")
+    state, period = 1, 0
+    while state != 1 or not period:
+        state = (state >> 1) | (((state & taps).bit_count() & 1) << (key_bits - 1))
+        period += 1
+    return period
 
 
 @dataclass(frozen=True)
@@ -183,13 +186,6 @@ class CipherConfig:
         return replace(self, seed=seed)
 
 
-def _chunk_symbols(bits: np.ndarray, bits_per_symbol: int, count: int) -> np.ndarray:
-    if bits_per_symbol == 0:
-        return np.zeros(count, dtype=np.int64)
-    weights = 1 << np.arange(bits_per_symbol - 1, -1, -1)
-    return bits[: count * bits_per_symbol].reshape(count, bits_per_symbol) @ weights
-
-
 def running_key(config: CipherConfig, count: int) -> np.ndarray:
     """Running-key symbols: consecutive big-endian log2(M)-bit blocks of the
     LFSR stream.  Blocks are cut from the unbroken stream; they are not
@@ -197,7 +193,7 @@ def running_key(config: CipherConfig, count: int) -> np.ndarray:
     (2^|K|-1)/gcd(log2 M, 2^|K|-1) blocks."""
     bps = config.bits_per_symbol
     bits = lfsr_stream(config.seed, config.taps, count * bps, config.key_bits)
-    return _chunk_symbols(bits, bps, count)
+    return bits.reshape(count, bps) @ (1 << np.arange(bps - 1, -1, -1))
 
 
 def osk_stream(config: CipherConfig, count: int) -> np.ndarray:

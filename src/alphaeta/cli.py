@@ -246,7 +246,11 @@ def cmd_simulate(args) -> int:
             rep = attacks.eve_key_symbol(record, config, plaintext, seed=args.seed)
             dump("report_kpa_key.json", dataclasses.asdict(rep))
         elif kind == "key-entropy":
-            h = attacks.key_posterior_entropy(record, config, plaintext)
+            try:
+                h = attacks.key_posterior_entropy(record, config, plaintext)
+            except ValueError as exc:  # a register too long to enumerate
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             dump("report_key_entropy.json", {
                 "attack_kind": "kpa_key_posterior",
                 "key_posterior_entropy_bits": h,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alphaeta.attacks import _seed_masks
 from alphaeta.cipher import (
     PRIMITIVE_TAPS,
     CipherConfig,
@@ -48,8 +49,6 @@ class TestLfsr:
 
     @pytest.mark.parametrize("nbits", sorted(PRIMITIVE_TAPS))
     def test_shipped_taps_are_maximal(self, nbits):
-        if nbits > 16:
-            pytest.skip("cycle exhaustion checked up to 16 bits")
         assert lfsr_period(PRIMITIVE_TAPS[nbits], nbits) == (1 << nbits) - 1
 
     @pytest.mark.parametrize("nbits", sorted(PRIMITIVE_TAPS))
@@ -70,12 +69,40 @@ class TestLfsr:
 
     def test_matches_reference_implementation(self):
         # 0b0101 is non-maximal (seed 6 lies on a 3-cycle off state 1) and
-        # 0b0110 lacks the x^0 tap: both leave the cycle table for iteration
+        # 0b0110 lacks the x^0 tap
         for nbits, taps in [(4, 0b0011), (8, PRIMITIVE_TAPS[8]), (12, PRIMITIVE_TAPS[12]),
                             (4, 0b0101), (4, 0b0110)]:
             for seed in (1, 3, 6, (1 << nbits) - 1):
                 got = lfsr_stream(seed, taps, 200, nbits)
                 assert got.tolist() == lfsr_reference(seed, taps, nbits, 200)
+
+    @pytest.mark.parametrize("nbits, taps, seed, count", [
+        (4, 0b0011, 0b1001, 100),  # past six periods of 15
+        (4, 0b0011, 0b1001, 0),
+        (4, 0b0011, 0b1001, 3),  # fewer bits than the register holds
+        (21, (1 << 2) | 1, 0x1234F, 5000),  # x^21 + x^2 + 1
+        (62, 0b1100011, (1 << 61) | 0x5A5A5, 3000),  # x^62 + x^6 + x^5 + x + 1
+        (127, (1 << 1) | 1, (1 << 126) | 0xDEADBEEF, 2000),  # x^127 + x + 1
+        (127, (1 << 1) | 1, 0x7, 50),
+    ])
+    def test_jump_ahead_matches_reference(self, nbits, taps, seed, count):
+        got = lfsr_stream(seed, taps, count, nbits)
+        assert got.shape == (count,)
+        assert got.tolist() == lfsr_reference(seed, taps, nbits, count)
+
+    @pytest.mark.parametrize("nbits", [4, 12, 20])
+    @pytest.mark.parametrize("reciprocal", [False, True])
+    def test_seed_masks_give_every_seeds_stream(self, nbits, reciprocal):
+        # output bit j of seed s is parity(mask_j & s), for every seed
+        taps = PRIMITIVE_TAPS[nbits]
+        if reciprocal:
+            taps = reciprocal_taps(taps, nbits)
+        count = 3 * (1 << nbits) + 5 if nbits < 20 else 5000
+        masks = _seed_masks(taps, nbits, count)
+        rng = np.random.default_rng(nbits)
+        for seed in rng.integers(1, 1 << nbits, size=5):
+            parity = np.bitwise_count(masks & seed) & 1
+            np.testing.assert_array_equal(parity, lfsr_stream(int(seed), taps, count, nbits))
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -93,7 +120,7 @@ class TestLfsr:
         assert np.array_equal(a, b)
 
     def test_long_register_path(self):
-        # registers beyond the cycle cache go through plain iteration
+        # a register wider than any shipped taps, with supplied taps
         taps = (1 << 17) | 0b1  # x^21 + x^17 + 1 low mask -> {17, 0}
         got = lfsr_stream(0x1234, taps, 64, 21)
         assert got.tolist() == lfsr_reference(0x1234, taps, 21, 64)

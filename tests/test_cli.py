@@ -134,6 +134,28 @@ class TestSimulate:
             load_config(cfg)
         assert exc.value.code == 2
 
+    def test_key_entropy_beyond_posterior_limit_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**GOOD_CONFIG, "key_bits": 24, "lfsr_taps": "0xC20001"}))
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                               "--bits", "100", "--attack", "key-entropy",
+                               "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: exhaustive posterior is limited to |K| <= 22" in err
+        assert "Traceback" not in err
+
+    def test_key_entropy_non_maximal_taps(self, tmp_path):
+        # x^12 + x^11 + x^5 + x^3 + 1 is not maximal: the posterior scores
+        # every seed all the same
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**GOOD_CONFIG, "lfsr_taps": "0x829"}))
+        out = tmp_path / "o"
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                               "--bits", "100", "--attack", "key-entropy", "--out", str(out))
+        assert code == 0, err
+        entropy = json.loads((out / "report_key_entropy.json").read_text())
+        assert 0.0 <= entropy["key_posterior_entropy_bits"] <= 12.0
+
     def test_full_run_and_manifest_rerun(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(GOOD_CONFIG))
