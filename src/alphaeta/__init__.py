@@ -14,9 +14,7 @@ from .constellation import (
     overlap,
 )
 from .detection import (
-    BinaryPrior,
     BoundReport,
-    EQUAL_PRIORS,
     WeightedEnsemble,
     helstrom_binary_mixed,
     helstrom_binary_pure,
@@ -59,7 +57,7 @@ __all__ = [
     "__version__",
     "Constellation", "ModulationKind", "design_bases", "gram_matrix",
     "make_ask", "make_psk", "neighbor_error", "overlap",
-    "BinaryPrior", "BoundReport", "EQUAL_PRIORS", "WeightedEnsemble",
+    "BoundReport", "WeightedEnsemble",
     "helstrom_binary_mixed", "helstrom_binary_pure", "quadrature_binary",
     "srm_symmetric", "usd_symmetric",
     "CipherConfig", "decode", "default_taps", "encode", "lfsr_period",

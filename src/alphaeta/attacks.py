@@ -1,6 +1,7 @@
 """Eavesdropper strategies and security metrics.
 
-Eve's simulated receiver is heterodyne followed by optimal classical
+Eve's simulated receiver is the heterodyne tap of ``channel.transmit``, the
+only record the package makes, followed by optimal classical
 post-processing (MAP over Gaussian mixture likelihoods, scored over the
 points within reach of each sample with a recorded bound on the mass left
 out); quantum-optimal attacks enter only as bounds, so the empirical/bound
@@ -76,12 +77,6 @@ def bit_hypothesis_ensembles(config: CipherConfig) -> tuple[WeightedEnsemble, We
             WeightedEnsemble.uniform(c, np.arange(M, 2 * M)))
 
 
-def _require_heterodyne(record: MeasurementRecord) -> None:
-    if record.mode != "heterodyne":
-        raise ValueError(f"the likelihood is the heterodyne Husimi density; "
-                         f"got a {record.mode} record")
-
-
 def _window(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
             half: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """The constellation points within reach of each sample: their indices
@@ -152,7 +147,6 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     hypothesis ensembles.  With OSK both sets are the whole ring, so every
     slot is a tie, decided as 0.
     """
-    _require_heterodyne(record)
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
@@ -188,7 +182,6 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
     bound is an error of exactly 0 (method ``single_state``).
     """
-    _require_heterodyne(record)
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
     M = config.M
     n = len(record)
@@ -261,7 +254,6 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time,
     O(2^|K| + slots log2 2M + chunk * 2M) memory.
     """
-    _require_heterodyne(record)
     k = config.key_bits
     if k > _POSTERIOR_MAX_KEY_BITS:
         raise ValueError(f"exhaustive posterior is limited to |K| <= {_POSTERIOR_MAX_KEY_BITS}")

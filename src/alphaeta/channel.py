@@ -1,10 +1,12 @@
-"""Physical layer: pure-loss propagation and Gaussian quadrature sampling.
+"""Physical layer: pure-loss propagation, the eavesdropper's heterodyne tap and
+Bob's keyed homodyne receiver.
 
 Variance accounting: a coherent state carries per-quadrature variance 1/4.
 Homodyne reads one quadrature at that variance; heterodyne measures both at
 once and pays one extra vacuum quarter, for 1/2 per quadrature.  With that
 convention the heterodyne outcome density is exactly the Husimi distribution
-(1/pi) exp(-|y - alpha|^2) of the incoming state.
+(1/pi) exp(-|y - alpha|^2) of the incoming state.  The tap is heterodyne
+only, so every record holds Husimi samples.
 """
 from __future__ import annotations
 
@@ -23,16 +25,13 @@ HETERODYNE_SIGMA = np.sqrt(0.5)
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """A per-slot record of quadrature outcomes, as the eavesdropper sees them."""
+    """A per-slot record of heterodyne outcomes, as the eavesdropper sees them."""
 
     samples: np.ndarray
-    mode: str  # "homodyne" | "heterodyne"
     kappa: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
-        if self.mode not in ("homodyne", "heterodyne"):
-            raise ValueError(f"unknown mode: {self.mode}")
         if not 0 < self.kappa <= 1:
             raise ValueError("kappa must be in (0, 1]")
 
@@ -58,23 +57,14 @@ def heterodyne_sample(amplitudes, rng: np.random.Generator) -> np.ndarray:
     return amps + noise
 
 
-def transmit(indices, config: CipherConfig, rng: np.random.Generator,
-             mode: str = "heterodyne") -> MeasurementRecord:
-    """Propagate encoded slots through the loss channel and sample the tap.
+def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> MeasurementRecord:
+    """Propagate encoded slots through the loss channel and sample the heterodyne tap.
 
     The returned record is what an unkeyed observer collects; Bob's keyed
     reception is a separate homodyne path (see ``bob_receive``).
     """
     amps = apply_loss(config.constellation().amplitudes[np.asarray(indices)], config.kappa)
-    if mode == "heterodyne":
-        samples = heterodyne_sample(amps, rng)
-    elif mode == "homodyne":
-        # one fixed quadrature (the real axis) at intrinsic variance; the
-        # conjugate quadrature is not measured
-        samples = amps.real + rng.normal(0.0, HOMODYNE_SIGMA, size=amps.shape)
-    else:
-        raise ValueError(f"unknown mode: {mode}")
-    return MeasurementRecord(samples, mode, config.kappa)
+    return MeasurementRecord(heterodyne_sample(amps, rng), config.kappa)
 
 
 def bob_receive(values, config: CipherConfig, rng: np.random.Generator | None = None,
@@ -120,13 +110,14 @@ def bob_receive(values, config: CipherConfig, rng: np.random.Generator | None = 
 # --- record files -----------------------------------------------------------
 
 def save_record(path, record: MeasurementRecord, seed: int | None = None) -> None:
-    """Interleaved little-endian float64 (re, im) samples, with the mode,
-    kappa, seed and length in a JSON sidecar at ``path`` + ".json"."""
+    """Interleaved little-endian float64 (re, im) samples, with the mode
+    (always "heterodyne"), kappa, seed and length in a JSON sidecar at
+    ``path`` + ".json"."""
     path = Path(path)
     inter = np.empty(2 * len(record), dtype="<f8")
     inter[0::2] = record.samples.real
     inter[1::2] = record.samples.imag
     inter.tofile(path)
-    meta = {"mode": record.mode, "kappa": record.kappa,
+    meta = {"mode": "heterodyne", "kappa": record.kappa,
             "seed": seed, "length": len(record)}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, sort_keys=True) + "\n")

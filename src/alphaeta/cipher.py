@@ -3,7 +3,7 @@ bit-to-state mapping with optional overlap selection keying, keyed decoding."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,9 +181,6 @@ class CipherConfig:
         if self.ask_S_min is None or self.ask_S_max is None:
             raise ValueError("ASK configs need ask_S_min and ask_S_max")
         return make_ask(self.M, self.ask_S_min, self.ask_S_max, self.kappa)
-
-    def with_seed(self, seed: int) -> "CipherConfig":
-        return replace(self, seed=seed)
 
 
 def running_key(config: CipherConfig, count: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,12 +48,6 @@ class Constellation:
     amplitudes: np.ndarray
     kind: ModulationKind
     num_bases: int
-    # Design spacing: the nominal inter-symbol distance used for receiver
-    # design, 2*pi*|alpha|/(2M) in arc length for PSK and
-    # (alpha_max - alpha_min)/(2M) for ASK.  For PSK it equals the realized
-    # arc spacing; for ASK the realized ladder step is the slightly larger
-    # (alpha_max - alpha_min)/(2M - 1) because both endpoints are included.
-    design_spacing: float = field(default=0.0)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -87,8 +81,7 @@ def make_psk(M: int, S: float) -> Constellation:
         raise ValueError("S must be nonnegative")
     s = np.arange(2 * M)
     amps = math.sqrt(S) * np.exp(1j * math.pi * s / M)
-    return Constellation(amps, ModulationKind.PSK, M,
-                         design_spacing=2 * math.pi * math.sqrt(S) / (2 * M))
+    return Constellation(amps, ModulationKind.PSK, M)
 
 
 def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
@@ -104,10 +97,8 @@ def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
         raise ValueError("S_max must exceed S_min")
     if S_min <= 1.0 / kappa:
         raise ValueError(f"S_min={S_min} violates the minimum-energy constraint S_min > 1/kappa={1.0 / kappa}")
-    a_min, a_max = math.sqrt(S_min), math.sqrt(S_max)
-    amps = np.linspace(a_min, a_max, 2 * M).astype(np.complex128)
-    return Constellation(amps, ModulationKind.ASK, M,
-                         design_spacing=(a_max - a_min) / (2 * M))
+    amps = np.linspace(math.sqrt(S_min), math.sqrt(S_max), 2 * M).astype(np.complex128)
+    return Constellation(amps, ModulationKind.ASK, M)
 
 
 def gram_matrix(c: Constellation | np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Quantum detection bounds: binary Helstrom (pure/mixed), square-root measurement,
 quadrature receivers, and unambiguous discrimination of symmetric coherent states.
 
+Hypotheses are equiprobable, as the cipher's data bits and key symbols are.
+
 Symmetric (PSK) rings take their circulant Gram spectrum from one
 log-domain closed form (Poisson mass by residue class, relative error under
 1.2e-12 per eigenvalue against 60-digit mpmath at N <= 4096, S <= 3e4, no
@@ -26,21 +28,6 @@ import numpy.fft  # numpy 2 loads it on first use; load it with the module
 from .constellation import Constellation, ModulationKind, gaussian_tail, gram_matrix
 
 EIG_CLAMP_REL = 1e-10
-
-
-@dataclass(frozen=True)
-class BinaryPrior:
-    p0: float = 0.5
-    p1: float = 0.5
-
-    def __post_init__(self):
-        if self.p0 < 0 or self.p1 < 0:
-            raise ValueError("priors must be nonnegative")
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1")
-
-
-EQUAL_PRIORS = BinaryPrior(0.5, 0.5)
 
 
 @dataclass(frozen=True)
@@ -70,10 +57,6 @@ class WeightedEnsemble:
         idx = np.asarray(indices, dtype=int)
         return cls(constellation, np.full(len(idx), 1.0 / len(idx)), idx)
 
-    @classmethod
-    def pure(cls, constellation: Constellation, index: int) -> "WeightedEnsemble":
-        return cls(constellation, np.array([1.0]), np.array([index]))
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -81,9 +64,8 @@ class BoundReport:
 
     value: float
     kind: str  # "error" | "success"
-    # closed_form | equal_mixtures | ring_spectrum (PSK mixtures) |
-    # span_eigen (ASK mixtures) | srm_spectrum | usd_spectrum |
-    # quadrature | single_state
+    # closed_form | ring_spectrum (PSK mixtures) | span_eigen (ASK
+    # mixtures) | srm_spectrum | usd_spectrum | quadrature | single_state
     method: str
 
     def __post_init__(self):
@@ -105,21 +87,18 @@ def _clip01(x: float) -> float:
     return min(1.0, max(0.0, float(x)))
 
 
-def helstrom_binary_pure(a, b, prior: BinaryPrior = EQUAL_PRIORS) -> BoundReport:
-    """Minimum error probability between two pure coherent states.
+def helstrom_binary_pure(a, b) -> BoundReport:
+    """Minimum error probability between two equiprobable pure coherent states.
 
-    Pe = (1 - sqrt(1 - 4 p0 p1 |<a|b>|^2)) / 2 with |<a|b>|^2 = exp(-|a-b|^2).
-    The discriminant is expanded as (p0-p1)^2 - 4 p0 p1 expm1(-|a-b|^2) and the
-    result as x / (2 (1 + sqrt(...))), which stays accurate both for nearly
-    identical states (Pe just under 1/2) and for far ones (Pe near 0).
+    Pe = (1 - sqrt(1 - |<a|b>|^2)) / 2 with |<a|b>|^2 = exp(-|a-b|^2).
+    The discriminant is expanded as -expm1(-|a-b|^2) and the result as
+    x / (2 (1 + sqrt(...))), which stays accurate both for nearly identical
+    states (Pe just under 1/2) and for far ones (Pe near 0).
     """
     d2 = abs(complex(a) - complex(b)) ** 2
-    p0, p1 = prior.p0, prior.p1
-    disc = (p0 - p1) ** 2 - 4.0 * p0 * p1 * math.expm1(-d2) if d2 < 745.0 \
-        else 1.0
-    ov2 = math.exp(-d2) if d2 < 745.0 else 0.0
-    x = 4.0 * p0 * p1 * ov2
-    pe = x / (2.0 * (1.0 + math.sqrt(max(0.0, disc))))
+    disc = -math.expm1(-d2) if d2 < 745.0 else 1.0
+    x = math.exp(-d2) if d2 < 745.0 else 0.0
+    pe = x / (2.0 * (1.0 + math.sqrt(disc)))
     return BoundReport(_clip01(pe), "error", "closed_form")
 
 
@@ -156,18 +135,12 @@ def _span_coordinates(amplitudes: np.ndarray) -> np.ndarray:
     return (np.sqrt(lam_k)[:, None] * vec_k.conj().T)
 
 
-def _ensemble_matrix(coords: np.ndarray, ens: WeightedEnsemble, scale: float) -> np.ndarray:
-    cols = coords[:, ens.indices]
-    return (cols * (scale * ens.probabilities)[None, :]) @ cols.conj().T
+def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble) -> BoundReport:
+    """Minimum error between two equiprobable coherent-state mixtures.
 
-
-def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
-                          prior: BinaryPrior = EQUAL_PRIORS) -> BoundReport:
-    """Minimum error between two coherent-state mixtures.
-
-    Pe = 1/2 - Tr|Delta| / 2 with Delta = p1 rho1 - p0 rho0 = sum_j w_j |a_j><a_j|
-    and w_j = p1 q1_j - p0 q0_j the signed point weights.  Two equal mixtures
-    give Tr|Delta| = |p1 - p0|, so Pe = min(p0, p1) exactly.
+    Pe = 1/2 - Tr|Delta| / 2 with Delta = (rho1 - rho0) / 2 = sum_j w_j |a_j><a_j|
+    and w_j = (q1_j - q0_j) / 2 the signed point weights.  Two equal mixtures
+    give w = 0, so Pe = 1/2 exactly on either route.
 
     On a PSK ring of N = 2M points and energy S, point j has coordinates
     sqrt(lambda_k / N) omega^{jk} in the circulant eigenbasis, so
@@ -178,8 +151,8 @@ def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
     into g bipartite blocks: E_r = r + 2g i against O_r = E_r + g (r < g,
     i < s), B_r[i, i'] = root(E_r[i]) w^(E_r[i] - O_r[i']) root(O_r[i'])
     with root = sqrt(lambda), and Tr|Delta| = (2/N) sum_r sum sigma(B_r).
-    s = M (the half rings at equal priors) is one M x M block; s = 1 (the
-    even/odd mixtures) is M 1 x 1 blocks, Tr|Delta| = (2/N) |w^(M)|
+    s = M (the half rings) is one M x M block; s = 1 (the even/odd
+    mixtures) is M 1 x 1 blocks, Tr|Delta| = (2/N) |w^(M)|
     sum_{k<M} sqrt(lambda_k lambda_{k+M}).  Weights with no such shift take
     one N x N Hermitian eigensolve.  No span projection is involved; the
     spectrum's relative error, under 1.2e-12 per eigenvalue, carries into Pe.
@@ -189,17 +162,13 @@ def helstrom_binary_mixed(rho0: WeightedEnsemble, rho1: WeightedEnsemble,
     c0, c1 = rho0.constellation, rho1.constellation
     if c0 is not c1 and not np.array_equal(c0.amplitudes, c1.amplitudes):
         raise ValueError("ensembles must reference the same constellation")
-    weights = [np.bincount(r.indices, r.probabilities, minlength=len(c0)) for r in (rho0, rho1)]
-    if np.array_equal(*weights):
-        return BoundReport(min(prior.p0, prior.p1), "error", "equal_mixtures")
+    q0, q1 = (np.bincount(r.indices, r.probabilities, minlength=len(c0)) for r in (rho0, rho1))
+    w = (q1 - q0) / 2
     if c0.kind is ModulationKind.PSK:
-        w = prior.p1 * weights[1] - prior.p0 * weights[0]
         trace_norm = _ring_trace_norm(w, abs(c0.amplitudes[0]) ** 2)
         return BoundReport(_clip01(0.5 - 0.5 * trace_norm), "error", "ring_spectrum")
     coords = _span_coordinates(c0.amplitudes)
-    delta = (_ensemble_matrix(coords, rho1, prior.p1)
-             - _ensemble_matrix(coords, rho0, prior.p0))
-    eig = np.linalg.eigvalsh(delta)
+    eig = np.linalg.eigvalsh((coords * w) @ coords.conj().T)
     trace_norm = float(np.abs(eig).sum())
     return BoundReport(_clip01(0.5 - 0.5 * trace_norm), "error", "span_eigen")
 

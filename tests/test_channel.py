@@ -82,18 +82,7 @@ class TestTransmit:
         idx = encode(np.zeros(64, dtype=int), cfg)
         rec = transmit(idx, cfg, np.random.default_rng(0))
         assert len(rec) == 64
-        assert rec.mode == "heterodyne"
         assert rec.kappa == 0.5
-
-    def test_homodyne_reads_one_quadrature(self):
-        # the real axis at variance 1/4; the conjugate quadrature is not measured
-        cfg = CipherConfig(M=2, S=4.0, key_bits=8, seed=0x55)
-        idx = encode(np.random.default_rng(1).integers(0, 2, 50_000), cfg)
-        rec = transmit(idx, cfg, np.random.default_rng(2), mode="homodyne")
-        assert rec.mode == "homodyne"
-        np.testing.assert_array_equal(rec.samples.imag, 0.0)
-        noise = rec.samples.real - cfg.constellation().amplitudes[idx].real
-        assert noise.var() == pytest.approx(0.25, abs=0.005)
 
     def test_reproducible_across_runs(self):
         cfg = CipherConfig(M=4, S=2.0, key_bits=8, seed=0x21)
@@ -164,25 +153,23 @@ class TestBobReceive:
 class TestRecordFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        rec = MeasurementRecord(rng.normal(size=50) + 1j * rng.normal(size=50),
-                                "heterodyne", 0.8)
+        rec = MeasurementRecord(rng.normal(size=50) + 1j * rng.normal(size=50), 0.8)
         path = tmp_path / "rec.bin"
         save_record(path, rec, seed=123)
         inter = np.fromfile(path, dtype="<f8")
         np.testing.assert_array_equal(inter[0::2] + 1j * inter[1::2], rec.samples)
         meta = json.loads((tmp_path / "rec.bin.json").read_text())
-        assert meta["mode"] == rec.mode
+        assert meta["mode"] == "heterodyne"
         assert meta["kappa"] == rec.kappa
 
     def test_sidecar_metadata(self, tmp_path):
-        rec = MeasurementRecord(np.array([1 + 2j]), "homodyne", 1.0)
+        rec = MeasurementRecord(np.array([1 + 2j]), 1.0)
         path = tmp_path / "r.bin"
         save_record(path, rec, seed=7)
         meta = json.loads((tmp_path / "r.bin.json").read_text())
-        assert meta == {"mode": "homodyne", "kappa": 1.0, "seed": 7, "length": 1}
+        assert meta == {"mode": "heterodyne", "kappa": 1.0, "seed": 7, "length": 1}
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
-            MeasurementRecord(np.array([1.0]), "tomography", 1.0)
-        with pytest.raises(ValueError):
-            MeasurementRecord(np.array([1.0]), "homodyne", 0.0)
+        for kappa in (0.0, 1.5):
+            with pytest.raises(ValueError):
+                MeasurementRecord(np.array([1.0]), kappa)

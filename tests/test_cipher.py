@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -218,7 +219,7 @@ class TestEncodeDecode:
         x = rng.integers(0, 2, size=10_000)
         for m, offset in [(16, 0x0F3), (256, 0x0F3)]:
             cfg = CipherConfig(M=m, S=1.0, key_bits=12, seed=0x5A5)
-            wrong = cfg.with_seed(offset)
+            wrong = dataclasses.replace(cfg, seed=offset)
             ber = float(np.mean(decode(encode(x, cfg), wrong) != x))
             assert ber == pytest.approx((1 - 1 / m) / 2, abs=0.02)
         assert ber == pytest.approx(0.5, abs=0.02)

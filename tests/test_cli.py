@@ -135,14 +135,26 @@ class TestSimulate:
         assert exc.value.code == 2
 
     def test_key_entropy_beyond_posterior_limit_exits_2(self, tmp_path):
+        # the limit is checked before any attack runs: no partial reports
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**GOOD_CONFIG, "key_bits": 24, "lfsr_taps": "0xC20001"}))
+        out = tmp_path / "o"
         code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
-                               "--bits", "100", "--attack", "key-entropy",
-                               "--out", str(tmp_path / "o"))
+                               "--bits", "100", "--attack", "bob", "key-entropy",
+                               "--out", str(out))
         assert code == 2
         assert "error: exhaustive posterior is limited to |K| <= 22" in err
         assert "Traceback" not in err
+        assert not (out / "report_bob.json").exists()
+
+    @pytest.mark.parametrize("bits", ["0", "-5"])
+    def test_bits_below_one_exits_2(self, tmp_path, bits):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(GOOD_CONFIG))
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                               "--bits", bits, "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "error: --bits must be at least 1" in err and "Traceback" not in err
 
     def test_key_entropy_non_maximal_taps(self, tmp_path):
         # x^12 + x^11 + x^5 + x^3 + 1 is not maximal: the posterior scores

@@ -128,9 +128,9 @@ class TestMakePsk:
         chord = c.neighbor_distance()
         assert chord == pytest.approx(2 * 100 * math.sin(math.pi / 2000), rel=1e-12)
         assert chord == pytest.approx(0.31415913, rel=1e-6)
-        # arc-length design figure agrees to < 0.1% at this scale
-        assert c.design_spacing == pytest.approx(0.31415926, rel=1e-6)
-        assert abs(chord - c.design_spacing) / c.design_spacing < 1e-3
+        # the arc-length design spacing 2 pi |alpha| / 2M agrees to < 0.1% at this scale
+        arc = 2 * math.pi * 100 / 2000
+        assert abs(chord - arc) / arc < 1e-3
 
     def test_antipodal_index_pairing(self):
         c = make_psk(8, 2.0)
@@ -145,10 +145,9 @@ class TestMakeAsk:
         np.testing.assert_allclose(c.amplitudes.imag, 0.0, atol=1e-15)
 
     def test_design_spacing_four_levels(self):
-        # nominal design step (amax - amin)/2M; the realized ladder step is
-        # (amax - amin)/(2M - 1) because both endpoints are populated
+        # the nominal design step is (amax - amin)/2M = 0.5; the realized
+        # ladder step is (amax - amin)/(2M - 1) because both endpoints are populated
         c = make_ask(2, 4.0, 16.0, 1.0)
-        assert c.design_spacing == pytest.approx(0.5)
         assert c.neighbor_distance() == pytest.approx(2.0 / 3.0)
 
     def test_strictly_increasing(self):

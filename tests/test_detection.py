@@ -16,7 +16,6 @@ from alphaeta.constellation import (
 )
 from alphaeta.detection import (
     _ring_log_spectrum,
-    BinaryPrior,
     BoundReport,
     WeightedEnsemble,
     helstrom_binary_mixed,
@@ -45,16 +44,16 @@ amplitudes = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infin
 ORACLE_POINTS = [(4, 1.0), (64, 10.0), (2047, 100.0), (2047, 1e3), (2047, 1e4), (2000, 1e4)]
 
 
-def two_state_trace_norm(a, b, p0, p1):
+def two_state_trace_norm(a, b):
     """Dense 2x2 oracle: orthonormalize {|a>, |b>} explicitly and
-    eigendecompose the signed operator."""
+    eigendecompose the signed operator (|b><b| - |a><a|) / 2."""
     ov = overlap(a, b)
     # |b> = ov |a> + sqrt(1-|ov|^2) |perp>, with 1-|ov|^2 = -expm1(-|a-b|^2)
     s = math.sqrt(-math.expm1(-abs(complex(a) - complex(b)) ** 2))
     vb = np.array([ov, s])
     rho_a = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     rho_b = np.outer(vb, vb.conj())
-    eig = np.linalg.eigvalsh(p1 * rho_b - p0 * rho_a)
+    eig = np.linalg.eigvalsh(0.5 * rho_b - 0.5 * rho_a)
     return float(np.abs(eig).sum())
 
 
@@ -67,17 +66,16 @@ class TestHelstromPure:
     def test_antipodal_unit_energy(self):
         rep = helstrom_binary_pure(1.0, -1.0)
         # frozen from the 2x2 eigen oracle below
-        oracle = 0.5 * (1.0 - two_state_trace_norm(1.0, -1.0, 0.5, 0.5))
+        oracle = 0.5 * (1.0 - two_state_trace_norm(1.0, -1.0))
         assert rep.value == pytest.approx(oracle, abs=1e-12)
         assert rep.value == pytest.approx(4.5999e-3, rel=1e-4)
         assert rep.value == pytest.approx(4.598e-3, rel=1e-3)
 
-    @given(amplitudes, amplitudes, st.floats(0.01, 0.99))
-    @example(1 + 1j, 1 + 1j, 0.5)
-    def test_matches_dense_oracle(self, a, b, p0):
-        prior = BinaryPrior(p0, 1.0 - p0)
-        rep = helstrom_binary_pure(a, b, prior)
-        oracle = 0.5 * (1.0 - two_state_trace_norm(a, b, p0, 1.0 - p0))
+    @given(amplitudes, amplitudes)
+    @example(1 + 1j, 1 + 1j)
+    def test_matches_dense_oracle(self, a, b):
+        rep = helstrom_binary_pure(a, b)
+        oracle = 0.5 * (1.0 - two_state_trace_norm(a, b))
         assert rep.value == pytest.approx(oracle, abs=1e-10)
 
     def test_asymptotic_exponent(self):
@@ -132,25 +130,27 @@ class TestQuadrature:
 
 class TestHelstromMixed:
     def test_equal_ensembles(self):
-        c = make_psk(4, 2.0)
-        rho = WeightedEnsemble.uniform(c, np.arange(8))
-        assert helstrom_binary_mixed(rho, rho).value == pytest.approx(0.5, abs=1e-12)
-        # the same mixture listed in another order; Tr|p1 rho - p0 rho| = |p1 - p0|
-        same = WeightedEnsemble.uniform(c, np.arange(8)[::-1])
-        rep = helstrom_binary_mixed(rho, same, BinaryPrior(0.3, 0.7))
-        assert rep.value == 0.3 and rep.method == "equal_mixtures"
+        # w = 0 gives exactly 1/2 on the ring and on the ladder, also for the
+        # same mixture listed in another order
+        for c, method in [(make_psk(4, 2.0), "ring_spectrum"),
+                          (make_ask(4, 1.5, 6.0, 1.0), "span_eigen")]:
+            rho = WeightedEnsemble.uniform(c, np.arange(8))
+            same = WeightedEnsemble.uniform(c, np.arange(8)[::-1])
+            for pair in [(rho, rho), (rho, same)]:
+                rep = helstrom_binary_mixed(*pair)
+                assert rep.value == 0.5 and rep.method == method
 
     def test_singletons_reduce_to_pure(self):
         c = make_psk(4, 3.0)
         for i, j in [(0, 4), (1, 3), (2, 7)]:
             mixed = helstrom_binary_mixed(
-                WeightedEnsemble.pure(c, i), WeightedEnsemble.pure(c, j))
+                WeightedEnsemble.uniform(c, [i]), WeightedEnsemble.uniform(c, [j]))
             pure = helstrom_binary_pure(c.amplitudes[i], c.amplitudes[j])
             assert mixed.value == pytest.approx(pure.value, abs=1e-10)
 
     def test_mismatched_constellations_rejected(self):
-        r0 = WeightedEnsemble.pure(make_psk(2, 1.0), 0)
-        r1 = WeightedEnsemble.pure(make_psk(2, 2.0), 0)
+        r0 = WeightedEnsemble.uniform(make_psk(2, 1.0), [0])
+        r1 = WeightedEnsemble.uniform(make_psk(2, 2.0), [0])
         with pytest.raises(ValueError):
             helstrom_binary_mixed(r0, r1)
 
@@ -218,16 +218,19 @@ class TestHelstromRing:
     """The spectrum route that every pair of mixtures on a PSK ring takes."""
 
     @staticmethod
-    def half_rings(M, S):
+    def half_rings(M, S, skewed=False):
+        # skewed: bit 0's half ring is weighted 1 : 3 from first to last point,
+        # so w_{j+s} != -w_j for every shift and the route takes the N x N eigensolve
         c = make_psk(M, S)
-        return (WeightedEnsemble.uniform(c, np.arange(M)),
+        q0 = np.linspace(1.0, 3.0, M) if skewed else np.ones(M)
+        return (WeightedEnsemble(c, q0 / q0.sum(), np.arange(M)),
                 WeightedEnsemble.uniform(c, np.arange(M, 2 * M)))
 
     @staticmethod
-    def signed_weights(rho0, rho1, prior):
+    def signed_weights(rho0, rho1):
         n = len(rho0.constellation)
-        return (prior.p1 * np.bincount(rho1.indices, rho1.probabilities, minlength=n)
-                - prior.p0 * np.bincount(rho0.indices, rho0.probabilities, minlength=n))
+        return (np.bincount(rho1.indices, rho1.probabilities, minlength=n)
+                - np.bincount(rho0.indices, rho0.probabilities, minlength=n)) / 2
 
     @pytest.mark.parametrize("M", [1, 2, 4, 8])
     def test_half_rings_match_dense_oracle(self, M):
@@ -253,25 +256,23 @@ class TestHelstromRing:
         assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, rho0, rho1),
                                           abs=1e-15)
 
-    @pytest.mark.parametrize("prior", [BinaryPrior(0.5, 0.5), BinaryPrior(0.3, 0.7)])
-    def test_matches_span_route(self, prior):
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+    def test_matches_span_route(self, skewed):
         # the same points labelled as a ladder take the span route
-        rho0, rho1 = self.half_rings(64, 100.0)
+        rho0, rho1 = self.half_rings(64, 100.0, skewed)
         c = rho0.constellation
         ladder = Constellation(c.amplitudes, ModulationKind.ASK, c.num_bases)
         span = helstrom_binary_mixed(WeightedEnsemble(ladder, rho0.probabilities, rho0.indices),
-                                     WeightedEnsemble(ladder, rho1.probabilities, rho1.indices),
-                                     prior)
+                                     WeightedEnsemble(ladder, rho1.probabilities, rho1.indices))
         assert span.method == "span_eigen"
-        assert helstrom_binary_mixed(rho0, rho1, prior).value == pytest.approx(
-            span.value, abs=1e-12)
+        assert helstrom_binary_mixed(rho0, rho1).value == pytest.approx(span.value, abs=1e-12)
 
     @pytest.mark.parametrize("N, S", [(8, 5.0), (16, 50.0)])
-    @pytest.mark.parametrize("prior", [BinaryPrior(0.5, 0.5), BinaryPrior(0.3, 0.7)])
-    def test_matches_mpmath_oracle(self, N, S, prior):
-        rho0, rho1 = self.half_rings(N // 2, S)
-        want = ring_mixture_helstrom(self.signed_weights(rho0, rho1, prior), S)
-        got = helstrom_binary_mixed(rho0, rho1, prior).value
+    @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
+    def test_matches_mpmath_oracle(self, N, S, skewed):
+        rho0, rho1 = self.half_rings(N // 2, S, skewed)
+        want = ring_mixture_helstrom(self.signed_weights(rho0, rho1), S)
+        got = helstrom_binary_mixed(rho0, rho1).value
         assert got == pytest.approx(want, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("M, S", [(16, 5.0), (64, 100.0)])
@@ -291,7 +292,7 @@ class TestHelstromRing:
         first = j // s % 2 == 0  # runs of s points alternate between the hypotheses
         rho1 = WeightedEnsemble(make_psk(N // 2, S), q[first], j[first])
         rho0 = WeightedEnsemble(rho1.constellation, q[~first], j[~first])
-        w = self.signed_weights(rho0, rho1, BinaryPrior())
+        w = self.signed_weights(rho0, rho1)
         assert np.array_equal(np.roll(w, -s), -w)
         got = helstrom_binary_mixed(rho0, rho1).value
         assert got == pytest.approx(ring_mixture_helstrom(w, S), rel=0, abs=1e-15)
