@@ -15,7 +15,6 @@ from .constellation import (
 )
 from .detection import (
     BoundReport,
-    WeightedEnsemble,
     helstrom_binary_mixed,
     helstrom_binary_pure,
     quadrature_binary,
@@ -45,7 +44,7 @@ from .channel import (
 from .attacks import (
     AttackReport,
     EmpiricalRate,
-    bit_hypothesis_ensembles,
+    bit_hypotheses,
     collective_success,
     collective_usd_bound,
     eve_ctoa_data,
@@ -57,14 +56,14 @@ __all__ = [
     "__version__",
     "Constellation", "ModulationKind", "design_bases", "gram_matrix",
     "make_ask", "make_psk", "neighbor_error", "overlap",
-    "BoundReport", "WeightedEnsemble",
+    "BoundReport",
     "helstrom_binary_mixed", "helstrom_binary_pure", "quadrature_binary",
     "srm_symmetric", "usd_symmetric",
     "CipherConfig", "decode", "default_taps", "encode", "lfsr_period",
     "lfsr_stream", "osk_stream", "reciprocal_taps", "running_key",
     "sequence_count_log2", "slots_per_period",
     "MeasurementRecord", "apply_loss", "bob_receive", "save_record", "transmit",
-    "AttackReport", "EmpiricalRate", "bit_hypothesis_ensembles",
+    "AttackReport", "EmpiricalRate", "bit_hypotheses",
     "collective_success", "collective_usd_bound", "eve_ctoa_data",
     "eve_key_symbol", "key_posterior_entropy",
 ]

@@ -21,7 +21,6 @@ from .cipher import CipherConfig, _lfsr_extend, running_key
 from .constellation import ModulationKind
 from .detection import (
     BoundReport,
-    WeightedEnsemble,
     helstrom_binary_mixed,
     srm_symmetric,
     usd_symmetric,
@@ -60,21 +59,19 @@ def _rate(errors: int, n: int) -> EmpiricalRate:
     return EmpiricalRate(p, math.sqrt(max(p * (1 - p), 1.0 / n) / n), n)
 
 
-def bit_hypothesis_ensembles(config: CipherConfig) -> tuple[WeightedEnsemble, WeightedEnsemble]:
-    """Eve's ciphertext-only hypothesis mixtures for data bit 0 and 1.
+def bit_hypotheses(config: CipherConfig) -> np.ndarray:
+    """Eve's ciphertext-only hypotheses for data bit 0 and 1: row b is the
+    probability of each of the 2M points given bit b.
 
     Bit b occupies indices {k + (b xor r) M}: without OSK these are the two
-    half-rings; with OSK the polarity bit is marginalized and both hypotheses
-    become the same uniform mixture over all 2M points (the one-time-pad
-    situation).
+    half-rings, uniform over their M points; with OSK the polarity bit is
+    marginalized and both hypotheses become the same uniform mixture over all
+    2M points (the one-time-pad situation).
     """
-    c = config.constellation()
     M = config.M
     if config.osk:
-        all_idx = np.arange(2 * M)
-        return (WeightedEnsemble.uniform(c, all_idx), WeightedEnsemble.uniform(c, all_idx))
-    return (WeightedEnsemble.uniform(c, np.arange(M)),
-            WeightedEnsemble.uniform(c, np.arange(M, 2 * M)))
+        return np.full((2, 2 * M), 1.0 / (2 * M))
+    return np.repeat(np.eye(2), M, axis=1) / M
 
 
 def _window(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
@@ -141,20 +138,21 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
                   seed: int | None = None) -> AttackReport:
     """Ciphertext-only attack on the data: per-slot MAP bit decision.
 
-    Likelihoods are prior-weighted Gaussian mixtures over each bit's index
-    set, summed over the window of points within reach (``_window``); the
+    Each bit's likelihood sums the Gaussian likelihoods of the points its
+    hypothesis (``bit_hypotheses``) holds, over the window of points within
+    reach (``_window``).  Both hypotheses are uniform on supports of equal
+    size, so these sums decide as the probability-weighted mixtures do.  The
     reported bound is the mixed-state Helstrom value for the same two
-    hypothesis ensembles.  With OSK both sets are the whole ring, so every
-    slot is a tie, decided as 0.
+    hypotheses.  With OSK both supports are the whole ring, so every slot is
+    a tie, decided as 0.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
-    rho0, rho1 = bit_hypothesis_ensembles(config)
-    c = rho0.constellation
+    q = bit_hypotheses(config)
+    c = config.constellation()
     beta = apply_loss(c.amplitudes, config.kappa)
-    member = np.zeros((2, len(c)), dtype=bool)
-    member[0, rho0.indices] = member[1, rho1.indices] = True
+    member = q > 0
     errors, dropped = 0, 0.0
     for lo in range(0, len(record), _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
@@ -166,7 +164,7 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
         errors += int(np.sum(guess != truth[lo:lo + len(y)]))
         dropped = max(dropped, bound)
     return AttackReport("ctoa_data", _rate(errors, len(record)),
-                        helstrom_binary_mixed(rho0, rho1), seed,
+                        helstrom_binary_mixed(c, *q), seed,
                         dropped_mass_bound=dropped)
 
 
@@ -174,9 +172,10 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
                    plaintext=None, seed: int | None = None) -> AttackReport:
     """Attack on the running-key symbol, known-plaintext or ciphertext-only.
 
-    With known plaintext the per-slot candidates are the M states of symbol k
-    (two antipodal points each under OSK, polarity marginalized); without it
-    all 2M states compete and the symbol estimate is the index mod M.  Only
+    With known plaintext each symbol k scores its pair of points {k, k + M}:
+    without OSK the known bit rules out one point of the pair, under OSK the
+    pair's likelihoods are summed (polarity marginalized).  Without it all
+    2M states compete and the symbol estimate is the index mod M.  Only
     the window of points within reach is scored (``_window``).  The bound is
     the symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
     (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
@@ -196,16 +195,15 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
         y = record.samples[lo:lo + _CHUNK]
         xb = x[lo:lo + len(y)] if known and not config.osk else None
         idx, ll, bound = _window(y, beta, config.kind, half=xb)
-        if not known:
-            guess = _pick(idx, ll) % M
-        elif config.osk:
-            # symbol k appears as k + (x xor r) M with r marginalized; window
-            # positions i and i + M hold the antipodal pair of one symbol
+        if known:
+            if not config.osk:  # the known bit rules out one point of each pair
+                ll = np.where(idx // M == xb[:, None], ll, -np.inf)
+            # symbol k is the pair {k, k + M}, which window positions i and
+            # i + M hold; under OSK its polarity is marginalized
             q = max(0, idx.shape[1] - M)
-            pair = np.concatenate([np.logaddexp(ll[:, :q], ll[:, M:M + q]), ll[:, q:M]], axis=1)
-            guess = _pick(idx[:, :pair.shape[1]], pair) % M
-        else:
-            guess = _pick(idx, np.where(idx // M == xb[:, None], ll, -np.inf)) % M
+            ll = np.concatenate([np.logaddexp(ll[:, :q], ll[:, M:M + q]), ll[:, q:M]], axis=1)
+            idx = idx[:, :ll.shape[1]]
+        guess = _pick(idx, ll) % M
         errors += int(np.sum(guess != k_true[lo:lo + len(y)]))
         dropped = max(dropped, bound)
 

@@ -67,20 +67,16 @@ def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> Measure
     return MeasurementRecord(heterodyne_sample(amps, rng), config.kappa)
 
 
-def bob_receive(values, config: CipherConfig, rng: np.random.Generator | None = None,
-                plaintext=None) -> tuple[np.ndarray, float | None]:
+def bob_receive(values, config: CipherConfig,
+                rng: np.random.Generator | None = None) -> np.ndarray:
     """Keyed binary reception: project each slot on the known basis axis and threshold.
 
     ``values`` may be noiseless post-loss amplitudes (pass ``rng`` to let Bob
     draw his own homodyne noise at variance 1/4) or pre-sampled outcomes
-    (``rng=None`` adds nothing).  Returns the decoded bits and, when the true
-    plaintext is supplied, the empirical bit error rate.
+    (``rng=None`` adds nothing).  Returns the decoded bits.
     """
     y = np.asarray(values, dtype=np.complex128)
     n = len(y)
-    truth = None if plaintext is None else np.asarray(plaintext, dtype=np.int64)
-    if truth is not None and len(truth) != n:
-        raise ValueError("record and plaintext lengths differ")
     k = running_key(config, n)
     c = config.constellation()
     root_kappa = np.sqrt(config.kappa)
@@ -101,10 +97,7 @@ def bob_receive(values, config: CipherConfig, rng: np.random.Generator | None = 
 
     if config.osk:
         raw = raw ^ osk_stream(config, n)
-    ber = None
-    if truth is not None:
-        ber = float(np.mean(raw != truth)) if n else 0.0
-    return raw, ber
+    return raw
 
 
 # --- record files -----------------------------------------------------------

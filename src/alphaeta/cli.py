@@ -38,6 +38,17 @@ _CONFIG_FIELDS = {
     "ask_S_min": (("number",), None, None),
     "ask_S_max": (("number",), None, None),
 }
+# the choices of simulate's --plaintext and --attack, for flags and manifests alike
+_PLAINTEXTS = ("random", "zeros")
+_ATTACKS = ("bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy")
+# manifest key: the check of the flag it stands for (bits >= 1 is checked for both)
+_MANIFEST_CHECKS = {
+    "config": lambda v: True,  # validated as a --config file is
+    "seed": lambda v: type(v) is int,
+    "bits": lambda v: type(v) is int,
+    "plaintext": lambda v: v in _PLAINTEXTS,
+    "attacks": lambda v: type(v) is list and v != [] and all(a in _ATTACKS for a in v),
+}
 
 
 def _fmt(x) -> str:
@@ -186,13 +197,16 @@ def _manifest(args, config_dict: dict, outputs: list[str]) -> dict:
 def cmd_simulate(args) -> int:
     if args.from_manifest:
         manifest = json.loads(Path(args.from_manifest).read_text())
-        ns = argparse.Namespace(**vars(args))
-        ns.seed = manifest["seed"]
-        ns.bits = manifest["bits"]
-        ns.plaintext = manifest["plaintext"]
-        ns.attack = manifest["attacks"]
+        bad = [k for k, ok in _MANIFEST_CHECKS.items()
+               if type(manifest) is not dict or k not in manifest or not ok(manifest[k])]
+        if bad:
+            print(f"error: manifest {', '.join(bad)}: missing, or not what the flag accepts",
+                  file=sys.stderr)
+            return 2
+        args = argparse.Namespace(**{**vars(args), "seed": manifest["seed"],
+                                     "bits": manifest["bits"], "plaintext": manifest["plaintext"],
+                                     "attack": manifest["attacks"]})
         cfg_dict = manifest["config"]
-        args = ns
     elif args.config is None:
         print("error: --config or --from-manifest is required", file=sys.stderr)
         return 2
@@ -232,7 +246,7 @@ def cmd_simulate(args) -> int:
 
     for kind in args.attack:
         if kind == "bob":
-            bits, _ = channel.bob_receive(
+            bits = channel.bob_receive(
                 channel.apply_loss(config.constellation().amplitudes[indices], config.kappa),
                 config, rng=rng)
             dump("report_bob.json", {
@@ -252,7 +266,7 @@ def cmd_simulate(args) -> int:
         elif kind == "kpa":
             rep = attacks.eve_key_symbol(record, config, plaintext, seed=args.seed)
             dump("report_kpa_key.json", dataclasses.asdict(rep))
-        elif kind == "key-entropy":
+        else:  # key-entropy
             dump("report_key_entropy.json", {
                 "attack_kind": "kpa_key_posterior",
                 "key_posterior_entropy_bits":
@@ -260,9 +274,6 @@ def cmd_simulate(args) -> int:
                 "key_bits": config.key_bits,
                 "trials": n, "seed": args.seed,
             })
-        else:
-            print(f"error: unknown attack {kind}", file=sys.stderr)
-            return 2
 
     if args.save_record:
         rec_path = outdir / "record.bin"
@@ -359,9 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--from-manifest", default=None, help="rerun a previous manifest")
     s.add_argument("--seed", type=int, default=None, help="master RNG seed (required)")
     s.add_argument("--bits", type=int, default=10000)
-    s.add_argument("--plaintext", default="random", choices=["random", "zeros"])
-    s.add_argument("--attack", nargs="+", default=["bob"],
-                   choices=["bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy"])
+    s.add_argument("--plaintext", default="random", choices=_PLAINTEXTS)
+    s.add_argument("--attack", nargs="+", default=["bob"], choices=_ATTACKS)
     s.add_argument("--out", default="runs")
     s.add_argument("--save-record", action="store_true")
     s.set_defaults(fn=cmd_simulate)

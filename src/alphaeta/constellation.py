@@ -47,15 +47,12 @@ class Constellation:
 
     amplitudes: np.ndarray
     kind: ModulationKind
-    num_bases: int
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
-        if self.num_bases < 1:
-            raise ValueError("num_bases must be >= 1")
-        if len(amps) != 2 * self.num_bases:
-            raise ValueError(f"expected {2 * self.num_bases} points, got {len(amps)}")
+        if len(amps) < 2 or len(amps) % 2:
+            raise ValueError(f"need an even number of points, at least two; got {len(amps)}")
 
     def __len__(self) -> int:
         return len(self.amplitudes)
@@ -81,7 +78,7 @@ def make_psk(M: int, S: float) -> Constellation:
         raise ValueError("S must be nonnegative")
     s = np.arange(2 * M)
     amps = math.sqrt(S) * np.exp(1j * math.pi * s / M)
-    return Constellation(amps, ModulationKind.PSK, M)
+    return Constellation(amps, ModulationKind.PSK)
 
 
 def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
@@ -98,7 +95,7 @@ def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
     if S_min <= 1.0 / kappa:
         raise ValueError(f"S_min={S_min} violates the minimum-energy constraint S_min > 1/kappa={1.0 / kappa}")
     amps = np.linspace(math.sqrt(S_min), math.sqrt(S_max), 2 * M).astype(np.complex128)
-    return Constellation(amps, ModulationKind.ASK, M)
+    return Constellation(amps, ModulationKind.ASK)
 
 
 def gram_matrix(c: Constellation | np.ndarray) -> np.ndarray:
@@ -136,8 +133,6 @@ def neighbor_error(c: Constellation) -> float:
     plane, and at practical parameters arc and chord agree to < 0.1%.
     Strictly in (0, 1/2].
     """
-    if len(c) < 2:
-        raise ValueError("need at least two points")
     t0 = c.neighbor_distance() / (2.0 * COHERENT_SIGMA)
     return gaussian_tail(t0)
 

@@ -141,9 +141,8 @@ def _otp_config() -> cipher.CipherConfig:
 def _claim_otp_bound():
     c = _otp_config().constellation()
     ne = neighbor_error(c)
-    rep = detection.helstrom_binary_mixed(
-        detection.WeightedEnsemble.uniform(c, np.arange(0, len(c), 2)),
-        detection.WeightedEnsemble.uniform(c, np.arange(1, len(c), 2)))
+    even = np.tile([2.0 / len(c), 0.0], len(c) // 2)
+    rep = detection.helstrom_binary_mixed(c, even, np.roll(even, 1))
     return (rep.value, ">= 0.499 (neighbor confusion >= 0.3)", rep.value >= 0.499 and ne >= 0.3,
             f"{rep.method}, neighbor_error={ne:.4f}")
 
@@ -200,10 +199,9 @@ def _claim_usd_vs_srm_grid():
 @_claim("7a", "mixed-Helstrom ring_spectrum vs dense agreement")
 def _claim_small_oracle():
     c = make_psk(2, 1.3)
-    rho0 = detection.WeightedEnsemble(c, np.array([0.7, 0.3]), np.array([0, 1]))
-    rho1 = detection.WeightedEnsemble(c, np.array([0.6, 0.4]), np.array([2, 3]))
-    rep = detection.helstrom_binary_mixed(rho0, rho1)
-    pe_dense = _dense_mixed_helstrom(c.amplitudes, rho0, rho1)
+    q0, q1 = np.array([0.7, 0.3, 0.0, 0.0]), np.array([0.0, 0.0, 0.6, 0.4])
+    rep = detection.helstrom_binary_mixed(c, q0, q1)
+    pe_dense = _dense_mixed_helstrom(c.amplitudes, q0, q1)
     diff = abs(rep.value - pe_dense)
     # the description names the route, so another route fails the claim
     return (diff, "<= 1e-10", diff <= 1e-10 and rep.method == "ring_spectrum",
@@ -271,9 +269,10 @@ def _state_inner(u: np.ndarray, v: np.ndarray, amps: np.ndarray) -> complex:
     return complex(acc)
 
 
-def _dense_mixed_helstrom(amps: np.ndarray, rho0, rho1) -> float:
+def _dense_mixed_helstrom(amps: np.ndarray, q0, q1) -> float:
     """Independent oracle: explicit modified Gram-Schmidt orthonormalization of
-    the states, dense density matrices, dense eigendecomposition."""
+    the states, dense density matrices of the point probabilities q0 and q1,
+    dense eigendecomposition."""
     n = len(amps)
     basis: list[np.ndarray] = []
     for i in range(n):
@@ -292,11 +291,11 @@ def _dense_mixed_helstrom(amps: np.ndarray, rho0, rho1) -> float:
         e[i] = 1.0
         coords[i] = [_state_inner(b, e, amps) for b in basis]
     rho_m = []
-    for ens in (rho0, rho1):
+    for q in (q0, q1):
         m = np.zeros((d, d), dtype=complex)
-        for p, idx in zip(ens.probabilities, ens.indices):
+        for idx in np.flatnonzero(q):
             v = coords[idx]
-            m += p * np.outer(v, v.conj())
+            m += q[idx] * np.outer(v, v.conj())
         rho_m.append(m)
     delta = 0.5 * rho_m[1] - 0.5 * rho_m[0]
     tn = float(np.abs(np.linalg.eigvalsh(delta)).sum())

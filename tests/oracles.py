@@ -2,7 +2,9 @@
 
 ``ring_spectrum_mpmath`` is the 60-digit circulant Gram spectrum of a
 symmetric coherent-state ring; ``ring_mixture_helstrom`` reads the Helstrom
-error of any signed mixture over that ring from it.  ``full_slab_errors``
+error of any signed mixture over that ring from it, and
+``ladder_mixture_helstrom`` computes the same figure on a real-amplitude
+ladder.  ``full_slab_errors``
 counts the eavesdropper's MAP errors by scoring every sample against every
 constellation point.  ``srm_holevo_yuen_residual`` checks the optimality
 conditions of the square-root measurement on a symmetric ring in the span
@@ -25,7 +27,6 @@ from scipy.special import logsumexp
 from alphaeta.attacks import EmpiricalRate
 from alphaeta.channel import apply_loss
 from alphaeta.cipher import running_key
-from alphaeta.detection import WeightedEnsemble
 
 
 @functools.lru_cache(maxsize=None)
@@ -92,11 +93,31 @@ def ring_mixture_helstrom(w, S) -> float:
         return float(mpmath.mpf(1) / 2 - mpmath.fsum(abs(e) for e in eig) / 2)
 
 
-def even_odd_mixtures(c) -> tuple[WeightedEnsemble, WeightedEnsemble]:
-    """Uniform mixtures over the even- and odd-index points of a constellation."""
-    n = len(c)
-    return (WeightedEnsemble.uniform(c, np.arange(0, n, 2)),
-            WeightedEnsemble.uniform(c, np.arange(1, n, 2)))
+def ladder_mixture_helstrom(amps, w) -> float:
+    """Helstrom error 1/2 - Tr|Delta| / 2 of Delta = sum_j w_j |a_j><a_j| over
+    real amplitudes, at 50 digits: the nonzero eigenvalues of Delta are those
+    of G^{1/2} diag(w) G^{1/2}, with G_ij = exp(-(a_i - a_j)^2 / 2) the Gram
+    matrix and G^{1/2} from its eigendecomposition."""
+    n = len(amps)
+    with mpmath.workdps(50):
+        a = [mpmath.mpf(float(x.real)) for x in amps]
+        gram = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                gram[i, j] = mpmath.exp(-(a[i] - a[j]) ** 2 / 2)
+        lam, vec = mpmath.eigsy(gram)
+        # G is PSD: eigenvalues that rounding leaves below 0 are 0
+        root = vec * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in lam]) * vec.T
+        eig = mpmath.eigsy(root * mpmath.diag([mpmath.mpf(x) for x in w]) * root,
+                           eigvals_only=True)
+        return float(mpmath.mpf(1) / 2 - mpmath.fsum(abs(e) for e in eig) / 2)
+
+
+def even_odd_mixtures(c) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform probability vectors over the even- and odd-index points of a
+    constellation."""
+    even = np.tile([2.0 / len(c), 0.0], len(c) // 2)
+    return even, np.roll(even, 1)
 
 
 def srm_holevo_yuen_residual(N, S) -> tuple[float, float]:

@@ -7,7 +7,7 @@ import pytest
 
 from alphaeta.attacks import (
     _DROPPED_MASS_TOL,
-    bit_hypothesis_ensembles,
+    bit_hypotheses,
     collective_success,
     collective_usd_bound,
     eve_ctoa_data,
@@ -57,13 +57,13 @@ class TestCtoaData:
             assert rep.empirical.value >= rep.bound.value - 3 * rep.empirical.stderr
 
     def test_hypothesis_ensembles_shape(self):
+        # bit b is uniform on the half {k + b M}; OSK spreads both bits
+        # uniformly over the whole ring
         cfg = CipherConfig(M=8, S=1.0, key_bits=8, seed=0x3C)
-        rho0, rho1 = bit_hypothesis_ensembles(cfg)
-        np.testing.assert_array_equal(rho0.indices, np.arange(8))
-        np.testing.assert_array_equal(rho1.indices, np.arange(8, 16))
+        half = np.repeat([1 / 8, 0.0], 8)
+        np.testing.assert_array_equal(bit_hypotheses(cfg), [half, half[::-1]])
         cfg_osk = CipherConfig(M=8, S=1.0, key_bits=8, seed=0x3C, osk=True)
-        r0, r1 = bit_hypothesis_ensembles(cfg_osk)
-        np.testing.assert_array_equal(r0.indices, r1.indices)
+        np.testing.assert_array_equal(bit_hypotheses(cfg_osk), np.full((2, 16), 1 / 16))
 
     def test_length_mismatch(self):
         cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=0x55)

@@ -13,6 +13,8 @@ GOOD_CONFIG = {
     "M": 64, "S": 40.0, "key_bits": 12, "seed": 1445,
     "osk": True, "kind": "psk", "kappa": 1.0,
 }
+GOOD_MANIFEST = {"seed": 5, "bits": 100, "plaintext": "random", "attacks": ["bob"],
+                 "config": GOOD_CONFIG}
 
 
 def run_cli(*argv):
@@ -110,6 +112,26 @@ class TestSimulate:
         assert via_manifest[0] == via_config[0] == 2
         assert via_manifest[2] == via_config[2]
         assert "/M:" in via_manifest[2]
+
+    @pytest.mark.parametrize("manifest", [
+        {**GOOD_MANIFEST, "attacks": ["bob", "bogus"]},
+        {k: v for k, v in GOOD_MANIFEST.items() if k != "bits"},
+        {**GOOD_MANIFEST, "bits": "100"},
+        {**GOOD_MANIFEST, "bits": 0},
+        {**GOOD_MANIFEST, "plaintext": "ones"},
+        5,
+    ], ids=["unknown-attack", "no-bits", "bits-string", "bits-zero", "unknown-plaintext",
+            "not-an-object"])
+    def test_bad_manifest_exits_2_before_output(self, tmp_path, manifest):
+        # manifest values get the checks of the flags they stand for, before
+        # --out is created
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        code, _, err = run_cli("simulate", "--from-manifest", str(path), "--out", str(out))
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize("config, message", [
         ({**GOOD_CONFIG, "seed": 5000}, "seed must be a nonzero |K|-bit value"),

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alphaeta.constellation import (
+    Constellation,
     ModulationKind,
     design_bases,
     gaussian_tail,
@@ -179,12 +180,11 @@ class TestNeighborError:
         assert all(a > b for a, b in zip(pes, pes[1:]))
 
     def test_needs_two_points(self):
-        c = make_psk(1, 1.0)
-        one_point = c.amplitudes[:1]
-        with pytest.raises(ValueError):
-            neighbor_error(
-                type(c)(one_point, ModulationKind.PSK, 1)  # malformed on purpose
-            )
+        # a constellation holds 2M >= 2 points, so every one has a neighbor
+        for n in (0, 1, 3):
+            with pytest.raises(ValueError, match="even number of points"):
+                Constellation(np.ones(n), ModulationKind.PSK)
+        assert neighbor_error(Constellation(np.array([1.0, -1.0]), ModulationKind.PSK)) > 0
 
 
 class TestDesignBases:

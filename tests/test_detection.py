@@ -17,7 +17,6 @@ from alphaeta.constellation import (
 from alphaeta.detection import (
     _ring_log_spectrum,
     BoundReport,
-    WeightedEnsemble,
     helstrom_binary_mixed,
     helstrom_binary_pure,
     quadrature_binary,
@@ -27,6 +26,7 @@ from alphaeta.detection import (
 
 from oracles import (
     even_odd_mixtures,
+    ladder_mixture_helstrom,
     ring_even_odd_helstrom,
     ring_mixture_helstrom,
     ring_spectrum_mpmath,
@@ -130,57 +130,44 @@ class TestQuadrature:
 
 class TestHelstromMixed:
     def test_equal_ensembles(self):
-        # w = 0 gives exactly 1/2 on the ring and on the ladder, also for the
-        # same mixture listed in another order
+        # w = 0 gives exactly 1/2 on the ring and on the ladder
         for c, method in [(make_psk(4, 2.0), "ring_spectrum"),
-                          (make_ask(4, 1.5, 6.0, 1.0), "span_eigen")]:
-            rho = WeightedEnsemble.uniform(c, np.arange(8))
-            same = WeightedEnsemble.uniform(c, np.arange(8)[::-1])
-            for pair in [(rho, rho), (rho, same)]:
-                rep = helstrom_binary_mixed(*pair)
-                assert rep.value == 0.5 and rep.method == method
+                          (make_ask(4, 1.5, 6.0, 1.0), "gram_eigen")]:
+            q = np.full(8, 1 / 8)
+            rep = helstrom_binary_mixed(c, q, q)
+            assert rep.value == 0.5 and rep.method == method
 
     def test_singletons_reduce_to_pure(self):
         c = make_psk(4, 3.0)
         for i, j in [(0, 4), (1, 3), (2, 7)]:
-            mixed = helstrom_binary_mixed(
-                WeightedEnsemble.uniform(c, [i]), WeightedEnsemble.uniform(c, [j]))
+            mixed = helstrom_binary_mixed(c, np.eye(8)[i], np.eye(8)[j])
             pure = helstrom_binary_pure(c.amplitudes[i], c.amplitudes[j])
             assert mixed.value == pytest.approx(pure.value, abs=1e-10)
-
-    def test_mismatched_constellations_rejected(self):
-        r0 = WeightedEnsemble.uniform(make_psk(2, 1.0), [0])
-        r1 = WeightedEnsemble.uniform(make_psk(2, 2.0), [0])
-        with pytest.raises(ValueError):
-            helstrom_binary_mixed(r0, r1)
 
     @pytest.mark.parametrize("M,S", [(2, 0.7), (2, 2.5)])
     def test_four_state_dense_oracle(self, M, S):
         from alphaeta.reproduce import _dense_mixed_helstrom
 
         c = make_psk(M, S)
-        rho0 = WeightedEnsemble(c, np.array([0.7, 0.3]), np.array([0, 1]))
-        rho1 = WeightedEnsemble(c, np.array([0.55, 0.45]), np.array([2, 3]))
-        got = helstrom_binary_mixed(rho0, rho1).value
-        want = _dense_mixed_helstrom(c.amplitudes, rho0, rho1)
+        q0, q1 = np.array([0.7, 0.3, 0.0, 0.0]), np.array([0.0, 0.0, 0.55, 0.45])
+        got = helstrom_binary_mixed(c, q0, q1).value
+        want = _dense_mixed_helstrom(c.amplitudes, q0, q1)
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_ask_ladder_dense_oracle(self):
-        # ladders are not circulant: they keep the span route
+        # ladders are not circulant: they take the Gram eigenvalue route
         from alphaeta.reproduce import _dense_mixed_helstrom
 
         c = make_ask(2, 1.5, 6.0, 1.0)
-        rho0 = WeightedEnsemble(c, np.array([0.7, 0.3]), np.array([0, 1]))
-        rho1 = WeightedEnsemble(c, np.array([0.6, 0.4]), np.array([2, 3]))
-        rep = helstrom_binary_mixed(rho0, rho1)
-        assert rep.method == "span_eigen"
-        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, rho0, rho1),
+        q0, q1 = np.array([0.7, 0.3, 0.0, 0.0]), np.array([0.0, 0.0, 0.6, 0.4])
+        rep = helstrom_binary_mixed(c, q0, q1)
+        assert rep.method == "gram_eigen"
+        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, q0, q1),
                                           abs=1e-10)
 
     def test_designed_even_odd_mixtures_near_half(self):
         c = make_psk(512, 4000.0)
-        rho_e, rho_o = even_odd_mixtures(c)
-        rep = helstrom_binary_mixed(rho_e, rho_o)
+        rep = helstrom_binary_mixed(c, *even_odd_mixtures(c))
         assert rep.method == "ring_spectrum"
         assert abs(rep.value - 0.5) < 1e-3
 
@@ -198,8 +185,7 @@ class TestHelstromMixed:
             g = np.fft.fft(row).real
             trace_norm = np.sum(np.sqrt(g[: M] * g[M:])) * 2.0 / n
             want = 0.5 - 0.5 * trace_norm
-            rho_e, rho_o = even_odd_mixtures(c)
-            got = helstrom_binary_mixed(rho_e, rho_o).value
+            got = helstrom_binary_mixed(c, *even_odd_mixtures(c)).value
             # the gap, about 1.3e-11 at (256, 2000), is the rounding of this
             # oracle's own DFT of the overlap row, not of the ring route
             assert got == pytest.approx(want, abs=1e-10)
@@ -209,9 +195,8 @@ class TestHelstromMixed:
         # pure-pair error lower-bounds the mixture error (triangle inequality)
         c = make_psk(8, 1.5)
         pure = helstrom_binary_pure(c.amplitudes[0], c.amplitudes[8]).value
-        rho0 = WeightedEnsemble(c, np.array([0.8, 0.2]), np.array([0, 2]))
-        rho1 = WeightedEnsemble(c, np.array([0.8, 0.2]), np.array([8, 10]))
-        assert helstrom_binary_mixed(rho0, rho1).value >= pure - 1e-12
+        q0 = 0.8 * np.eye(16)[0] + 0.2 * np.eye(16)[2]
+        assert helstrom_binary_mixed(c, q0, np.roll(q0, 8)).value >= pure - 1e-12
 
 
 class TestHelstromRing:
@@ -221,16 +206,10 @@ class TestHelstromRing:
     def half_rings(M, S, skewed=False):
         # skewed: bit 0's half ring is weighted 1 : 3 from first to last point,
         # so w_{j+s} != -w_j for every shift and the route takes the N x N eigensolve
-        c = make_psk(M, S)
-        q0 = np.linspace(1.0, 3.0, M) if skewed else np.ones(M)
-        return (WeightedEnsemble(c, q0 / q0.sum(), np.arange(M)),
-                WeightedEnsemble.uniform(c, np.arange(M, 2 * M)))
-
-    @staticmethod
-    def signed_weights(rho0, rho1):
-        n = len(rho0.constellation)
-        return (np.bincount(rho1.indices, rho1.probabilities, minlength=n)
-                - np.bincount(rho0.indices, rho0.probabilities, minlength=n)) / 2
+        half = np.linspace(1.0, 3.0, M) if skewed else np.ones(M)
+        q0 = np.concatenate([half / half.sum(), np.zeros(M)])
+        q1 = np.concatenate([np.zeros(M), np.full(M, 1 / M)])
+        return make_psk(M, S), q0, q1
 
     @pytest.mark.parametrize("M", [1, 2, 4, 8])
     def test_half_rings_match_dense_oracle(self, M):
@@ -238,10 +217,10 @@ class TestHelstromRing:
 
         # at S = 10 the oracle's Gram-Schmidt keeps every direction; at low S
         # it drops near-dependent ones and is itself off by up to 7e-12
-        rho0, rho1 = self.half_rings(M, 10.0)
-        rep = helstrom_binary_mixed(rho0, rho1)
+        c, q0, q1 = self.half_rings(M, 10.0)
+        rep = helstrom_binary_mixed(c, q0, q1)
         assert rep.method == "ring_spectrum"
-        want = _dense_mixed_helstrom(rho0.constellation.amplitudes, rho0, rho1)
+        want = _dense_mixed_helstrom(c.amplitudes, q0, q1)
         assert rep.value == pytest.approx(want, abs=1e-15)
 
     def test_unequal_weights_match_dense_oracle(self):
@@ -249,35 +228,35 @@ class TestHelstromRing:
         from alphaeta.reproduce import _dense_mixed_helstrom
 
         c = make_psk(4, 10.0)
-        rho0 = WeightedEnsemble(c, np.array([0.7, 0.2, 0.1]), np.array([0, 1, 3]))
-        rho1 = WeightedEnsemble(c, np.array([0.5, 0.5]), np.array([4, 6]))
-        rep = helstrom_binary_mixed(rho0, rho1)
+        q0 = np.array([0.7, 0.2, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0])
+        q1 = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
+        rep = helstrom_binary_mixed(c, q0, q1)
         assert rep.method == "ring_spectrum"
-        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, rho0, rho1),
+        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, q0, q1),
                                           abs=1e-15)
 
     @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
     def test_matches_span_route(self, skewed):
-        # the same points labelled as a ladder take the span route
-        rho0, rho1 = self.half_rings(64, 100.0, skewed)
-        c = rho0.constellation
-        ladder = Constellation(c.amplitudes, ModulationKind.ASK, c.num_bases)
-        span = helstrom_binary_mixed(WeightedEnsemble(ladder, rho0.probabilities, rho0.indices),
-                                     WeightedEnsemble(ladder, rho1.probabilities, rho1.indices))
-        assert span.method == "span_eigen"
-        assert helstrom_binary_mixed(rho0, rho1).value == pytest.approx(span.value, abs=1e-12)
+        # the same points labelled as a ladder take the Gram eigenvalue route,
+        # on their complex Gram matrix
+        c, q0, q1 = self.half_rings(64, 100.0, skewed)
+        ladder = Constellation(c.amplitudes, ModulationKind.ASK)
+        gram = helstrom_binary_mixed(ladder, q0, q1)
+        assert gram.method == "gram_eigen"
+        assert helstrom_binary_mixed(c, q0, q1).value == pytest.approx(gram.value, abs=1e-12)
 
     @pytest.mark.parametrize("N, S", [(8, 5.0), (16, 50.0)])
     @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
     def test_matches_mpmath_oracle(self, N, S, skewed):
-        rho0, rho1 = self.half_rings(N // 2, S, skewed)
-        want = ring_mixture_helstrom(self.signed_weights(rho0, rho1), S)
-        got = helstrom_binary_mixed(rho0, rho1).value
+        c, q0, q1 = self.half_rings(N // 2, S, skewed)
+        want = ring_mixture_helstrom((q1 - q0) / 2, S)
+        got = helstrom_binary_mixed(c, q0, q1).value
         assert got == pytest.approx(want, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("M, S", [(16, 5.0), (64, 100.0)])
     def test_even_odd_mixtures_match_pairing_formula(self, M, S):
-        rep = helstrom_binary_mixed(*even_odd_mixtures(make_psk(M, S)))
+        c = make_psk(M, S)
+        rep = helstrom_binary_mixed(c, *even_odd_mixtures(c))
         assert rep.method == "ring_spectrum"
         assert rep.value == pytest.approx(ring_even_odd_helstrom(M, S), rel=0, abs=1e-15)
 
@@ -290,17 +269,34 @@ class TestHelstromRing:
         j = np.arange(N)
         q = np.array(pattern)[j % s] * (2 * s / N)  # each hypothesis holds N / 2s copies
         first = j // s % 2 == 0  # runs of s points alternate between the hypotheses
-        rho1 = WeightedEnsemble(make_psk(N // 2, S), q[first], j[first])
-        rho0 = WeightedEnsemble(rho1.constellation, q[~first], j[~first])
-        w = self.signed_weights(rho0, rho1)
+        q0, q1 = np.where(first, 0.0, q), np.where(first, q, 0.0)
+        w = (q1 - q0) / 2
         assert np.array_equal(np.roll(w, -s), -w)
-        got = helstrom_binary_mixed(rho0, rho1).value
+        got = helstrom_binary_mixed(make_psk(N // 2, S), q0, q1).value
         assert got == pytest.approx(ring_mixture_helstrom(w, S), rel=0, abs=1e-15)
 
     def test_designed_half_rings(self):
-        # M = 512, S = 4000: the span route's clamp left this 6.7e-12 high
+        # M = 512, S = 4000: a span basis clamped at 1e-10 left this 6.7e-12 high
         rep = helstrom_binary_mixed(*self.half_rings(512, 4000.0))
         assert rep.value == pytest.approx(0.0015669998138, rel=0, abs=1e-13)
+
+
+class TestHelstromLadder:
+    """The Gram eigenvalue route that mixtures on an ASK ladder take."""
+
+    @pytest.mark.parametrize("M, S_min, S_max", [(4, 1.5, 6.0), (8, 2.0, 4.0)])
+    @pytest.mark.parametrize("skewed", [False, True], ids=["halves", "skewed"])
+    def test_matches_mpmath_oracle(self, M, S_min, S_max, skewed):
+        # dense ladders: the Gram matrix's smallest eigenvalues lie far below
+        # 1e-10 of its largest, the directions a span basis would drop
+        c = make_ask(M, S_min, S_max, 1.0)
+        ramp = np.linspace(1.0, 3.0, 2 * M) if skewed else np.repeat([1.0, 0.0], M)
+        q0 = ramp / ramp.sum()
+        q1 = np.repeat([0.0, 1.0 / M], M)
+        rep = helstrom_binary_mixed(c, q0, q1)
+        assert rep.method == "gram_eigen"
+        want = ladder_mixture_helstrom(c.amplitudes, (q1 - q0) / 2)
+        assert rep.value == pytest.approx(want, rel=0, abs=1e-14)
 
 
 class TestRingSpectrum:
@@ -325,9 +321,9 @@ class TestHelstromEvenOdd:
         from alphaeta.reproduce import _dense_mixed_helstrom
 
         c = make_psk(2, S)
-        rho_e, rho_o = even_odd_mixtures(c)
-        want = _dense_mixed_helstrom(c.amplitudes, rho_e, rho_o)
-        assert helstrom_binary_mixed(rho_e, rho_o).value == pytest.approx(want, abs=1e-10)
+        q_even, q_odd = even_odd_mixtures(c)
+        want = _dense_mixed_helstrom(c.amplitudes, q_even, q_odd)
+        assert helstrom_binary_mixed(c, q_even, q_odd).value == pytest.approx(want, abs=1e-10)
 
 
 class TestSrmSymmetric:
@@ -363,9 +359,10 @@ class TestSrmSymmetric:
         assert srm_symmetric(2047, 1e4).value == pytest.approx(0.755, abs=0.02)
 
     def test_spectrum_matches_span_certificate(self):
-        # the span route projects out Gram directions below 1e-10 relative,
-        # whose square roots the exact spectrum route still carries; agreement
-        # is therefore only to ~n*sqrt(clamp)/n ~ 1e-5 for ill-conditioned rings
+        # the oracle's span basis projects out Gram directions below 1e-10
+        # relative, whose square roots the exact spectrum route still carries;
+        # agreement is therefore only to ~n*sqrt(clamp)/n ~ 1e-5 for
+        # ill-conditioned rings
         for n in (3, 8, 33, 64):
             for s in (0.1, 1.0, 10.0):
                 success, _ = srm_holevo_yuen_residual(n, s)
@@ -437,17 +434,25 @@ class TestBoundReport:
 
 
 class TestEnsembleValidation:
+    """The checks ``helstrom_binary_mixed`` makes of its probability vectors."""
+
+    GOOD = np.array([0.25, 0.25, 0.25, 0.25])
+
     def test_probabilities_must_normalize(self):
-        c = make_psk(2, 1.0)
-        with pytest.raises(ValueError):
-            WeightedEnsemble(c, np.array([0.5, 0.4]), np.array([0, 1]))
+        for c in (make_psk(2, 1.0), make_ask(2, 1.5, 6.0, 1.0)):
+            with pytest.raises(ValueError, match="sum to 1"):
+                helstrom_binary_mixed(c, np.array([0.5, 0.4, 0.0, 0.0]), self.GOOD)
+            # within 1e-12 of 1 passes
+            helstrom_binary_mixed(c, self.GOOD + 2e-13, self.GOOD)
 
     def test_indices_in_range(self):
+        # one probability per point of the constellation
         c = make_psk(2, 1.0)
-        with pytest.raises(ValueError):
-            WeightedEnsemble(c, np.array([1.0]), np.array([4]))
+        for q in (np.array([1.0]), np.full(5, 0.2), np.full((2, 2), 0.25)):
+            with pytest.raises(ValueError, match="4 point probabilities"):
+                helstrom_binary_mixed(c, q, self.GOOD)
 
     def test_negative_probability_rejected(self):
         c = make_psk(2, 1.0)
-        with pytest.raises(ValueError):
-            WeightedEnsemble(c, np.array([1.5, -0.5]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            helstrom_binary_mixed(c, self.GOOD, np.array([1.5, -0.5, 0.0, 0.0]))
