@@ -2,10 +2,11 @@
 
 Eve's simulated receiver is the heterodyne tap of ``channel.transmit``, the
 only record the package makes, followed by optimal classical
-post-processing (MAP over Gaussian mixture likelihoods, scored over the
-points within reach of each sample with a recorded bound on the mass left
-out); quantum-optimal attacks enter only as bounds, so the empirical/bound
-gap stays visible.
+post-processing (MAP over Gaussian mixture likelihoods, scored over the run
+of indices within reach of each sample with a recorded bound on the mass
+left out; the data-bit MAP scores only the runs that straddle both of its
+hypotheses and settles the rest from index counts); quantum-optimal attacks
+enter only as bounds, so the empirical/bound gap stays visible.
 The exhaustive key-posterior oracle scores every seed of any register up to
 22 bits with one Walsh-Hadamard transform over the seed space.
 """
@@ -75,24 +76,25 @@ def bit_hypotheses(config: CipherConfig) -> np.ndarray:
 
 
 def _window(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
-            half: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, float]:
-    """The constellation points within reach of each sample: their indices
-    (slots x width), their log-likelihoods -|y - beta_j|^2 (up to a constant,
-    heterodyne variance 1/2 per quadrature) and the bound on the likelihood
-    mass left out, relative to the nearest point's.
+            half: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+    """The constellation points within reach of each sample, as an index run:
+    each row's first index ``start`` (mod 2M), the run's ``width`` and the
+    bound on the likelihood mass left out, relative to the nearest point's.
 
-    The window is the 2w+1 points around the nearest one.  On the PSK ring
-    the centre comes from the phase of y and the indices wrap mod 2M; on the
-    ASK ladder it comes from Re y and the window is clamped inside [0, 2M).
+    The run is the 2w+1 points around the nearest one, indices
+    start, ..., start + width - 1 read on the doubled index line
+    (``np.tile(beta, 2)``), so that no index needs a modulo.  On the PSK ring
+    the centre comes from the phase of y and the run wraps past 2M - 1; on
+    the ASK ladder it comes from Re y and the run is clamped inside [0, 2M).
     Every dropped point is at least g(w) further in squared distance than the
     nearest, g(w) = 2|y| r (cos(pi/2M) - cos((w+1/2) pi/M)) on a ring of
     radius r and step^2 w(w+1) on a ladder, so the dropped mass is at most
     (2M-2w-1) e^{-g(w)}.  w is the smallest half-width whose bound at the
-    chunk's smallest |y| is below _DROPPED_MASS_TOL; when none is, the window
-    is the whole constellation in index order (ties break as in a full scan)
-    and the bound 0.  ``half`` (one bit per slot) widens the window until it
-    holds a point of each slot's half {k + half M}; the window holds the
-    points nearest y, so it then holds that half's nearest point.
+    chunk's smallest |y| is below _DROPPED_MASS_TOL; when none is, the run is
+    the whole constellation from index 0 (ties break as in a full scan) and
+    the bound 0.  ``half`` (one bit per slot) widens the run until it holds a
+    point of each slot's half {k + half M}; the run holds the points nearest
+    y, so it then holds that half's nearest point.
     """
     n = len(beta)
     M = n // 2
@@ -117,21 +119,21 @@ def _window(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
             reach = np.maximum(0, np.maximum(lo - centre, centre - (lo + M - 1)))
         w = max(w, int(reach.max()))
     if 2 * w + 1 >= n:
-        idx = np.broadcast_to(np.arange(n), (len(y), n))
-        bound = 0.0
+        return np.zeros(len(y), dtype=np.int64), n, 0.0
+    if kind is ModulationKind.PSK:
+        start = (centre - w) % n
     else:
-        offsets = np.arange(2 * w + 1)
-        if kind is ModulationKind.PSK:
-            idx = (centre[:, None] - w + offsets) % n
-        else:
-            idx = np.clip(centre - w, 0, n - 1 - 2 * w)[:, None] + offsets
-        bound = math.exp(log_bound[w])
-    return idx, -np.abs(y[:, None] - beta[idx]) ** 2, bound
+        start = np.clip(centre - w, 0, n - 1 - 2 * w)
+    return start, 2 * w + 1, math.exp(log_bound[w])
 
 
-def _pick(idx: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Per row, the index whose score is largest (first on ties)."""
-    return np.take_along_axis(idx, np.argmax(score, axis=1)[:, None], axis=1)[:, 0]
+def _log_lik(y: np.ndarray, line: np.ndarray, start: np.ndarray,
+             width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's run on the doubled index line ``line`` (slots x width) and
+    the log-likelihoods -|y - beta_j|^2 of its points (up to a constant,
+    heterodyne variance 1/2 per quadrature)."""
+    idx = start[:, None] + np.arange(width)
+    return idx, -np.abs(y[:, None] - line[idx]) ** 2
 
 
 def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
@@ -139,12 +141,18 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     """Ciphertext-only attack on the data: per-slot MAP bit decision.
 
     Each bit's likelihood sums the Gaussian likelihoods of the points its
-    hypothesis (``bit_hypotheses``) holds, over the window of points within
+    hypothesis (``bit_hypotheses``) holds, over the run of points within
     reach (``_window``).  Both hypotheses are uniform on supports of equal
     size, so these sums decide as the probability-weighted mixtures do.  The
+    supports cover every point, so the run's nearest point, of likelihood 1,
+    lies in one of them, and prefix sums of the supports over the doubled
+    index line settle most rows from index counts alone: a run on which the
+    supports agree is an exact tie, decided 0 (every slot under OSK, where
+    both supports are the whole ring); a run with no point of support 0 is
+    decided 1, and one with no point of support 1 is decided 0.  Only the
+    remaining open rows, whose run straddles both supports, are scored.  The
     reported bound is the mixed-state Helstrom value for the same two
-    hypotheses.  With OSK both supports are the whole ring, so every slot is
-    a tie, decided as 0.
+    hypotheses.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != len(record):
@@ -152,15 +160,24 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     q = bit_hypotheses(config)
     c = config.constellation()
     beta = apply_loss(c.amplitudes, config.kappa)
-    member = q > 0
+    line = np.tile(beta, 2)
+    member = np.tile(q > 0, 2)
+    # points of support 0, of support 1 and where the two differ, before
+    # each index of the doubled line
+    counts = np.zeros((3, len(line) + 1), dtype=np.int64)
+    np.cumsum(np.vstack([member, member[0] != member[1]]), axis=1, out=counts[:, 1:])
     errors, dropped = 0, 0.0
     for lo in range(0, len(record), _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
-        idx, ll, bound = _window(y, beta, c.kind)
+        start, width, bound = _window(y, beta, c.kind)
+        n0, n1, differ = counts[:, start + width] - counts[:, start]
+        guess = (n0 == 0).astype(np.int64)  # ties (differ == 0) have n0 > 0
+        rows = np.flatnonzero((differ > 0) & (n0 > 0) & (n1 > 0))
+        idx, ll = _log_lik(y[rows], line, start[rows], width)
         # likelihoods relative to each row's nearest point, which is 1
         lik = np.exp(ll - ll.max(axis=1, keepdims=True))
         s0, s1 = (np.where(m[idx], lik, 0.0).sum(axis=1) for m in member)
-        guess = (s1 > s0).astype(np.int64)
+        guess[rows] = s1 > s0
         errors += int(np.sum(guess != truth[lo:lo + len(y)]))
         dropped = max(dropped, bound)
     return AttackReport("ctoa_data", _rate(errors, len(record)),
@@ -175,13 +192,15 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     With known plaintext each symbol k scores its pair of points {k, k + M}:
     without OSK the known bit rules out one point of the pair, under OSK the
     pair's likelihoods are summed (polarity marginalized).  Without it all
-    2M states compete and the symbol estimate is the index mod M.  Only
-    the window of points within reach is scored (``_window``).  The bound is
-    the symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
-    (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
-    bound is an error of exactly 0 (method ``single_state``).
+    2M states compete and the symbol estimate is the index mod M.  Every
+    point of each row's run within reach (``_window``) is scored, on the
+    doubled index line.  The bound is the symmetric-ensemble optimum at N = M
+    (known plaintext) or N = 2M (ciphertext-only); a known plaintext at
+    M = 1 leaves one candidate, whose bound is an error of exactly 0 (method
+    ``single_state``).
     """
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
+    line = np.tile(beta, 2)
     M = config.M
     n = len(record)
     k_true = np.asarray(running_key(config, n), dtype=np.int64)
@@ -194,16 +213,16 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     for lo in range(0, n, _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
         xb = x[lo:lo + len(y)] if known and not config.osk else None
-        idx, ll, bound = _window(y, beta, config.kind, half=xb)
+        start, width, bound = _window(y, beta, config.kind, half=xb)
+        idx, ll = _log_lik(y, line, start, width)
         if known:
             if not config.osk:  # the known bit rules out one point of each pair
-                ll = np.where(idx // M == xb[:, None], ll, -np.inf)
-            # symbol k is the pair {k, k + M}, which window positions i and
+                ll = np.where((idx // M) % 2 == xb[:, None], ll, -np.inf)
+            # symbol k is the pair {k, k + M}, which run positions i and
             # i + M hold; under OSK its polarity is marginalized
-            q = max(0, idx.shape[1] - M)
+            q = max(0, width - M)
             ll = np.concatenate([np.logaddexp(ll[:, :q], ll[:, M:M + q]), ll[:, q:M]], axis=1)
-            idx = idx[:, :ll.shape[1]]
-        guess = _pick(idx, ll) % M
+        guess = (start + np.argmax(ll, axis=1)) % M  # first on ties
         errors += int(np.sum(guess != k_true[lo:lo + len(y)]))
         dropped = max(dropped, bound)
 

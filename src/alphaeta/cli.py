@@ -41,10 +41,17 @@ _CONFIG_FIELDS = {
 # the choices of simulate's --plaintext and --attack, for flags and manifests alike
 _PLAINTEXTS = ("random", "zeros")
 _ATTACKS = ("bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy")
+
+
+def _seed_ok(v) -> bool:
+    """A master seed simulate accepts, from --seed or a manifest alike."""
+    return type(v) is int and v >= 0
+
+
 # manifest key: the check of the flag it stands for (bits >= 1 is checked for both)
 _MANIFEST_CHECKS = {
     "config": lambda v: True,  # validated as a --config file is
-    "seed": lambda v: type(v) is int,
+    "seed": _seed_ok,
     "bits": lambda v: type(v) is int,
     "plaintext": lambda v: v in _PLAINTEXTS,
     "attacks": lambda v: type(v) is list and v != [] and all(a in _ATTACKS for a in v),
@@ -214,6 +221,9 @@ def cmd_simulate(args) -> int:
         cfg_dict = json.loads(Path(args.config).read_text())
     if args.seed is None:
         print("error: --seed is required (no silent nondeterminism)", file=sys.stderr)
+        return 2
+    if not _seed_ok(args.seed):
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
         return 2
     if args.bits < 1:
         print("error: --bits must be at least 1", file=sys.stderr)

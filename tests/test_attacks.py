@@ -7,6 +7,7 @@ import pytest
 
 from alphaeta.attacks import (
     _DROPPED_MASS_TOL,
+    _window,
     bit_hypotheses,
     collective_success,
     collective_usd_bound,
@@ -14,7 +15,7 @@ from alphaeta.attacks import (
     eve_key_symbol,
     key_posterior_entropy,
 )
-from alphaeta.channel import transmit
+from alphaeta.channel import MeasurementRecord, apply_loss, transmit
 from alphaeta.cipher import CipherConfig, encode, slots_per_period
 from alphaeta.detection import quadrature_binary, srm_symmetric
 
@@ -119,6 +120,82 @@ class TestWindowedMap:
         rep = eve_key_symbol(rec, cfg, 1 - x)
         assert rep.empirical.value == full_slab_errors(rec, cfg, "kpa_key", 1 - x) / len(x)
         assert rep.empirical.value > 0.5
+
+
+class TestCtoaDataDecisions:
+    # Each sample is its own single-slot record with truth 0, so the error
+    # rate is the decision and each sample gets its own window; equal rates
+    # over a long record could hide swapped decisions.
+    PSK8 = dict(M=8, S=400.0)  # a run of 3 of the 16 points
+    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)  # 5 of 16
+
+    @staticmethod
+    def _decide(fields, ys, osk=False):
+        """ctoa-data's decision and the full slab's for each sample in ys,
+        and each sample's run (start, width)."""
+        cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **fields)
+        c = cfg.constellation()
+        got, want, runs = [], [], []
+        for y in ys:
+            rec = MeasurementRecord(np.array([y]), cfg.kappa)
+            got.append(eve_ctoa_data(rec, cfg, [0]).empirical.value)
+            want.append(full_slab_errors(rec, cfg, "ctoa_data", [0]))
+            start, width, _ = _window(rec.samples, apply_loss(c.amplitudes, cfg.kappa), c.kind)
+            runs.append((int(start[0]), width))
+        return got, want, runs
+
+    @staticmethod
+    def _ring(fields, steps):
+        """Samples on the ring at the given angles, in units of its step."""
+        r = math.sqrt(fields["S"])
+        return r * np.exp(1j * np.pi / fields["M"] * np.asarray(steps))
+
+    def test_psk_runs_wrapping_past_zero_and_2m(self):
+        # centres 2M-2, 2M-1, 0 and 1: the runs {2M-1, 0, 1} and
+        # {2M-2, 2M-1, 0} wrap, and straddle the halves at index 0
+        fields = self.PSK8
+        got, want, runs = self._decide(fields, self._ring(fields, np.linspace(-2.4, 1.4, 39)))
+        assert got == want
+        assert {s for s, _ in runs} >= {13, 14, 15, 0}
+        assert any(s + w > 16 for s, w in runs) and set(got) == {0.0, 1.0}
+
+    def test_psk_runs_straddling_the_half_boundary(self):
+        # centres M-2 ... M+1 around the boundary between index M-1 and M
+        fields = self.PSK8
+        steps = fields["M"] + np.linspace(-2.4, 1.4, 39)
+        got, want, runs = self._decide(fields, self._ring(fields, steps))
+        assert got == want
+        assert any(s < 8 < s + w for s, w in runs) and set(got) == {0.0, 1.0}
+
+    def test_ask_runs_clamped_at_either_end(self):
+        # samples beyond both ends of the ladder and across its middle
+        fields = self.ASK8
+        beta = CipherConfig(key_bits=12, seed=0x5A5, **fields).constellation().amplitudes.real
+        xs = np.linspace(beta[0] - 10, beta[-1] + 10, 61)
+        got, want, runs = self._decide(fields, xs + 0.3j)
+        assert got == want
+        assert {s for s, _ in runs} >= {0, 16 - 5} and set(got) == {0.0, 1.0}
+
+    def test_osk_rows_all_tie(self):
+        # both supports are the whole ring: every run is a tie, decided 0
+        for fields in (self.PSK8, dict(M=2, S=0.5)):
+            got, want, _ = self._decide(fields, self._ring(fields, np.linspace(0, 32, 97)),
+                                        osk=True)
+            assert got == want == [0] * 97
+
+    @pytest.mark.parametrize("fields", [
+        dict(M=1, S=1.0), dict(M=2, S=0.5),
+        dict(M=4, S=200.0, kind="ask", ask_S_min=2.0, ask_S_max=200.0),
+    ], ids=["psk1", "psk2", "ask4"])
+    def test_full_windows(self, fields):
+        # the run is the whole constellation from index 0
+        if fields.get("kind") == "ask":
+            ys = np.linspace(-5.0, 20.0, 51) + 0.1j
+        else:
+            ys = self._ring(fields, np.linspace(0, 2 * fields["M"], 53)) * 0.8
+        got, want, runs = self._decide(fields, ys)
+        assert got == want
+        assert set(runs) == {(0, 2 * fields["M"])} and set(got) == {0.0, 1.0}
 
 
 class TestKeySymbolAttacks:

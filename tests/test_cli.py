@@ -133,6 +133,24 @@ class TestSimulate:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("via", ["flag", "manifest"])
+    def test_negative_seed_exits_2_before_output(self, tmp_path, via):
+        # numpy's SeedSequence refuses a negative seed; the flag and the
+        # manifest share one check, made before --out exists
+        out = tmp_path / "o"
+        if via == "flag":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(GOOD_CONFIG))
+            source = ["--config", str(cfg), "--seed", "-1", "--bits", "100"]
+        else:
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps({**GOOD_MANIFEST, "seed": -1}))
+            source = ["--from-manifest", str(path)]
+        code, _, err = run_cli("simulate", *source, "--out", str(out))
+        assert code == 2
+        assert "error:" in err and "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, message", [
         ({**GOOD_CONFIG, "seed": 5000}, "seed must be a nonzero |K|-bit value"),
         ({**GOOD_CONFIG, "key_bits": 24}, "no shipped maximal-length taps"),
@@ -228,6 +246,32 @@ class TestSimulate:
         # the bound carries its figure and method only, no tolerance of a
         # clamp that this route never runs
         assert set(rep["bound"]) == {"value", "kind", "method"}
+
+    # error counts of the README run (M=512, S=4000, |K|=16, seed 7, 2e4
+    # bits), recorded at the commit before ctoa-data settled rows from index
+    # counts, when every point of every run was scored; a kernel change that
+    # flips one decision changes a count
+    README_COUNTS = {
+        True: {"bob": 0, "ctoa_data": 9987, "ctoa_key": 15682, "kpa_key": 15682},
+        False: {"bob": 0, "ctoa_data": 55, "ctoa_key": 15676, "kpa_key": 15647},
+    }
+
+    @pytest.mark.parametrize("osk", [True, False], ids=["osk", "plain"])
+    def test_readme_run_error_counts(self, tmp_path, osk):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 512, "S": 4000.0, "key_bits": 16, "seed": 44257,
+                                   "osk": osk, "kind": "psk", "kappa": 1.0}))
+        out = tmp_path / "o"
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "7",
+                               "--bits", "20000", "--attack", "bob", "ctoa-data", "ctoa-key",
+                               "kpa", "--out", str(out))
+        assert code == 0, err
+        counts = {}
+        for name in self.README_COUNTS[osk]:
+            rate = json.loads((out / f"report_{name}.json").read_text())["empirical"]
+            assert rate["trials"] == 20000
+            counts[name] = round(rate["value"] * rate["trials"])
+        assert counts == self.README_COUNTS[osk]
 
     def test_zero_plaintext_probe_is_kpa_setup(self, tmp_path):
         cfg = tmp_path / "cfg.json"
