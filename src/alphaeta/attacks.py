@@ -2,11 +2,11 @@
 
 Eve's simulated receiver is the heterodyne tap of ``channel.transmit``, the
 only record the package makes, followed by optimal classical
-post-processing (MAP over Gaussian mixture likelihoods, scored over the run
-of indices within reach of each sample with a recorded bound on the mass
-left out; the data-bit MAP scores only the runs that straddle both of its
-hypotheses and settles the rest from index counts); quantum-optimal attacks
-enter only as bounds, so the empirical/bound gap stays visible.
+post-processing: max-likelihood key decisions read the nearest allowed
+point; sum rules score the run of indices within reach of each sample, with
+a recorded bound on the mass left out, and the data-bit MAP scores only the
+runs that straddle both of its hypotheses.  Quantum-optimal attacks enter
+only as bounds, so the empirical/bound gap stays visible.
 The exhaustive key-posterior oracle scores every seed of any register up to
 22 bits with one Walsh-Hadamard transform over the seed space.
 """
@@ -51,7 +51,7 @@ class AttackReport:
     bound: BoundReport
     seed: int | None = None
     # largest per-slot bound on the likelihood mass the MAP window left out,
-    # relative to the nearest point's; 0.0 when it scored every point
+    # relative to the nearest point's; 0.0 for a full window or a nearest-point decision
     dropped_mass_bound: float = 0.0
 
 
@@ -75,51 +75,58 @@ def bit_hypotheses(config: CipherConfig) -> np.ndarray:
     return np.repeat(np.eye(2), M, axis=1) / M
 
 
-def _window(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
-            half: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+def _nearest(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
+             half: np.ndarray | None = None) -> np.ndarray:
+    """Each sample's most likely point of the run lo, ..., lo + last: all 2M
+    points, or the known half {k + half M} (one bit per sample).  The
+    likelihood falls with the angle to the point on a ring and with
+    |Re y - point| on a ladder, so the sample's position along the run,
+    rounded and clamped to it, is the nearest candidate; ring angles are
+    taken from the run's middle, so a sample outside a half goes to the
+    nearer end.  At S = 0 every point ties and, as in a full scan, lo wins."""
+    M = len(beta) // 2
+    lo, last = (0, 2 * M - 1) if half is None else (half * M, M - 1)
+    if not beta.any():
+        pos = np.zeros(len(y))
+    elif kind is ModulationKind.PSK:
+        pos = np.angle(y * np.exp(-1j * math.pi * (lo + last / 2) / M)) * (M / math.pi) + last / 2
+    else:
+        pos = (y.real - beta[0].real) / (beta[1].real - beta[0].real) - lo
+    return lo + np.clip(np.rint(pos), 0, last).astype(np.int64)
+
+
+def _window(y: np.ndarray, beta: np.ndarray,
+            kind: ModulationKind) -> tuple[np.ndarray, int, float]:
     """The constellation points within reach of each sample, as an index run:
     each row's first index ``start`` (mod 2M), the run's ``width`` and the
     bound on the likelihood mass left out, relative to the nearest point's.
 
-    The run is the 2w+1 points around the nearest one, indices
-    start, ..., start + width - 1 read on the doubled index line
+    The run is the 2w+1 points around the nearest one (``_nearest``),
+    indices start, ..., start + width - 1 read on the doubled index line
     (``np.tile(beta, 2)``), so that no index needs a modulo.  On the PSK ring
-    the centre comes from the phase of y and the run wraps past 2M - 1; on
-    the ASK ladder it comes from Re y and the run is clamped inside [0, 2M).
-    Every dropped point is at least g(w) further in squared distance than the
-    nearest, g(w) = 2|y| r (cos(pi/2M) - cos((w+1/2) pi/M)) on a ring of
-    radius r and step^2 w(w+1) on a ladder, so the dropped mass is at most
-    (2M-2w-1) e^{-g(w)}.  w is the smallest half-width whose bound at the
-    chunk's smallest |y| is below _DROPPED_MASS_TOL; when none is, the run is
-    the whole constellation from index 0 (ties break as in a full scan) and
-    the bound 0.  ``half`` (one bit per slot) widens the run until it holds a
-    point of each slot's half {k + half M}; the run holds the points nearest
-    y, so it then holds that half's nearest point.
+    the run wraps past 2M - 1; on the ASK ladder it is clamped inside
+    [0, 2M).  Every dropped point is at least g(w) further in squared
+    distance than the nearest, g(w) = 2|y| r (cos(pi/2M) - cos((w+1/2) pi/M))
+    on a ring of radius r and step^2 w(w+1) on a ladder, so the dropped mass
+    is at most (2M-2w-1) e^{-g(w)}.  w is the smallest half-width whose bound
+    at the chunk's smallest |y| is below _DROPPED_MASS_TOL; when none is, the
+    run is the whole constellation from index 0 (ties break as in a full
+    scan) and the bound 0.
     """
     n = len(beta)
-    M = n // 2
-    w_all = np.arange(M)  # half-widths whose window 2w+1 < 2M
+    w_all = np.arange(n // 2)  # half-widths whose window 2w+1 < 2M
     if kind is ModulationKind.PSK:
-        centre = np.rint(np.angle(y) * (n / (2 * math.pi))).astype(np.int64) % n
         gap = 2 * np.abs(y).min() * abs(beta[0]) * (
             math.cos(math.pi / n) - np.cos((2 * w_all + 1) * (math.pi / n)))
     else:
         step = beta[1].real - beta[0].real
-        centre = np.clip(np.rint((y.real - beta[0].real) / step), 0, n - 1).astype(np.int64)
         gap = step ** 2 * w_all * (w_all + 1)
     log_bound = np.log(n - 1 - 2 * w_all) - gap  # decreasing in w
     fits = np.flatnonzero(log_bound <= math.log(_DROPPED_MASS_TOL))
-    w = int(fits[0]) if len(fits) else M
-    if half is not None:
-        lo = half * M  # the half's first index; it runs to lo + M - 1
-        if kind is ModulationKind.PSK:
-            rel = (centre - lo) % n
-            reach = np.where(rel < M, 0, np.minimum(rel - (M - 1), n - rel))
-        else:
-            reach = np.maximum(0, np.maximum(lo - centre, centre - (lo + M - 1)))
-        w = max(w, int(reach.max()))
-    if 2 * w + 1 >= n:
+    if not len(fits):
         return np.zeros(len(y), dtype=np.int64), n, 0.0
+    w = int(fits[0])
+    centre = _nearest(y, beta, kind)
     if kind is ModulationKind.PSK:
         start = (centre - w) % n
     else:
@@ -189,18 +196,16 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
                    plaintext=None, seed: int | None = None) -> AttackReport:
     """Attack on the running-key symbol, known-plaintext or ciphertext-only.
 
-    With known plaintext each symbol k scores its pair of points {k, k + M}:
-    without OSK the known bit rules out one point of the pair, under OSK the
-    pair's likelihoods are summed (polarity marginalized).  Without it all
-    2M states compete and the symbol estimate is the index mod M.  Every
-    point of each row's run within reach (``_window``) is scored, on the
-    doubled index line.  The bound is the symmetric-ensemble optimum at N = M
-    (known plaintext) or N = 2M (ciphertext-only); a known plaintext at
-    M = 1 leaves one candidate, whose bound is an error of exactly 0 (method
-    ``single_state``).
+    Symbol k is the pair of points {k, k + M}.  Ciphertext-only, or with a
+    known bit that rules out one point of each pair (no OSK), the decision is
+    the nearest allowed point mod M (``_nearest``), exact.  Under OSK the
+    pair's polarity is unknown, so its two likelihoods are summed over each
+    sample's run within reach (``_window``).  The bound is the
+    symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
+    (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
+    bound is an error of exactly 0 (method ``single_state``).
     """
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
-    line = np.tile(beta, 2)
     M = config.M
     n = len(record)
     k_true = np.asarray(running_key(config, n), dtype=np.int64)
@@ -209,22 +214,23 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     if known and len(x) != n:
         raise ValueError("record and plaintext lengths differ")
 
-    errors, dropped = 0, 0.0
-    for lo in range(0, n, _CHUNK):
-        y = record.samples[lo:lo + _CHUNK]
-        xb = x[lo:lo + len(y)] if known and not config.osk else None
-        start, width, bound = _window(y, beta, config.kind, half=xb)
-        idx, ll = _log_lik(y, line, start, width)
-        if known:
-            if not config.osk:  # the known bit rules out one point of each pair
-                ll = np.where((idx // M) % 2 == xb[:, None], ll, -np.inf)
+    dropped = 0.0
+    if known and config.osk:
+        line = np.tile(beta, 2)
+        guess = np.empty(n, dtype=np.int64)
+        for lo in range(0, n, _CHUNK):
+            y = record.samples[lo:lo + _CHUNK]
+            start, width, bound = _window(y, beta, config.kind)
+            _, ll = _log_lik(y, line, start, width)
             # symbol k is the pair {k, k + M}, which run positions i and
-            # i + M hold; under OSK its polarity is marginalized
+            # i + M hold
             q = max(0, width - M)
             ll = np.concatenate([np.logaddexp(ll[:, :q], ll[:, M:M + q]), ll[:, q:M]], axis=1)
-        guess = (start + np.argmax(ll, axis=1)) % M  # first on ties
-        errors += int(np.sum(guess != k_true[lo:lo + len(y)]))
-        dropped = max(dropped, bound)
+            guess[lo:lo + len(y)] = (start + np.argmax(ll, axis=1)) % M  # first on ties
+            dropped = max(dropped, bound)
+    else:
+        guess = _nearest(record.samples, beta, config.kind, half=x) % M
+    errors = int(np.sum(guess != k_true))
 
     if known and M == 1:  # one candidate symbol: the guess cannot err
         bound = BoundReport(0.0, "error", "single_state")

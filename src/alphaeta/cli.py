@@ -41,6 +41,8 @@ _CONFIG_FIELDS = {
 # the choices of simulate's --plaintext and --attack, for flags and manifests alike
 _PLAINTEXTS = ("random", "zeros")
 _ATTACKS = ("bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy")
+# bounds kinds of the two states +-sqrt(S), so --n must be 2
+_BINARY_KINDS = ("helstrom", "quadrature-homodyne", "quadrature-heterodyne")
 
 
 def _seed_ok(v) -> bool:
@@ -136,13 +138,16 @@ def _write_rows(rows: list[dict], out, fmt: str) -> None:
             writer.writerow([_fmt(r[h]) for h in header])
 
 
-def _open_out(args, default_name: str):
+def _emit(rows: list[dict], args, name: str) -> None:
+    """Write the table to ``args.out``/name.format, or to stdout without --out."""
     if args.out is None:
-        return sys.stdout, None
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / default_name
-    return open(path, "w"), path
+        _write_rows(rows, sys.stdout, args.format)
+        return
+    path = Path(args.out) / f"{name}.{args.format}"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as out:
+        _write_rows(rows, out, args.format)
+    print(f"wrote {path}")
 
 
 # --- bounds ------------------------------------------------------------------
@@ -154,10 +159,8 @@ def _bound_row(n: int, s: float, kind: str) -> dict:
         rep = detection.usd_symmetric(n, s)
     elif kind == "helstrom":
         rep = detection.helstrom_binary_pure(np.sqrt(s), -np.sqrt(s))
-    elif kind in ("quadrature-homodyne", "quadrature-heterodyne"):
+    else:  # quadrature-homodyne | quadrature-heterodyne
         rep = detection.quadrature_binary(np.sqrt(s), -np.sqrt(s), kind.split("-")[1])
-    else:
-        raise SystemExit(f"unknown bound kind: {kind}")
     return {
         "n": n, "s": s, "attack": kind, "value": rep.value, "kind": rep.kind,
         "method": rep.method,
@@ -174,14 +177,10 @@ def cmd_bounds(args) -> int:
     if any(n < 2 for n, _ in grid) or any(s < 0 for _, s in grid):
         print("error: invalid grid (need n >= 2, s >= 0)", file=sys.stderr)
         return 2
-    rows = [_bound_row(n, s, args.kind) for n, s in grid]
-    out, path = _open_out(args, f"bounds_{args.kind}.{args.format}")
-    try:
-        _write_rows(rows, out, args.format)
-    finally:
-        if path is not None:
-            out.close()
-            print(f"wrote {path}")
+    if args.kind in _BINARY_KINDS and set(ns) != {2}:
+        print(f"error: --kind {args.kind} is a two-state bound; --n must be 2", file=sys.stderr)
+        return 2
+    _emit([_bound_row(n, s, args.kind) for n, s in grid], args, f"bounds_{args.kind}")
     return 0
 
 
@@ -312,13 +311,7 @@ def cmd_design(args) -> int:
         "bases": m,
         "neighbor_error": neighbor_error(c),
     }]
-    out, path = _open_out(args, f"design.{args.format}")
-    try:
-        _write_rows(rows, out, args.format)
-    finally:
-        if path is not None:
-            out.close()
-            print(f"wrote {path}")
+    _emit(rows, args, "design")
     return 0
 
 
@@ -341,12 +334,7 @@ def cmd_reproduce(args) -> int:
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} claims passed")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / f"reproduce.{args.format}"
-        with open(path, "w") as f:
-            _write_rows(rows, f, args.format)
-        print(f"wrote {path}")
+        _emit(rows, args, "reproduce")
     return 1 if n_fail else 0
 
 
@@ -370,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=_int_list, default=[2], help="comma-separated state counts")
     b.add_argument("--s", type=_float_list, required=True, help="comma-separated photon numbers")
     b.add_argument("--kind", default="srm",
-                   choices=["helstrom", "quadrature-homodyne", "quadrature-heterodyne", "srm", "usd"])
+                   choices=[*_BINARY_KINDS, "srm", "usd"])
     b.add_argument("--format", default="csv", choices=["csv", "json"])
     b.add_argument("--out", default=None, help="output directory (default: stdout)")
     b.set_defaults(fn=cmd_bounds)

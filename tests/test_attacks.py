@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from alphaeta import attacks
 from alphaeta.attacks import (
     _DROPPED_MASS_TOL,
     _window,
@@ -16,7 +17,7 @@ from alphaeta.attacks import (
     key_posterior_entropy,
 )
 from alphaeta.channel import MeasurementRecord, apply_loss, transmit
-from alphaeta.cipher import CipherConfig, encode, slots_per_period
+from alphaeta.cipher import CipherConfig, encode, running_key, slots_per_period
 from alphaeta.detection import quadrature_binary, srm_symmetric
 
 from oracles import full_slab_errors, symmetric_symbol_error_mc
@@ -105,7 +106,10 @@ class TestWindowedMap:
         for rep in reports:
             want = full_slab_errors(rec, cfg, rep.attack_kind, x)
             assert rep.empirical.value == want / len(x), rep.attack_kind
-            if narrow:
+            # the max rules (ctoa-key, kpa without OSK) read the nearest
+            # point and leave out no mass; only the sum rules use the window
+            sum_rule = rep.attack_kind == "ctoa_data" or (rep.attack_kind == "kpa_key" and osk)
+            if narrow and sum_rule:
                 assert 0.0 < rep.dropped_mass_bound <= _DROPPED_MASS_TOL
             else:
                 assert rep.dropped_mass_bound == 0.0
@@ -196,6 +200,130 @@ class TestCtoaDataDecisions:
         got, want, runs = self._decide(fields, ys)
         assert got == want
         assert set(runs) == {(0, 2 * fields["M"])} and set(got) == {0.0, 1.0}
+
+
+class TestScoredRows:
+    # the README config (M=512, S=4000, |K|=16) over 2e4 bits: five chunks
+    README = dict(M=512, S=4000.0, key_bits=16, seed=44257)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each _window call's samples and run (start, width), and the
+        samples of each _log_lik call, whose rows are the ones scored."""
+        calls = {"window": [], "log_lik": []}
+        window, log_lik = attacks._window, attacks._log_lik
+
+        def spy_window(y, beta, kind):
+            run = window(y, beta, kind)
+            calls["window"].append((y, run[0], run[1]))
+            return run
+
+        def spy_log_lik(y, line, start, width):
+            calls["log_lik"].append(y)
+            return log_lik(y, line, start, width)
+
+        monkeypatch.setattr(attacks, "_window", spy_window)
+        monkeypatch.setattr(attacks, "_log_lik", spy_log_lik)
+        return calls
+
+    @pytest.mark.parametrize("osk", [False, True], ids=["plain", "osk"])
+    def test_ctoa_data_scores_only_straddling_runs(self, monkeypatch, osk):
+        # without OSK exactly the rows whose run, as indices mod 2M, holds
+        # points of both halves are scored; under OSK every run is a tie
+        cfg = CipherConfig(osk=osk, **self.README)
+        x, rec = _run(cfg, 20_000, np.random.default_rng(7))
+        calls = self._spy(monkeypatch)
+        eve_ctoa_data(rec, cfg, x)
+        M = cfg.M
+        assert len(calls["window"]) == len(calls["log_lik"]) == 5
+        scored = 0
+        for (y, start, width), rows in zip(calls["window"], calls["log_lik"]):
+            idx = (start[:, None] + np.arange(width)) % (2 * M)
+            straddles = (idx < M).any(axis=1) & (idx >= M).any(axis=1)
+            np.testing.assert_array_equal(rows, y[:0] if osk else y[straddles])
+            scored += len(rows)
+        assert (scored > 0) != osk
+
+    def test_max_rules_score_nothing(self, monkeypatch):
+        cfg = CipherConfig(**self.README)
+        x, rec = _run(cfg, 20_000, np.random.default_rng(7))
+        calls = self._spy(monkeypatch)
+        eve_key_symbol(rec, cfg, None)
+        eve_key_symbol(rec, cfg, x)
+        assert calls == {"window": [], "log_lik": []}
+        # the sum rule under OSK does go through both
+        eve_key_symbol(rec, dataclasses.replace(cfg, osk=True), x)
+        assert len(calls["window"]) == len(calls["log_lik"]) == 5
+
+
+class TestKeySymbolDecisions:
+    # The max-rule key attacks (ctoa-key; kpa without OSK) on single-slot
+    # records.  A slot's decision is read as the one symbol it does not err
+    # on: the record is scored once per symbol j, under a seed whose first
+    # running-key symbol is j.
+    PSK8 = dict(M=8, S=400.0)
+    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)
+
+    @staticmethod
+    def _decide(fields, ys, half=None):
+        """eve_key_symbol's decisions and the full slab's for the samples ys,
+        ciphertext-only or with the known bit ``half``."""
+        base = CipherConfig(key_bits=12, seed=1, **fields)
+        by_symbol = {}
+        for seed in range(1, 1 << 12):
+            cfg = dataclasses.replace(base, seed=seed)
+            by_symbol.setdefault(int(running_key(cfg, 1)[0]), cfg)
+            if len(by_symbol) == base.M:
+                break
+        x = None if half is None else [half]
+        kind = "ctoa_key" if half is None else "kpa_key"
+        got, want = [], []
+        for y in ys:
+            rec = MeasurementRecord(np.array([y]), base.kappa)
+            got.append([j for j, cfg in sorted(by_symbol.items())
+                        if eve_key_symbol(rec, cfg, x).empirical.value == 0.0])
+            want.append([j for j, cfg in sorted(by_symbol.items())
+                         if full_slab_errors(rec, cfg, kind, x or [0]) == 0])
+        return got, want
+
+    @pytest.mark.parametrize("half", [None, 0, 1])
+    def test_psk_swept_around_the_ring(self, half):
+        # every direction, at three radii; the samples of the other half
+        # reach both ends of the known one, and the antipode of its middle
+        # (index 11.5 for half 0, 3.5 for half 1; 15.5 for the whole ring)
+        # splits them
+        fields = self.PSK8
+        steps = np.concatenate([np.arange(0.1, 16, 0.25), [3.49, 3.51, 11.49, 11.51, 15.49, 15.51]])
+        ys = np.concatenate([TestCtoaDataDecisions._ring(fields, steps) * r for r in (0.5, 1, 2)])
+        got, want = self._decide(fields, ys, half)
+        assert got == want
+        assert all(len(g) == 1 for g in got) and {g[0] for g in got} == set(range(8))
+        if half is not None:
+            other = np.floor(steps % 16 / 8) != half
+            outside = [g[0] for g, o in zip(got, np.tile(other, 3)) if o]
+            assert set(outside) == {0, 7}
+
+    @pytest.mark.parametrize("half", [None, 0, 1])
+    def test_ask_beyond_both_ends_and_across_the_halves(self, half):
+        fields = self.ASK8
+        beta = CipherConfig(key_bits=12, seed=1, **fields).constellation().amplitudes.real
+        got, want = self._decide(fields, np.linspace(beta[0] - 10, beta[-1] + 10, 61) + 0.3j, half)
+        assert got == want
+        assert all(len(g) == 1 for g in got) and {g[0] for g in got} == set(range(8))
+
+    @pytest.mark.parametrize("half", [None, 0, 1])
+    def test_vacuum_takes_the_first_candidate(self, half):
+        # at S = 0 every point ties and a full scan takes the run's first
+        fields = dict(M=4, S=0.0)
+        got, want = self._decide(fields, np.exp(1j * np.linspace(0.1, 6.2, 25)), half)
+        assert got == want == [[0]] * 25
+
+    @pytest.mark.parametrize("half", [None, 0, 1])
+    def test_single_symbol(self, half):
+        fields = dict(M=1, S=4.0)
+        got, want = self._decide(fields, TestCtoaDataDecisions._ring(fields, np.arange(0.1, 2, 0.2)),
+                                 half)
+        assert got == want == [[0]] * 10
 
 
 class TestKeySymbolAttacks:

@@ -65,6 +65,17 @@ class TestBounds:
         assert code == 2
         assert "invalid grid" in err
 
+    @pytest.mark.parametrize("kind", ["helstrom", "quadrature-homodyne",
+                                      "quadrature-heterodyne"])
+    def test_binary_kinds_take_only_two_states(self, kind):
+        # a row labelled n=2047 would hold the two-state value
+        code, out, err = run_cli("bounds", "--n", "2,2047", "--s", "1", "--kind", kind)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "--n must be 2" in err
+        code, out, _ = run_cli("bounds", "--n", "2", "--s", "1", "--kind", kind)
+        assert code == 0
+        assert [r["n"] for r in csv.DictReader(out.splitlines())] == ["2"]
+
     def test_seventeen_digit_output(self):
         code, out, _ = run_cli("bounds", "--n", "4", "--s", "1", "--kind", "srm")
         row = next(csv.DictReader(out.splitlines()))
