@@ -3,10 +3,13 @@
 Eve's simulated receiver is the heterodyne tap of ``channel.transmit``, the
 only record the package makes, followed by optimal classical
 post-processing: max-likelihood key decisions read the nearest allowed
-point; sum rules score the run of indices within reach of each sample, with
-a recorded bound on the mass left out, and the data-bit MAP scores only the
-runs that straddle both of its hypotheses.  Quantum-optimal attacks enter
-only as bounds, so the empirical/bound gap stays visible.
+point, and so does the known-plaintext key MAP under OSK on a PSK ring,
+whose symbol pairs are antipodal; the other sum rules score the run of
+indices within reach of each sample, with a recorded bound on the mass left
+out, and the data-bit MAP scores only the runs that straddle both of its
+hypotheses, and no sample under OSK, where the two are equal.
+Quantum-optimal attacks enter only as bounds, so the empirical/bound gap
+stays visible.
 The exhaustive key-posterior oracle scores every seed of any register up to
 22 bits with one Walsh-Hadamard transform over the seed space.
 """
@@ -51,7 +54,8 @@ class AttackReport:
     bound: BoundReport
     seed: int | None = None
     # largest per-slot bound on the likelihood mass the MAP window left out,
-    # relative to the nearest point's; 0.0 for a full window or a nearest-point decision
+    # relative to the nearest point's; 0.0 for a full window, a nearest-point
+    # decision, or ctoa-data under OSK, which reads no sample
     dropped_mass_bound: float = 0.0
 
 
@@ -150,36 +154,38 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     Each bit's likelihood sums the Gaussian likelihoods of the points its
     hypothesis (``bit_hypotheses``) holds, over the run of points within
     reach (``_window``).  Both hypotheses are uniform on supports of equal
-    size, so these sums decide as the probability-weighted mixtures do.  The
-    supports cover every point, so the run's nearest point, of likelihood 1,
-    lies in one of them, and prefix sums of the supports over the doubled
-    index line settle most rows from index counts alone: a run on which the
-    supports agree is an exact tie, decided 0 (every slot under OSK, where
-    both supports are the whole ring); a run with no point of support 0 is
-    decided 1, and one with no point of support 1 is decided 0.  Only the
-    remaining open rows, whose run straddles both supports, are scored.  The
-    reported bound is the mixed-state Helstrom value for the same two
-    hypotheses.
+    size, so these sums decide as the probability-weighted mixtures do.
+    Under OSK the two hypotheses are the same mixture, so every slot is an
+    exact tie, decided 0, and no sample is read.  Otherwise the supports
+    cover every point, so the run's nearest point, of likelihood 1, lies in
+    one of them, and prefix sums of the supports over the doubled index line
+    settle most rows from index counts alone: a run with no point of
+    support 0 is decided 1, and one with no point of support 1 is decided 0.
+    Only the remaining open rows, whose run straddles both supports, are
+    scored.  The reported bound is the mixed-state Helstrom value for the
+    same two hypotheses.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
     q = bit_hypotheses(config)
     c = config.constellation()
+    if (q[0] == q[1]).all():  # OSK: every slot ties and is decided 0
+        return AttackReport("ctoa_data", _rate(int(np.count_nonzero(truth)), len(record)),
+                            helstrom_binary_mixed(c, *q), seed)
     beta = apply_loss(c.amplitudes, config.kappa)
     line = np.tile(beta, 2)
     member = np.tile(q > 0, 2)
-    # points of support 0, of support 1 and where the two differ, before
-    # each index of the doubled line
-    counts = np.zeros((3, len(line) + 1), dtype=np.int64)
-    np.cumsum(np.vstack([member, member[0] != member[1]]), axis=1, out=counts[:, 1:])
+    # points of support 0 and of support 1 before each index of the doubled line
+    counts = np.zeros((2, len(line) + 1), dtype=np.int64)
+    np.cumsum(member, axis=1, out=counts[:, 1:])
     errors, dropped = 0, 0.0
     for lo in range(0, len(record), _CHUNK):
         y = record.samples[lo:lo + _CHUNK]
         start, width, bound = _window(y, beta, c.kind)
-        n0, n1, differ = counts[:, start + width] - counts[:, start]
-        guess = (n0 == 0).astype(np.int64)  # ties (differ == 0) have n0 > 0
-        rows = np.flatnonzero((differ > 0) & (n0 > 0) & (n1 > 0))
+        n0, n1 = counts[:, start + width] - counts[:, start]
+        guess = (n0 == 0).astype(np.int64)
+        rows = np.flatnonzero((n0 > 0) & (n1 > 0))
         idx, ll = _log_lik(y[rows], line, start[rows], width)
         # likelihoods relative to each row's nearest point, which is 1
         lik = np.exp(ll - ll.max(axis=1, keepdims=True))
@@ -196,11 +202,20 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
                    plaintext=None, seed: int | None = None) -> AttackReport:
     """Attack on the running-key symbol, known-plaintext or ciphertext-only.
 
-    Symbol k is the pair of points {k, k + M}.  Ciphertext-only, or with a
-    known bit that rules out one point of each pair (no OSK), the decision is
-    the nearest allowed point mod M (``_nearest``), exact.  Under OSK the
-    pair's polarity is unknown, so its two likelihoods are summed over each
-    sample's run within reach (``_window``).  The bound is the
+    Symbol k is the pair of points {k, k + M}.  Ciphertext-only, the
+    decision is the most likely point mod M (``_nearest``), i.e. the most
+    likely symbol and bit together: on a ring that is the symbol MAP (see
+    below), on a ladder it can differ from the pair sum near ties.  A known
+    bit without OSK rules out one point of each pair, and the decision is
+    the nearest point of the known half mod M, exact.  Under OSK the known
+    bit leaves the pair's polarity unknown, so the symbol MAP sums its two
+    likelihoods.  On a PSK ring of radius r the pair is antipodal, and for
+    y = |y| e^{i theta} the sum is
+    2 e^{-|y|^2 - r^2} cosh(2 r |y| cos(theta - pi k / M)), largest for the
+    symbol whose point or antipode is nearest in angle: the nearest point of
+    all 2M mod M, exact.  On an ASK ladder the pair is a shift by M steps,
+    not a reflection, so the two likelihoods are summed over each sample's
+    run within reach (``_window``).  The bound is the
     symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
     (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
     bound is an error of exactly 0 (method ``single_state``).
@@ -215,7 +230,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
         raise ValueError("record and plaintext lengths differ")
 
     dropped = 0.0
-    if known and config.osk:
+    if known and config.osk and config.kind is ModulationKind.ASK:
         line = np.tile(beta, 2)
         guess = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _CHUNK):
@@ -229,7 +244,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
             guess[lo:lo + len(y)] = (start + np.argmax(ll, axis=1)) % M  # first on ties
             dropped = max(dropped, bound)
     else:
-        guess = _nearest(record.samples, beta, config.kind, half=x) % M
+        guess = _nearest(record.samples, beta, config.kind, half=None if config.osk else x) % M
     errors = int(np.sum(guess != k_true))
 
     if known and M == 1:  # one candidate symbol: the guess cannot err

@@ -17,10 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cipher import CipherConfig, osk_stream, running_key
-from .constellation import ModulationKind
-
-HOMODYNE_SIGMA = 0.5
-HETERODYNE_SIGMA = np.sqrt(0.5)
+from .constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, ModulationKind
 
 
 @dataclass(frozen=True)
@@ -85,12 +82,12 @@ def bob_receive(values, config: CipherConfig,
         axis = np.exp(-1j * np.pi * k / config.M)  # rotate the basis axis onto the real line
         proj = (axis * y).real
         if rng is not None:
-            proj = proj + rng.normal(0.0, HOMODYNE_SIGMA, size=n)
+            proj = proj + rng.normal(0.0, COHERENT_SIGMA, size=n)
         raw = (proj < 0).astype(np.int64)
     else:
         proj = y.real
         if rng is not None:
-            proj = proj + rng.normal(0.0, HOMODYNE_SIGMA, size=n)
+            proj = proj + rng.normal(0.0, COHERENT_SIGMA, size=n)
         lo = c.amplitudes[k].real * root_kappa
         hi = c.amplitudes[k + config.M].real * root_kappa
         raw = (proj > 0.5 * (lo + hi)).astype(np.int64)

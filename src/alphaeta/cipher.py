@@ -30,6 +30,8 @@ PRIMITIVE_TAPS = {
     18: 0b000000100000000001,  # x^18 + x^11 + 1
     19: 0b0000000000001000111,  # x^19 + x^6 + x^2 + x + 1
     20: 0b00100000000000000001,  # x^20 + x^17 + 1
+    21: 0b000000000000000000101,  # x^21 + x^2 + 1
+    22: 0b0000000000000000000011,  # x^22 + x + 1
 }
 
 

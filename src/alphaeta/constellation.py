@@ -114,8 +114,11 @@ def gram_matrix(c: Constellation | np.ndarray) -> np.ndarray:
         return np.exp(log_g)
 
 
-# Per-quadrature standard deviation of a coherent state (variance 1/4).
+# Per-quadrature standard deviations: a coherent state read by homodyne
+# (variance 1/4), and a heterodyne outcome, which pays one extra vacuum
+# quarter (variance 1/2).
 COHERENT_SIGMA = 0.5
+HETERODYNE_SIGMA = math.sqrt(0.5)
 
 
 def gaussian_tail(t: float) -> float:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # numpy 2 loads it on first use; load it with the module
 
-from .constellation import Constellation, ModulationKind, gaussian_tail, gram_matrix
+from .constellation import (COHERENT_SIGMA, HETERODYNE_SIGMA, Constellation, ModulationKind,
+                            gaussian_tail, gram_matrix)
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ def quadrature_binary(a, b, mode: str = "homodyne") -> BoundReport:
     midpoint threshold Pe = Q(|a-b| / (2 sigma)).
     """
     if mode == "homodyne":
-        sigma = 0.5
+        sigma = COHERENT_SIGMA
     elif mode == "heterodyne":
-        sigma = math.sqrt(0.5)
+        sigma = HETERODYNE_SIGMA
     else:
         raise ValueError(f"unknown mode: {mode}")
     d = abs(complex(a) - complex(b))

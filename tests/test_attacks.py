@@ -18,6 +18,7 @@ from alphaeta.attacks import (
 )
 from alphaeta.channel import MeasurementRecord, apply_loss, transmit
 from alphaeta.cipher import CipherConfig, encode, running_key, slots_per_period
+from alphaeta.constellation import ModulationKind
 from alphaeta.detection import quadrature_binary, srm_symmetric
 
 from oracles import full_slab_errors, symmetric_symbol_error_mc
@@ -106,9 +107,13 @@ class TestWindowedMap:
         for rep in reports:
             want = full_slab_errors(rec, cfg, rep.attack_kind, x)
             assert rep.empirical.value == want / len(x), rep.attack_kind
-            # the max rules (ctoa-key, kpa without OSK) read the nearest
-            # point and leave out no mass; only the sum rules use the window
-            sum_rule = rep.attack_kind == "ctoa_data" or (rep.attack_kind == "kpa_key" and osk)
+            # the max rules (ctoa-key, kpa without OSK) and kpa under OSK on
+            # a ring read the nearest point and leave out no mass, and
+            # ctoa-data under OSK reads no sample; only the other sum rules
+            # use the window
+            ask = cfg.kind is ModulationKind.ASK
+            sum_rule = ((rep.attack_kind == "ctoa_data" and not osk)
+                        or (rep.attack_kind == "kpa_key" and osk and ask))
             if narrow and sum_rule:
                 assert 0.0 < rep.dropped_mass_bound <= _DROPPED_MASS_TOL
             else:
@@ -229,20 +234,24 @@ class TestScoredRows:
     @pytest.mark.parametrize("osk", [False, True], ids=["plain", "osk"])
     def test_ctoa_data_scores_only_straddling_runs(self, monkeypatch, osk):
         # without OSK exactly the rows whose run, as indices mod 2M, holds
-        # points of both halves are scored; under OSK every run is a tie
+        # points of both halves are scored; under OSK the two hypotheses are
+        # equal, every slot ties and no sample is read
         cfg = CipherConfig(osk=osk, **self.README)
         x, rec = _run(cfg, 20_000, np.random.default_rng(7))
         calls = self._spy(monkeypatch)
         eve_ctoa_data(rec, cfg, x)
+        if osk:
+            assert calls == {"window": [], "log_lik": []}
+            return
         M = cfg.M
         assert len(calls["window"]) == len(calls["log_lik"]) == 5
         scored = 0
         for (y, start, width), rows in zip(calls["window"], calls["log_lik"]):
             idx = (start[:, None] + np.arange(width)) % (2 * M)
             straddles = (idx < M).any(axis=1) & (idx >= M).any(axis=1)
-            np.testing.assert_array_equal(rows, y[:0] if osk else y[straddles])
+            np.testing.assert_array_equal(rows, y[straddles])
             scored += len(rows)
-        assert (scored > 0) != osk
+        assert scored > 0
 
     def test_max_rules_score_nothing(self, monkeypatch):
         cfg = CipherConfig(**self.README)
@@ -250,25 +259,30 @@ class TestScoredRows:
         calls = self._spy(monkeypatch)
         eve_key_symbol(rec, cfg, None)
         eve_key_symbol(rec, cfg, x)
-        assert calls == {"window": [], "log_lik": []}
-        # the sum rule under OSK does go through both
+        # kpa under OSK on a ring: each symbol's pair is antipodal, so its
+        # pair sum is largest at the nearest point too
         eve_key_symbol(rec, dataclasses.replace(cfg, osk=True), x)
+        assert calls == {"window": [], "log_lik": []}
+        # on a ladder the pair is a shift, and the pair sum goes through both
+        ask = CipherConfig(key_bits=12, seed=0x5A5, osk=True, **TestKeySymbolDecisions.ASK8)
+        x, rec = _run(ask, 20_000, np.random.default_rng(7))
+        eve_key_symbol(rec, ask, x)
         assert len(calls["window"]) == len(calls["log_lik"]) == 5
 
 
 class TestKeySymbolDecisions:
-    # The max-rule key attacks (ctoa-key; kpa without OSK) on single-slot
-    # records.  A slot's decision is read as the one symbol it does not err
-    # on: the record is scored once per symbol j, under a seed whose first
-    # running-key symbol is j.
+    # The key attacks on single-slot records: the max rules (ctoa-key; kpa
+    # without OSK) and kpa under OSK.  A slot's decision is read as the one
+    # symbol it does not err on: the record is scored once per symbol j,
+    # under a seed whose first running-key symbol is j.
     PSK8 = dict(M=8, S=400.0)
     ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)
 
     @staticmethod
-    def _decide(fields, ys, half=None):
+    def _decide(fields, ys, half=None, osk=False):
         """eve_key_symbol's decisions and the full slab's for the samples ys,
         ciphertext-only or with the known bit ``half``."""
-        base = CipherConfig(key_bits=12, seed=1, **fields)
+        base = CipherConfig(key_bits=12, seed=1, osk=osk, **fields)
         by_symbol = {}
         for seed in range(1, 1 << 12):
             cfg = dataclasses.replace(base, seed=seed)
@@ -324,6 +338,45 @@ class TestKeySymbolDecisions:
         got, want = self._decide(fields, TestCtoaDataDecisions._ring(fields, np.arange(0.1, 2, 0.2)),
                                  half)
         assert got == want == [[0]] * 10
+
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_osk_psk_reads_the_nearest_point(self, half):
+        # under OSK the known bit does not fix the pair's polarity; on a ring
+        # the pair is antipodal, so the pair sum picks the symbol of the
+        # nearest of all 2M points, whatever the bit: every direction at
+        # three radii, and 0.01 step either side of each of the 2M
+        # boundaries, which sit half a step past each point
+        fields = self.PSK8
+        boundaries = np.arange(16) + 0.5
+        steps = np.concatenate([np.arange(0.1, 16, 0.25), boundaries - 0.01, boundaries + 0.01])
+        ys = np.concatenate([TestCtoaDataDecisions._ring(fields, steps) * r for r in (0.5, 1, 2)])
+        got, want = self._decide(fields, ys, half, osk=True)
+        assert got == want
+        nearest = np.floor(steps + 0.5) % 16 % 8
+        assert got == [[int(j)] for j in np.tile(nearest, 3)]
+
+    @pytest.mark.parametrize("half", [0, 1])
+    @pytest.mark.parametrize("fields", [dict(M=4, S=0.0), dict(M=1, S=4.0)],
+                             ids=["vacuum", "single"])
+    def test_osk_psk_takes_the_first_candidate(self, fields, half):
+        # at S = 0 every symbol ties and a full scan takes the first; at
+        # M = 1 there is one symbol
+        ys = TestCtoaDataDecisions._ring(dict(fields, S=1.0), np.arange(0.1, 2 * fields["M"], 0.3))
+        got, want = self._decide(fields, ys, half, osk=True)
+        assert got == want == [[0]] * len(ys)
+
+    def test_osk_ask_sums_each_pair(self):
+        # on a ladder the pair {k, k + M} is a shift by M steps, not a
+        # reflection, so its pair sum is not the nearest point's symbol: on
+        # this dense ladder the partner tips some decisions
+        fields = dict(M=4, S=20.0, kind="ask", ask_S_min=2.0, ask_S_max=20.0)
+        beta = CipherConfig(key_bits=12, seed=1, **fields).constellation().amplitudes.real
+        xs = np.linspace(beta[0] - 2, beta[-1] + 2, 61)
+        got, want = self._decide(fields, xs + 0.3j, 0, osk=True)
+        assert got == want
+        nearest = np.argmin(np.abs(xs[:, None] - beta), axis=1) % 4
+        assert all(len(g) == 1 for g in got)
+        assert any(g[0] != j for g, j in zip(got, nearest))
 
 
 class TestKeySymbolAttacks:

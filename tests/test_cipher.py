@@ -121,7 +121,7 @@ class TestLfsr:
         assert np.array_equal(a, b)
 
     def test_long_register_path(self):
-        # a register wider than any shipped taps, with supplied taps
+        # a 21-bit register with supplied taps, not the shipped ones
         taps = (1 << 17) | 0b1  # x^21 + x^17 + 1 low mask -> {17, 0}
         got = lfsr_stream(0x1234, taps, 64, 21)
         assert got.tolist() == lfsr_reference(0x1234, taps, 21, 64)
