@@ -4,10 +4,10 @@ Eve's simulated receiver is the heterodyne tap of ``channel.transmit``, the
 only record the package makes, followed by optimal classical
 post-processing: max-likelihood key decisions read the nearest allowed
 point, and so does the known-plaintext key MAP under OSK on a PSK ring,
-whose symbol pairs are antipodal; the other sum rules score the run of
-indices within reach of each sample, with a recorded bound on the mass left
-out, and the data-bit MAP scores only the runs that straddle both of its
-hypotheses, and no sample under OSK, where the two are equal.
+whose symbol pairs are antipodal; the data-bit MAP is the nearer of its two
+hypotheses' centroids, whose halves mirror each other; only the
+known-plaintext key MAP under OSK on an ASK ladder scores the run of points
+within reach of each sample, with a recorded bound on the mass left out.
 Quantum-optimal attacks enter only as bounds, so the empirical/bound gap
 stays visible.
 The exhaustive key-posterior oracle scores every seed of any register up to
@@ -54,8 +54,8 @@ class AttackReport:
     bound: BoundReport
     seed: int | None = None
     # largest per-slot bound on the likelihood mass the MAP window left out,
-    # relative to the nearest point's; 0.0 for a full window, a nearest-point
-    # decision, or ctoa-data under OSK, which reads no sample
+    # relative to the nearest point's; nonzero only for the ladder pair sum
+    # of kpa under OSK with a window narrower than the ladder
     dropped_mass_bound: float = 0.0
 
 
@@ -99,103 +99,59 @@ def _nearest(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
     return lo + np.clip(np.rint(pos), 0, last).astype(np.int64)
 
 
-def _window(y: np.ndarray, beta: np.ndarray,
-            kind: ModulationKind) -> tuple[np.ndarray, int, float]:
-    """The constellation points within reach of each sample, as an index run:
-    each row's first index ``start`` (mod 2M), the run's ``width`` and the
-    bound on the likelihood mass left out, relative to the nearest point's.
+def _ladder_window(y: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """The ladder points within reach of each sample, as an index run: each
+    row's first index ``start``, the run's ``width`` and the bound on the
+    likelihood mass left out, relative to the nearest point's.
 
-    The run is the 2w+1 points around the nearest one (``_nearest``),
-    indices start, ..., start + width - 1 read on the doubled index line
-    (``np.tile(beta, 2)``), so that no index needs a modulo.  On the PSK ring
-    the run wraps past 2M - 1; on the ASK ladder it is clamped inside
-    [0, 2M).  Every dropped point is at least g(w) further in squared
-    distance than the nearest, g(w) = 2|y| r (cos(pi/2M) - cos((w+1/2) pi/M))
-    on a ring of radius r and step^2 w(w+1) on a ladder, so the dropped mass
-    is at most (2M-2w-1) e^{-g(w)}.  w is the smallest half-width whose bound
-    at the chunk's smallest |y| is below _DROPPED_MASS_TOL; when none is, the
-    run is the whole constellation from index 0 (ties break as in a full
-    scan) and the bound 0.
+    The run is the 2w+1 points around the nearest one (``_nearest``), clamped
+    inside [0, 2M).  Every dropped point is at least step^2 w(w+1) further in
+    squared distance than the nearest, so the dropped mass is at most
+    (2M-2w-1) e^{-step^2 w(w+1)}.  w is the smallest half-width whose bound
+    is below _DROPPED_MASS_TOL; when none is, the run is the whole ladder and
+    the bound 0.
     """
     n = len(beta)
     w_all = np.arange(n // 2)  # half-widths whose window 2w+1 < 2M
-    if kind is ModulationKind.PSK:
-        gap = 2 * np.abs(y).min() * abs(beta[0]) * (
-            math.cos(math.pi / n) - np.cos((2 * w_all + 1) * (math.pi / n)))
-    else:
-        step = beta[1].real - beta[0].real
-        gap = step ** 2 * w_all * (w_all + 1)
-    log_bound = np.log(n - 1 - 2 * w_all) - gap  # decreasing in w
+    step = beta[1].real - beta[0].real
+    log_bound = np.log(n - 1 - 2 * w_all) - step ** 2 * w_all * (w_all + 1)  # decreasing in w
     fits = np.flatnonzero(log_bound <= math.log(_DROPPED_MASS_TOL))
     if not len(fits):
         return np.zeros(len(y), dtype=np.int64), n, 0.0
     w = int(fits[0])
-    centre = _nearest(y, beta, kind)
-    if kind is ModulationKind.PSK:
-        start = (centre - w) % n
-    else:
-        start = np.clip(centre - w, 0, n - 1 - 2 * w)
+    start = np.clip(_nearest(y, beta, ModulationKind.ASK) - w, 0, n - 1 - 2 * w)
     return start, 2 * w + 1, math.exp(log_bound[w])
-
-
-def _log_lik(y: np.ndarray, line: np.ndarray, start: np.ndarray,
-             width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's run on the doubled index line ``line`` (slots x width) and
-    the log-likelihoods -|y - beta_j|^2 of its points (up to a constant,
-    heterodyne variance 1/2 per quadrature)."""
-    idx = start[:, None] + np.arange(width)
-    return idx, -np.abs(y[:, None] - line[idx]) ** 2
 
 
 def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
                   seed: int | None = None) -> AttackReport:
     """Ciphertext-only attack on the data: per-slot MAP bit decision.
 
-    Each bit's likelihood sums the Gaussian likelihoods of the points its
-    hypothesis (``bit_hypotheses``) holds, over the run of points within
-    reach (``_window``).  Both hypotheses are uniform on supports of equal
-    size, so these sums decide as the probability-weighted mixtures do.
-    Under OSK the two hypotheses are the same mixture, so every slot is an
-    exact tie, decided 0, and no sample is read.  Otherwise the supports
-    cover every point, so the run's nearest point, of likelihood 1, lies in
-    one of them, and prefix sums of the supports over the doubled index line
-    settle most rows from index counts alone: a run with no point of
-    support 0 is decided 1, and one with no point of support 1 is decided 0.
-    Only the remaining open rows, whose run straddles both supports, are
-    scored.  The reported bound is the mixed-state Helstrom value for the
-    same two hypotheses.
+    Bit b's likelihood sums the Gaussian likelihoods of the points its
+    hypothesis (``bit_hypotheses``) holds, and the MAP decision is the
+    nearer of the two hypotheses' centroids c_b = q_b . beta: the side of
+    their perpendicular bisector l the sample falls on.  Without OSK half 1
+    is the mirror image of half 0 across l: on a ring it is the antipode of
+    an arc narrower than pi and symmetric about angle pi (M-1)/2M, on a
+    ladder the reflection in Re z = (beta_0 + beta_{2M-1})/2.  With d the
+    signed distance to l, which has one sign over half 0, a point p of
+    half 0 and its mirror p' give |y - p'|^2 - |y - p|^2 = 4 d(y) d(p), so
+    every such pair, and with them the sums, favour half 0 exactly when y is
+    on its side.  Under OSK both hypotheses are the same row, the centroids
+    are equal and every slot is an exact tie, decided 0, as at S = 0.  The
+    reported bound is the mixed-state Helstrom value for the same two
+    hypotheses.
     """
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
     q = bit_hypotheses(config)
     c = config.constellation()
-    if (q[0] == q[1]).all():  # OSK: every slot ties and is decided 0
-        return AttackReport("ctoa_data", _rate(int(np.count_nonzero(truth)), len(record)),
-                            helstrom_binary_mixed(c, *q), seed)
     beta = apply_loss(c.amplitudes, config.kappa)
-    line = np.tile(beta, 2)
-    member = np.tile(q > 0, 2)
-    # points of support 0 and of support 1 before each index of the doubled line
-    counts = np.zeros((2, len(line) + 1), dtype=np.int64)
-    np.cumsum(member, axis=1, out=counts[:, 1:])
-    errors, dropped = 0, 0.0
-    for lo in range(0, len(record), _CHUNK):
-        y = record.samples[lo:lo + _CHUNK]
-        start, width, bound = _window(y, beta, c.kind)
-        n0, n1 = counts[:, start + width] - counts[:, start]
-        guess = (n0 == 0).astype(np.int64)
-        rows = np.flatnonzero((n0 > 0) & (n1 > 0))
-        idx, ll = _log_lik(y[rows], line, start[rows], width)
-        # likelihoods relative to each row's nearest point, which is 1
-        lik = np.exp(ll - ll.max(axis=1, keepdims=True))
-        s0, s1 = (np.where(m[idx], lik, 0.0).sum(axis=1) for m in member)
-        guess[rows] = s1 > s0
-        errors += int(np.sum(guess != truth[lo:lo + len(y)]))
-        dropped = max(dropped, bound)
-    return AttackReport("ctoa_data", _rate(errors, len(record)),
-                        helstrom_binary_mixed(c, *q), seed,
-                        dropped_mass_bound=dropped)
+    c0, c1 = (row @ beta for row in q)  # one call per row: equal rows, equal centroids
+    guess = ((record.samples - (c0 + c1) / 2) * np.conj(c1 - c0)).real > 0
+    return AttackReport("ctoa_data", _rate(int(np.count_nonzero(guess != truth)), len(record)),
+                        helstrom_binary_mixed(c, *q), seed)
 
 
 def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
@@ -215,7 +171,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     symbol whose point or antipode is nearest in angle: the nearest point of
     all 2M mod M, exact.  On an ASK ladder the pair is a shift by M steps,
     not a reflection, so the two likelihoods are summed over each sample's
-    run within reach (``_window``).  The bound is the
+    run within reach (``_ladder_window``).  The bound is the
     symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
     (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
     bound is an error of exactly 0 (method ``single_state``).
@@ -231,12 +187,13 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
 
     dropped = 0.0
     if known and config.osk and config.kind is ModulationKind.ASK:
-        line = np.tile(beta, 2)
         guess = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _CHUNK):
             y = record.samples[lo:lo + _CHUNK]
-            start, width, bound = _window(y, beta, config.kind)
-            _, ll = _log_lik(y, line, start, width)
+            start, width, bound = _ladder_window(y, beta)
+            # log-likelihoods -|y - beta_j|^2 of each run's points, up to a
+            # constant (heterodyne variance 1/2 per quadrature)
+            ll = -np.abs(y[:, None] - beta[start[:, None] + np.arange(width)]) ** 2
             # symbol k is the pair {k, k + M}, which run positions i and
             # i + M hold
             q = max(0, width - M)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cipher import CipherConfig, osk_stream, running_key
+from .cipher import CipherConfig, _state_indices, osk_stream, running_key
 from .constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, ModulationKind
 
 
@@ -58,9 +58,11 @@ def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> Measure
     """Propagate encoded slots through the loss channel and sample the heterodyne tap.
 
     The returned record is what an unkeyed observer collects; Bob's keyed
-    reception is a separate homodyne path (see ``bob_receive``).
+    reception is a separate homodyne path (see ``bob_receive``).  Indices
+    outside [0, 2M) raise ``ValueError``.
     """
-    amps = apply_loss(config.constellation().amplitudes[np.asarray(indices)], config.kappa)
+    amps = apply_loss(config.constellation().amplitudes[_state_indices(indices, config)],
+                      config.kappa)
     return MeasurementRecord(heterodyne_sample(amps, rng), config.kappa)
 
 
@@ -79,7 +81,8 @@ def bob_receive(values, config: CipherConfig,
     root_kappa = np.sqrt(config.kappa)
 
     if config.kind is ModulationKind.PSK:
-        axis = np.exp(-1j * np.pi * k / config.M)  # rotate the basis axis onto the real line
+        # rotate each slot's basis axis onto the real line; there are M axes
+        axis = np.exp(-1j * np.pi * np.arange(config.M) / config.M)[k]
         proj = (axis * y).real
         if rng is not None:
             proj = proj + rng.normal(0.0, COHERENT_SIGMA, size=n)

@@ -221,11 +221,17 @@ def encode(plaintext, config: CipherConfig) -> np.ndarray:
     return (k + x * config.M) % (2 * config.M)
 
 
-def decode(indices, config: CipherConfig) -> np.ndarray:
-    """Invert ``encode``: x_t = ((s_t - k_t) mod 2M) // M, undoing OSK if enabled."""
+def _state_indices(indices, config: CipherConfig) -> np.ndarray:
+    """``indices`` as int64 constellation indices, each in [0, 2M)."""
     s = np.asarray(indices, dtype=np.int64)
     if s.size and (s.min() < 0 or s.max() >= 2 * config.M):
         raise ValueError("state index out of range")
+    return s
+
+
+def decode(indices, config: CipherConfig) -> np.ndarray:
+    """Invert ``encode``: x_t = ((s_t - k_t) mod 2M) // M, undoing OSK if enabled."""
+    s = _state_indices(indices, config)
     k = running_key(config, len(s))
     x = ((s - k) % (2 * config.M)) // config.M
     if config.osk:

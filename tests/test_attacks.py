@@ -8,7 +8,6 @@ import pytest
 from alphaeta import attacks
 from alphaeta.attacks import (
     _DROPPED_MASS_TOL,
-    _window,
     bit_hypotheses,
     collective_success,
     collective_usd_bound,
@@ -16,7 +15,7 @@ from alphaeta.attacks import (
     eve_key_symbol,
     key_posterior_entropy,
 )
-from alphaeta.channel import MeasurementRecord, apply_loss, transmit
+from alphaeta.channel import MeasurementRecord, transmit
 from alphaeta.cipher import CipherConfig, encode, running_key, slots_per_period
 from alphaeta.constellation import ModulationKind
 from alphaeta.detection import quadrature_binary, srm_symmetric
@@ -77,44 +76,40 @@ class TestCtoaData:
 
 
 class TestWindowedMap:
-    # (config fields, whether the window is narrower than the constellation);
-    # a two-point ring never is: the one-point window's gap bound is 0 when y
-    # is equidistant from both points.  At S = 0 every likelihood ties, so
-    # each decision falls to the first candidate in index order.
+    # At S = 0 every likelihood ties, so each decision falls to the first
+    # candidate in index order.
     CASES = {
-        "psk4-vacuum": (dict(M=4, S=0.0), False),
-        "psk1-low": (dict(M=1, S=1.0), False),
-        "psk1-high": (dict(M=1, S=100.0), False),
-        "psk2-low": (dict(M=2, S=0.5), False),
-        "psk2-high": (dict(M=2, S=100.0), True),
-        "psk8-low": (dict(M=8, S=1.0), False),
-        "psk8-high": (dict(M=8, S=400.0), True),
-        "psk64-low": (dict(M=64, S=2.0), False),
-        "psk64-high": (dict(M=64, S=4000.0), True),
-        "ask8-low": (dict(M=8, S=4.0, kind="ask", ask_S_min=2.0, ask_S_max=4.0), False),
-        "ask8-high": (dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0), True),
+        "psk4-vacuum": dict(M=4, S=0.0),
+        "psk1-low": dict(M=1, S=1.0),
+        "psk1-high": dict(M=1, S=100.0),
+        "psk2-low": dict(M=2, S=0.5),
+        "psk2-high": dict(M=2, S=100.0),
+        "psk8-low": dict(M=8, S=1.0),
+        "psk8-high": dict(M=8, S=400.0),
+        "psk64-low": dict(M=64, S=2.0),
+        "psk64-high": dict(M=64, S=4000.0),
+        "ask8-low": dict(M=8, S=4.0, kind="ask", ask_S_min=2.0, ask_S_max=4.0),
+        "ask8-high": dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0),
     }
+    NARROW = {"ask8-high"}  # the ladder window is narrower than the ladder
 
     @pytest.mark.parametrize("osk", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_full_slab(self, case, osk):
-        fields, narrow = self.CASES[case]
-        cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **fields)
-        rng = np.random.default_rng(fields["M"])
+        cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **self.CASES[case])
+        rng = np.random.default_rng(cfg.M)
         x, rec = _run(cfg, 10_000, rng)  # spans three likelihood chunks
         reports = [eve_ctoa_data(rec, cfg, x), eve_key_symbol(rec, cfg, None),
                    eve_key_symbol(rec, cfg, x)]
         for rep in reports:
             want = full_slab_errors(rec, cfg, rep.attack_kind, x)
             assert rep.empirical.value == want / len(x), rep.attack_kind
-            # the max rules (ctoa-key, kpa without OSK) and kpa under OSK on
-            # a ring read the nearest point and leave out no mass, and
-            # ctoa-data under OSK reads no sample; only the other sum rules
-            # use the window
+            # only kpa under OSK on a ladder sums over a window; every other
+            # decision reads the nearest point or centroid and leaves out no
+            # mass
             ask = cfg.kind is ModulationKind.ASK
-            sum_rule = ((rep.attack_kind == "ctoa_data" and not osk)
-                        or (rep.attack_kind == "kpa_key" and osk and ask))
-            if narrow and sum_rule:
+            sum_rule = rep.attack_kind == "kpa_key" and osk and ask
+            if case in self.NARROW and sum_rule:
                 assert 0.0 < rep.dropped_mass_bound <= _DROPPED_MASS_TOL
             else:
                 assert rep.dropped_mass_bound == 0.0
@@ -124,7 +119,7 @@ class TestWindowedMap:
         # a wrong plaintext puts each sample in the other half, out of reach of
         # the bound's window; the maximum over the known half must still be
         # found
-        cfg = CipherConfig(key_bits=12, seed=0x5A5, **self.CASES[case][0])
+        cfg = CipherConfig(key_bits=12, seed=0x5A5, **self.CASES[case])
         x, rec = _run(cfg, 5_000, np.random.default_rng(9))
         rep = eve_key_symbol(rec, cfg, 1 - x)
         assert rep.empirical.value == full_slab_errors(rec, cfg, "kpa_key", 1 - x) / len(x)
@@ -133,25 +128,24 @@ class TestWindowedMap:
 
 class TestCtoaDataDecisions:
     # Each sample is its own single-slot record with truth 0, so the error
-    # rate is the decision and each sample gets its own window; equal rates
-    # over a long record could hide swapped decisions.
-    PSK8 = dict(M=8, S=400.0)  # a run of 3 of the 16 points
-    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)  # 5 of 16
+    # rate is the decision; equal rates over a long record could hide
+    # swapped decisions.  The MAP decision is the side of the perpendicular
+    # bisector of the two hypotheses' centroids: on a PSK ring the line
+    # through 0 at index steps -1/2 and M - 1/2, bit 1 beyond it; on an ASK
+    # ladder Re y = (beta_0 + beta_{2M-1}) / 2 after loss, bit 1 above it.
+    PSK8 = dict(M=8, S=400.0)
+    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)
 
     @staticmethod
     def _decide(fields, ys, osk=False):
-        """ctoa-data's decision and the full slab's for each sample in ys,
-        and each sample's run (start, width)."""
+        """ctoa-data's decision and the full slab's for each sample in ys."""
         cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **fields)
-        c = cfg.constellation()
-        got, want, runs = [], [], []
+        got, want = [], []
         for y in ys:
             rec = MeasurementRecord(np.array([y]), cfg.kappa)
             got.append(eve_ctoa_data(rec, cfg, [0]).empirical.value)
             want.append(full_slab_errors(rec, cfg, "ctoa_data", [0]))
-            start, width, _ = _window(rec.samples, apply_loss(c.amplitudes, cfg.kappa), c.kind)
-            runs.append((int(start[0]), width))
-        return got, want, runs
+        return got, want
 
     @staticmethod
     def _ring(fields, steps):
@@ -159,52 +153,94 @@ class TestCtoaDataDecisions:
         r = math.sqrt(fields["S"])
         return r * np.exp(1j * np.pi / fields["M"] * np.asarray(steps))
 
+    @staticmethod
+    def _on_ring_side(got, M, steps):
+        """Whether each decision is the bit on whose side of the bisector its
+        ring angle lies; a sample on the bisector, whose decision rests on
+        rounding, passes either way."""
+        pos = (np.asarray(steps) + 0.5) % (2 * M)
+        on = np.isclose(pos % M, 0, atol=1e-9) | np.isclose(pos % M, M, atol=1e-9)
+        return all(o or g == (p >= M) for g, o, p in zip(got, on, pos))
+
+    @staticmethod
+    def _midpoint(fields):
+        """The ladder's midpoint and step after loss."""
+        cfg = CipherConfig(key_bits=12, seed=0x5A5, **fields)
+        beta = cfg.constellation().amplitudes.real * math.sqrt(cfg.kappa)
+        return (beta[0] + beta[-1]) / 2, beta[1] - beta[0]
+
     def test_psk_runs_wrapping_past_zero_and_2m(self):
-        # centres 2M-2, 2M-1, 0 and 1: the runs {2M-1, 0, 1} and
-        # {2M-2, 2M-1, 0} wrap, and straddle the halves at index 0
+        # a run of samples across index 0, from step -2.4 to 1.4: it
+        # crosses the bisector at step -1/2
         fields = self.PSK8
-        got, want, runs = self._decide(fields, self._ring(fields, np.linspace(-2.4, 1.4, 39)))
-        assert got == want
-        assert {s for s, _ in runs} >= {13, 14, 15, 0}
-        assert any(s + w > 16 for s, w in runs) and set(got) == {0.0, 1.0}
+        steps = np.linspace(-2.4, 1.4, 39)
+        got, want = self._decide(fields, self._ring(fields, steps))
+        assert got == want and self._on_ring_side(got, 8, steps)
+        assert set(got) == {0.0, 1.0}
 
     def test_psk_runs_straddling_the_half_boundary(self):
-        # centres M-2 ... M+1 around the boundary between index M-1 and M
+        # a run of samples from step M-2.4 to M+1.4: it crosses the bisector
+        # at step M - 1/2, between the halves
         fields = self.PSK8
         steps = fields["M"] + np.linspace(-2.4, 1.4, 39)
-        got, want, runs = self._decide(fields, self._ring(fields, steps))
-        assert got == want
-        assert any(s < 8 < s + w for s, w in runs) and set(got) == {0.0, 1.0}
+        got, want = self._decide(fields, self._ring(fields, steps))
+        assert got == want and self._on_ring_side(got, 8, steps)
+        assert set(got) == {0.0, 1.0}
 
     def test_ask_runs_clamped_at_either_end(self):
-        # samples beyond both ends of the ladder and across its middle
+        # samples running beyond both ends of the ladder and across its middle
         fields = self.ASK8
+        mid, _ = self._midpoint(fields)
         beta = CipherConfig(key_bits=12, seed=0x5A5, **fields).constellation().amplitudes.real
         xs = np.linspace(beta[0] - 10, beta[-1] + 10, 61)
-        got, want, runs = self._decide(fields, xs + 0.3j)
-        assert got == want
-        assert {s for s, _ in runs} >= {0, 16 - 5} and set(got) == {0.0, 1.0}
+        got, want = self._decide(fields, xs + 0.3j)
+        assert got == want == list((xs > mid).astype(float))
+        assert set(got) == {0.0, 1.0}
 
-    def test_osk_rows_all_tie(self):
-        # both supports are the whole ring: every run is a tie, decided 0
-        for fields in (self.PSK8, dict(M=2, S=0.5)):
-            got, want, _ = self._decide(fields, self._ring(fields, np.linspace(0, 32, 97)),
-                                        osk=True)
-            assert got == want == [0] * 97
+    @pytest.mark.parametrize("fields", [dict(M=1, S=1.0), dict(M=2, S=0.5), PSK8],
+                             ids=["psk1", "psk2", "psk8"])
+    def test_psk_either_side_of_both_bisectors(self, fields):
+        # the whole ring at three radii, and 0.01 step either side of both
+        # bisector directions
+        M = fields["M"]
+        steps = np.concatenate([np.linspace(0.05, 2 * M + 0.05, 53),
+                                [-0.51, -0.49, M - 0.51, M - 0.49]])
+        ys = np.concatenate([self._ring(fields, steps) * r for r in (0.5, 1, 2)])
+        got, want = self._decide(fields, ys)
+        assert got == want and self._on_ring_side(got, M, np.tile(steps, 3))
+        assert set(got) == {0.0, 1.0}
 
     @pytest.mark.parametrize("fields", [
-        dict(M=1, S=1.0), dict(M=2, S=0.5),
         dict(M=4, S=200.0, kind="ask", ask_S_min=2.0, ask_S_max=200.0),
-    ], ids=["psk1", "psk2", "ask4"])
-    def test_full_windows(self, fields):
-        # the run is the whole constellation from index 0
-        if fields.get("kind") == "ask":
-            ys = np.linspace(-5.0, 20.0, 51) + 0.1j
-        else:
-            ys = self._ring(fields, np.linspace(0, 2 * fields["M"], 53)) * 0.8
-        got, want, runs = self._decide(fields, ys)
-        assert got == want
-        assert set(runs) == {(0, 2 * fields["M"])} and set(got) == {0.0, 1.0}
+        dict(M=8, S=400.0, kind="ask", ask_S_min=4.0, ask_S_max=400.0, kappa=0.5),
+    ], ids=["ask4", "ask8-lossy"])
+    def test_ask_either_side_of_the_midpoint(self, fields):
+        # across the whole ladder, and 0.01 step either side of its midpoint,
+        # which loss moves
+        mid, step = self._midpoint(fields)
+        xs = np.concatenate([np.linspace(-5.0, 25.0, 51), mid + np.array([-0.01, 0.01]) * step])
+        got, want = self._decide(fields, xs + 0.1j)
+        assert got == want == list((xs > mid).astype(float))
+        assert set(got) == {0.0, 1.0}
+
+    def test_osk_rows_all_tie(self):
+        # both hypotheses are the whole constellation: equal centroids, so
+        # every slot is a tie, decided 0
+        for fields in (dict(M=1, S=1.0), dict(M=2, S=0.5), self.PSK8, dict(M=512, S=4000.0)):
+            steps = np.linspace(0, 4 * fields["M"], 97)
+            got, want = self._decide(fields, self._ring(fields, steps), osk=True)
+            assert got == want == [0] * 97
+        mid, _ = self._midpoint(self.ASK8)
+        got, want = self._decide(self.ASK8, np.linspace(mid - 30, mid + 30, 61) + 0.3j, osk=True)
+        assert got == want == [0] * 61
+
+    @pytest.mark.parametrize("osk", [False, True])
+    def test_vacuum_ties(self, osk):
+        # at S = 0 every point is 0 and every slot ties, decided 0
+        fields = dict(M=4, S=0.0)
+        ys = self._ring(dict(M=4, S=1.0), np.linspace(0, 8, 25)) * np.linspace(0.1, 3, 25)
+        got, want = self._decide(fields, ys, osk)
+        assert got == want == [0] * 25
 
 
 class TestScoredRows:
@@ -213,45 +249,29 @@ class TestScoredRows:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record each _window call's samples and run (start, width), and the
-        samples of each _log_lik call, whose rows are the ones scored."""
-        calls = {"window": [], "log_lik": []}
-        window, log_lik = attacks._window, attacks._log_lik
+        """Record the samples of each _ladder_window call."""
+        calls = []
+        window = attacks._ladder_window
 
-        def spy_window(y, beta, kind):
-            run = window(y, beta, kind)
-            calls["window"].append((y, run[0], run[1]))
-            return run
+        def spy_window(y, beta):
+            calls.append(y)
+            return window(y, beta)
 
-        def spy_log_lik(y, line, start, width):
-            calls["log_lik"].append(y)
-            return log_lik(y, line, start, width)
-
-        monkeypatch.setattr(attacks, "_window", spy_window)
-        monkeypatch.setattr(attacks, "_log_lik", spy_log_lik)
+        monkeypatch.setattr(attacks, "_ladder_window", spy_window)
         return calls
 
     @pytest.mark.parametrize("osk", [False, True], ids=["plain", "osk"])
-    def test_ctoa_data_scores_only_straddling_runs(self, monkeypatch, osk):
-        # without OSK exactly the rows whose run, as indices mod 2M, holds
-        # points of both halves are scored; under OSK the two hypotheses are
-        # equal, every slot ties and no sample is read
+    def test_ctoa_data_reads_no_window(self, monkeypatch, osk):
+        # the decision is the nearer centroid, read from each sample alone,
+        # on a ring and on a ladder
         cfg = CipherConfig(osk=osk, **self.README)
         x, rec = _run(cfg, 20_000, np.random.default_rng(7))
         calls = self._spy(monkeypatch)
         eve_ctoa_data(rec, cfg, x)
-        if osk:
-            assert calls == {"window": [], "log_lik": []}
-            return
-        M = cfg.M
-        assert len(calls["window"]) == len(calls["log_lik"]) == 5
-        scored = 0
-        for (y, start, width), rows in zip(calls["window"], calls["log_lik"]):
-            idx = (start[:, None] + np.arange(width)) % (2 * M)
-            straddles = (idx < M).any(axis=1) & (idx >= M).any(axis=1)
-            np.testing.assert_array_equal(rows, y[straddles])
-            scored += len(rows)
-        assert scored > 0
+        ask = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **TestKeySymbolDecisions.ASK8)
+        x, rec = _run(ask, 20_000, np.random.default_rng(7))
+        eve_ctoa_data(rec, ask, x)
+        assert calls == []
 
     def test_max_rules_score_nothing(self, monkeypatch):
         cfg = CipherConfig(**self.README)
@@ -262,12 +282,13 @@ class TestScoredRows:
         # kpa under OSK on a ring: each symbol's pair is antipodal, so its
         # pair sum is largest at the nearest point too
         eve_key_symbol(rec, dataclasses.replace(cfg, osk=True), x)
-        assert calls == {"window": [], "log_lik": []}
-        # on a ladder the pair is a shift, and the pair sum goes through both
+        assert calls == []
+        # on a ladder the pair is a shift, and the pair sum goes through the
+        # window, once per chunk
         ask = CipherConfig(key_bits=12, seed=0x5A5, osk=True, **TestKeySymbolDecisions.ASK8)
         x, rec = _run(ask, 20_000, np.random.default_rng(7))
         eve_key_symbol(rec, ask, x)
-        assert len(calls["window"]) == len(calls["log_lik"]) == 5
+        assert len(calls) == 5
 
 
 class TestKeySymbolDecisions:

@@ -91,6 +91,13 @@ class TestTransmit:
         b = transmit(idx, cfg, np.random.default_rng(33)).samples
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_index_out_of_range(self, bad):
+        # the 2M = 8 states are 0 ... 7; -1 would wrap to state 7
+        cfg = CipherConfig(M=4, S=2.0, key_bits=8, seed=0x21)
+        with pytest.raises(ValueError, match="state index out of range"):
+            transmit([bad, 0], cfg, np.random.default_rng(0))
+
 
 class TestBobReceive:
     def test_noiseless_amplitudes_decode_perfectly(self):
