@@ -59,7 +59,7 @@ def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> Measure
 
     The returned record is what an unkeyed observer collects; Bob's keyed
     reception is a separate homodyne path (see ``bob_receive``).  Indices
-    outside [0, 2M) raise ``ValueError``.
+    outside [0, 2M) or not integers raise ``ValueError``.
     """
     amps = apply_loss(config.constellation().amplitudes[_state_indices(indices, config)],
                       config.kappa)

@@ -191,8 +191,12 @@ def running_key(config: CipherConfig, count: int) -> np.ndarray:
     realigned at the register period, so the symbol sequence period is
     (2^|K|-1)/gcd(log2 M, 2^|K|-1) blocks."""
     bps = config.bits_per_symbol
-    bits = lfsr_stream(config.seed, config.taps, count * bps, config.key_bits)
-    return bits.reshape(count, bps) @ (1 << np.arange(bps - 1, -1, -1))
+    bits = lfsr_stream(config.seed, config.taps, count * bps, config.key_bits).reshape(count, bps)
+    symbols = np.zeros(count, dtype=np.int64)
+    for column in bits.T:  # most significant bit first
+        symbols <<= 1
+        symbols |= column
+    return symbols
 
 
 def osk_stream(config: CipherConfig, count: int) -> np.ndarray:
@@ -210,9 +214,10 @@ def encode(plaintext, config: CipherConfig) -> np.ndarray:
     """Map data bits to constellation indices: slot t carries (k_t + x_t * M) mod 2M.
 
     With OSK enabled each data bit is first XORed with the keyed polarity bit,
-    which Bob rederives from the shared seed.
+    which Bob rederives from the shared seed.  Values other than 0 and 1,
+    fractions included, raise ``ValueError``.
     """
-    x = np.asarray(plaintext, dtype=np.int64)
+    x = _integers(plaintext, "plaintext")
     if x.size and (x.min() < 0 or x.max() > 1):
         raise ValueError("plaintext must be bits")
     k = running_key(config, len(x))
@@ -221,9 +226,21 @@ def encode(plaintext, config: CipherConfig) -> np.ndarray:
     return (k + x * config.M) % (2 * config.M)
 
 
+def _integers(values, what: str) -> np.ndarray:
+    """``values`` as int64, raising rather than truncating a non-integer
+    (nan and inf included); an empty list, float64 by default, passes."""
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # nan and inf cast to junk, which then differs
+        s = a.astype(np.int64, copy=False)
+    if not np.array_equal(s, a):
+        raise ValueError(f"{what} must be integers")
+    return s
+
+
 def _state_indices(indices, config: CipherConfig) -> np.ndarray:
-    """``indices`` as int64 constellation indices, each in [0, 2M)."""
-    s = np.asarray(indices, dtype=np.int64)
+    """``indices`` as int64 constellation indices, each in [0, 2M); a
+    fraction or an index out of range raises ``ValueError``."""
+    s = _integers(indices, "state indices")
     if s.size and (s.min() < 0 or s.max() >= 2 * config.M):
         raise ValueError("state index out of range")
     return s

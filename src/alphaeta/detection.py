@@ -10,7 +10,10 @@ log-domain closed form (Poisson mass by residue class, relative error under
 clamp), which the minimum-error, unambiguous and
 mixed-state Helstrom figures all read; every pair of mixtures on a ring,
 the even/odd and half-ring pairs included, takes the one route in
-``helstrom_binary_mixed``.  ASK ladders, which are not circulant, read
+``helstrom_binary_mixed``.  Weights that mirror onto themselves about some
+point of the ring, as the half rings and the even/odd mixtures do, make that
+route's matrices real up to a diagonal of phases, so it solves them in real
+arithmetic.  ASK ladders, which are not circulant, read
 the signed operator's spectrum from diag(w) G, G their real Gram matrix:
 no basis is built and nothing is clamped.
 The square-root measurement is optimal for every symmetric ring: in the
@@ -114,6 +117,21 @@ def helstrom_binary_mixed(c: Constellation, q0, q1) -> BoundReport:
     one N x N Hermitian eigensolve.  The spectrum's relative error, under
     1.2e-12 per eigenvalue, carries into Pe.
 
+    Mirrored weights, w_{(c2 - j) mod N} = w_j for an integer c2 (the half
+    rings: c2 = M - 1; the even/odd mixtures and w = 0: c2 = 0), give
+    w^(d) = omega^{c2 d} conj(w^(d)), so kern(d) = w^(d) e^{-i pi c2 d / N} is
+    real for every signed d = k - l in (-N, N); indexing by d mod N instead
+    would lose the sign (-1)^{c2} of the wrapped half.  Delta equals
+    P D^{1/2} K D^{1/2} P^* / N with K_kl = kern(k - l) real symmetric and
+    P = diag(e^{i pi c2 k / N}) unitary, so the blocks B_r and the N x N
+    matrix are read from kern in real arithmetic, with the same singular
+    values and eigenvalues.  The candidate c2 is the argmax of the circular
+    self-convolution sum_t w_t w_{c2 - t}, which by Cauchy-Schwarz reaches
+    sum w^2 exactly at a mirror centre; it is then confirmed exactly, and any
+    other weights keep the complex w^(d mod N).  The imaginary part dropped is
+    the rounding of an exact zero, about 5e-16 of max |w^| on the half rings
+    at N <= 1024, the same rounding the complex route carries.
+
     ASK ladders are not circulant.  The nonzero eigenvalues of Delta are
     those of diag(w) G, G the Gram matrix; it is similar to the Hermitian
     G^{1/2} diag(w) G^{1/2}, so its spectrum is real and Tr|Delta| is the sum
@@ -144,18 +162,23 @@ def _ring_trace_norm(w: np.ndarray, S: float) -> float:
     circulant spectrum (see ``helstrom_binary_mixed``)."""
     N = len(w)
     root = np.exp(0.5 * _ring_log_spectrum(N, S))
-    w_hat = N * np.fft.ifft(w)
+    k = np.arange(N)
+    d = np.arange(1 - N, N)  # signed k - l; kern[d + N - 1] is the entry at k - l = d
+    kern = N * np.fft.ifft(w)[d % N]
+    # sum_t w_t w_{c - t} peaks at sum w^2 exactly when w mirrors about c / 2
+    c2 = int(np.argmax(np.fft.irfft(np.fft.rfft(w) ** 2, N)))
+    if np.array_equal(w[(c2 - k) % N], w):
+        kern = (kern * np.exp(-1j * np.pi * (c2 * d % (2 * N)) / N)).real
     s = next((s for s in range(1, N // 2 + 1)
               if N % (2 * s) == 0 and np.array_equal(np.roll(w, -s), -w)), None)
     if s is not None:
         g = N // (2 * s)
         even = np.arange(g)[:, None] + 2 * g * np.arange(s)
         odd = even + g
-        blocks = (root[even][:, :, None] * w_hat[(even[:, :, None] - odd[:, None, :]) % N]
+        blocks = (root[even][:, :, None] * kern[even[:, :, None] - odd[:, None, :] + N - 1]
                   * root[odd][:, None, :])
         return 2.0 * float(np.linalg.svd(blocks, compute_uv=False).sum()) / N
-    k = np.arange(N)
-    delta = root[:, None] * w_hat[(k[:, None] - k) % N] * root
+    delta = root[:, None] * kern[k[:, None] - k + N - 1] * root
     return float(np.abs(np.linalg.eigvalsh(delta)).sum()) / N
 
 

@@ -98,6 +98,13 @@ class TestTransmit:
         with pytest.raises(ValueError, match="state index out of range"):
             transmit([bad, 0], cfg, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [1.9, np.nan, np.inf])
+    def test_nonintegral_index_rejected(self, bad):
+        # 1.9 used to be truncated and sent as state 1
+        cfg = CipherConfig(M=4, S=2.0, key_bits=8, seed=0x21)
+        with pytest.raises(ValueError, match="state indices must be integers"):
+            transmit(np.array([bad]), cfg, np.random.default_rng(0))
+
 
 class TestBobReceive:
     def test_noiseless_amplitudes_decode_perfectly(self):

@@ -170,6 +170,19 @@ class TestRunningKey:
         cfg = CipherConfig(M=1, S=1.0, key_bits=8, seed=0x11)
         assert np.array_equal(running_key(cfg, 5), np.zeros(5, dtype=np.int64))
 
+    @pytest.mark.parametrize("M", [1, 2, 8, 512])
+    def test_matches_weighted_sum_of_bits(self, M):
+        # the symbols as the dot product of each block with its bit weights;
+        # 600 blocks of up to 9 bits run past the 255-bit register period
+        cfg = CipherConfig(M=M, S=1.0, key_bits=8, seed=0x3C)
+        bps = cfg.bits_per_symbol
+        count = 600
+        bits = lfsr_stream(cfg.seed, cfg.taps, count * bps, cfg.key_bits)
+        want = bits.reshape(count, bps) @ (1 << np.arange(bps - 1, -1, -1))
+        got = running_key(cfg, count)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
 
 class TestEncodeDecode:
     def test_map_definition(self):
@@ -238,6 +251,29 @@ class TestEncodeDecode:
         cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
         with pytest.raises(ValueError):
             encode(np.array([2]), cfg)
+
+    @pytest.mark.parametrize("bad", [[1.5, 2.7], [np.nan], [np.inf, 0]])
+    def test_nonintegral_indices_rejected(self, bad):
+        # a float index used to be truncated: [1.5, 2.7] decoded as states 1, 2
+        cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
+        with pytest.raises(ValueError, match="state indices must be integers"):
+            decode(bad, cfg)
+
+    @pytest.mark.parametrize("bad", [[0.7], [1, 0.5], [np.nan], [-np.inf]])
+    def test_nonintegral_plaintext_rejected(self, bad):
+        # 0.7 used to be truncated to bit 0
+        cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
+        with pytest.raises(ValueError, match="plaintext must be integers"):
+            encode(bad, cfg)
+
+    def test_integral_floats_and_empty_lists_accepted(self):
+        # an empty list has dtype float64; whole-number floats are exact bits
+        cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
+        assert len(encode([], cfg)) == 0
+        assert len(decode([], cfg)) == 0
+        s = encode([1.0, 0.0, 1.0], cfg)
+        np.testing.assert_array_equal(s, encode([1, 0, 1], cfg))
+        np.testing.assert_array_equal(decode(s.astype(float), cfg), [1, 0, 1])
 
 
 class TestConfig:

@@ -280,6 +280,63 @@ class TestHelstromRing:
         rep = helstrom_binary_mixed(*self.half_rings(512, 4000.0))
         assert rep.value == pytest.approx(0.0015669998138, rel=0, abs=1e-13)
 
+    @staticmethod
+    def spy(monkeypatch, name):
+        """Record the dtype of every matrix passed to np.linalg.<name>."""
+        dtypes, solver = [], getattr(np.linalg, name)
+
+        def recording(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+        return dtypes
+
+    @staticmethod
+    def split(w):
+        """Hypotheses q0, q1 whose signed weights (q1 - q0) / 2 are w,
+        for w summing to 0 with sum |w| = 1."""
+        return np.where(w < 0, -2 * w, 0.0), np.where(w > 0, 2 * w, 0.0)
+
+    def test_mirrored_shift_antisymmetric_weights_take_real_blocks(self, monkeypatch):
+        # the period-8 pattern (a, b, b, a, -a, -b, -b, -a): w_{j+4} = -w_j and
+        # w_{3-j} = w_j, so Delta splits into two real 4 x 4 blocks (s = 4 < M = 8)
+        N, S = 16, 5.0
+        w = np.tile([0.3, 0.2, 0.2, 0.3, -0.3, -0.2, -0.2, -0.3], 2) / 4
+        dtypes = self.spy(monkeypatch, "svd")
+        got = helstrom_binary_mixed(make_psk(N // 2, S), *self.split(w)).value
+        assert dtypes == [np.float64]
+        assert got == pytest.approx(ring_mixture_helstrom(w, S), rel=0, abs=1e-15)
+
+    def test_mirrored_weights_without_shift_take_real_eigensolve(self, monkeypatch):
+        # bit 0's half ring weighted 1 : 2 : 2 : 1 and bit 1's uniform: mirrored
+        # about (M - 1) / 2 with no antisymmetric shift, so the N x N route runs real
+        M, S = 4, 5.0
+        c, _, q1 = self.half_rings(M, S)
+        q0 = np.concatenate([[1.0, 2.0, 2.0, 1.0], np.zeros(M)]) / 6
+        dtypes = self.spy(monkeypatch, "eigvalsh")
+        got = helstrom_binary_mixed(c, q0, q1).value
+        assert dtypes == [np.float64]
+        assert got == pytest.approx(ring_mixture_helstrom((q1 - q0) / 2, S), rel=0, abs=1e-15)
+
+    def test_near_mirror_takes_complex_route(self, monkeypatch):
+        # one entry 1e-3 off the mirror image: the self-convolution still peaks
+        # at the old centre, but the exact check sends the weights down the
+        # complex route
+        M, S = 4, 5.0
+        c, _, q1 = self.half_rings(M, S)
+        q0 = np.concatenate([[1.0, 2.0, 2.0, 1.0], np.zeros(M)]) / 6
+        q0[:2] += [1e-3, -1e-3]
+        dtypes = self.spy(monkeypatch, "eigvalsh")
+        got = helstrom_binary_mixed(c, q0, q1).value
+        assert dtypes == [np.complex128]
+        assert got == pytest.approx(ring_mixture_helstrom((q1 - q0) / 2, S), rel=0, abs=1e-15)
+
+    def test_designed_half_rings_take_a_real_svd(self, monkeypatch):
+        dtypes = self.spy(monkeypatch, "svd")
+        helstrom_binary_mixed(*self.half_rings(512, 4000.0))
+        assert dtypes == [np.float64]
+
 
 class TestHelstromLadder:
     """The Gram eigenvalue route that mixtures on an ASK ladder take."""
