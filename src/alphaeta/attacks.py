@@ -11,7 +11,8 @@ within reach of each sample, with a recorded bound on the mass left out.
 Quantum-optimal attacks enter only as bounds, so the empirical/bound gap
 stays visible.
 The exhaustive key-posterior oracle scores every seed of any register up to
-22 bits with one Walsh-Hadamard transform over the seed space.
+22 bits with one Walsh-Hadamard transform over the seed space; each slot's
+Walsh characters are read from tables the constellation fixes.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MeasurementRecord, apply_loss
-from .cipher import CipherConfig, _lfsr_extend, running_key
+from .cipher import CipherConfig, _bits, _lfsr_extend, running_key
 from .constellation import ModulationKind
 from .detection import (
     BoundReport,
@@ -142,7 +143,7 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     reported bound is the mixed-state Helstrom value for the same two
     hypotheses.
     """
-    truth = np.asarray(truth, dtype=np.int64)
+    truth = _bits(truth)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
     q = bit_hypotheses(config)
@@ -181,7 +182,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     n = len(record)
     k_true = np.asarray(running_key(config, n), dtype=np.int64)
     known = plaintext is not None
-    x = np.asarray(plaintext, dtype=np.int64) if known else None
+    x = _bits(plaintext) if known else None
     if known and len(x) != n:
         raise ValueError("record and plaintext lengths differ")
 
@@ -216,14 +217,36 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
 
 def _hadamard(a: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of the C-contiguous float array
-    ``a`` along its last axis, whose length is a power of two; in place."""
-    for i in range(a.shape[-1].bit_length() - 1):
+    ``a`` along its last axis, whose length is a power of two; in place.
+
+    Radix-2 butterflies, stage i pairing entries 2^i apart.  When the axis
+    holds at least 8 entries, stages 0-2 run between the 8 strided columns
+    of a (-1, 8) view, so each butterfly is one long loop rather than one
+    short run per row; the later stages pair contiguous runs of 2^i >= 8.
+    All stages write lo - hi through one scratch half-array.  Every entry
+    is the same sum, in the same order, as in a plain stage-by-stage loop.
+    """
+    bits = a.shape[-1].bit_length() - 1
+    scratch = np.empty(a.size // 2)
+    first = 0
+    if bits >= 3:
+        cols = a.reshape(-1, 8).T
+        for h in (1, 2, 4):
+            for j in range(8):
+                if not j & h:
+                    _butterfly(cols[j], cols[j + h], scratch[:len(cols[j])])
+        first = 3
+    for i in range(first, bits):
         pair = a.reshape(-1, 2, 1 << i)
-        lo, hi = pair[:, 0], pair[:, 1]
-        diff = lo - hi
-        lo += hi
-        hi[...] = diff
+        _butterfly(pair[:, 0], pair[:, 1], scratch.reshape(-1, 1 << i))
     return a
+
+
+def _butterfly(lo: np.ndarray, hi: np.ndarray, diff: np.ndarray) -> None:
+    """(lo, hi) <- (lo + hi, lo - hi), with ``diff`` as scratch."""
+    np.subtract(lo, hi, out=diff)
+    lo += hi
+    hi[...] = diff
 
 
 def _seed_masks(taps: int, k: int, count: int) -> np.ndarray:
@@ -239,48 +262,62 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
 
     Scores all 2^|K|-1 seeds against the Gaussian record and normalizes;
     this is the brute-force key-security oracle, for any taps and |K| <= 22
-    (_POSTERIOR_MAX_KEY_BITS; over 682 slots |K| = 22 takes about 0.6 s and
-    a 100 MB tracemalloc peak, |K| = 24 would take 390 MB).  Every keyed bit
-    is parity(mask & s) for a seed mask (``_seed_masks``), so slot t's
+    (_POSTERIOR_MAX_KEY_BITS; over 682 slots at M=64 under OSK, |K| = 20
+    takes about 0.09 s and a 25 MB tracemalloc peak, |K| = 22 about 0.45 s
+    and 97 MB, |K| = 24 would take 390 MB).  Every keyed bit is
+    parity(mask & s) for a seed mask (``_seed_masks``), so slot t's
     log-likelihood is a table f_t(z) over its z = symbol bits (plus the
     polarity bit under OSK), and each Walsh character u of f_t is the
-    character of one seed mask v_t(u).  The characters of all slots are
+    character of one seed mask v_t(u).  With the known bit x_t, z selects
+    the point p = (z + x_t M) mod 2M, and
+    f_t(z) = -|y_t|^2 + Re y_t 2 Re b_p + Im y_t 2 Im b_p - |b_p|^2
+    is linear in y_t.  So the characters R_x, I_x, E_x of 2 Re b_p,
+    2 Im b_p and -|b_p|^2 over z, each divided by 2^zbits, are built once
+    per call from the constellation, and slot t's character u != 0 is
+    Re y_t R_x(u) + Im y_t I_x(u) + E_x(u) at x = x_t; -|y_t|^2 reaches
+    only u = 0, the same for every seed.  The characters of all slots are
     summed into one 2^|K| table whose Walsh-Hadamard transform is every
-    seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time,
-    O(2^|K| + slots log2 2M + chunk * 2M) memory.
+    seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time with no per-slot
+    transform, O(2^|K| + slots log2 2M + chunk * 2M) memory.
     """
     k = config.key_bits
     if k > _POSTERIOR_MAX_KEY_BITS:
         raise ValueError(f"exhaustive posterior is limited to |K| <= {_POSTERIOR_MAX_KEY_BITS}")
-    x = np.asarray(plaintext, dtype=np.int64)
+    x = _bits(plaintext)
     slots = len(record)
     if len(x) != slots:
         raise ValueError("record and plaintext lengths differ")
     M, bps = config.M, config.bits_per_symbol
     zbits = bps + config.osk  # z = polarity * M + symbol
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
-    z = np.arange(1 << zbits)
+    # row x: point sym + (x xor polarity) M, i.e. (z + x M) mod 2M
+    pts = beta[(np.arange(1 << zbits) + M * np.arange(2)[:, None]) % (2 * M)]
+    R, I, E = _hadamard(np.stack([2 * pts.real, 2 * pts.imag, -np.abs(pts) ** 2])) / (1 << zbits)
     # slot t's z bit i < bps is stream bit t*bps + bps-1-i (the symbol is
     # big-endian); bit bps is its polarity bit
     bit_masks = _seed_masks(config.taps, k, slots * bps).reshape(slots, bps)[:, ::-1]
     if config.osk:
         bit_masks = np.column_stack([bit_masks, _seed_masks(config.osk_taps, k, slots)])
     coeff = np.zeros(1 << k)
+    masks = np.empty((min(slots, _CHUNK), 1 << zbits), dtype=np.int64)
     for lo in range(0, slots, _CHUNK):
-        t = np.arange(lo, min(lo + _CHUNK, slots))
-        # point sym + (x xor polarity) M, i.e. (z + x M) mod 2M
-        pts = beta[(z + x[t, None] * M) % (2 * M)]
-        f = _hadamard(-np.abs(record.samples[t, None] - pts) ** 2) / len(z)
-        v = np.zeros((len(t), 1), dtype=np.int64)
+        t = slice(lo, lo + _CHUNK)
+        y, xt = record.samples[t, None], x[t]
+        f = y.real * R[xt] + y.imag * I[xt] + E[xt]
+        v = masks[:len(xt)]
+        v[:, 0] = 0
         for i in range(zbits):  # character u's mask: the XOR of its bits' masks
-            v = np.concatenate([v, v ^ bit_masks[t, i:i + 1]], axis=1)
+            np.bitwise_xor(v[:, :1 << i], bit_masks[t, i:i + 1], out=v[:, 1 << i:2 << i])
         coeff += np.bincount(v.ravel(), weights=f.ravel(), minlength=1 << k)
     coeff[0] = 0.0  # the same for every seed
     loglik = _hadamard(coeff)[1:]
 
-    top = loglik.max()
-    log_post = loglik - (top + math.log(np.exp(loglik - top).sum()))
-    return max(0.0, float(-(np.exp(log_post) @ log_post) / math.log(2)))
+    loglik -= loglik.max()
+    p = np.exp(loglik)  # the posterior times total
+    total = p.sum()
+    # H = -sum (p / total) log(p / total) = log total - sum p loglik / total
+    h = math.log(total) - float(np.multiply(p, loglik, out=p).sum()) / total
+    return max(0.0, h / math.log(2))
 
 
 # --- closed-form security metrics --------------------------------------------

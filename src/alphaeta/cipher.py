@@ -217,9 +217,7 @@ def encode(plaintext, config: CipherConfig) -> np.ndarray:
     which Bob rederives from the shared seed.  Values other than 0 and 1,
     fractions included, raise ``ValueError``.
     """
-    x = _integers(plaintext, "plaintext")
-    if x.size and (x.min() < 0 or x.max() > 1):
-        raise ValueError("plaintext must be bits")
+    x = _bits(plaintext)
     k = running_key(config, len(x))
     if config.osk:
         x = x ^ osk_stream(config, len(x))
@@ -235,6 +233,15 @@ def _integers(values, what: str) -> np.ndarray:
     if not np.array_equal(s, a):
         raise ValueError(f"{what} must be integers")
     return s
+
+
+def _bits(values) -> np.ndarray:
+    """``values`` as int64 data bits; a fraction or a value other than 0 and
+    1 raises ``ValueError``."""
+    x = _integers(values, "plaintext")
+    if x.size and (x.min() < 0 or x.max() > 1):
+        raise ValueError("plaintext must be bits")
+    return x
 
 
 def _state_indices(indices, config: CipherConfig) -> np.ndarray:

@@ -10,6 +10,7 @@ constellation point.  ``srm_holevo_yuen_residual`` checks the optimality
 conditions of the square-root measurement on a symmetric ring in the span
 basis, and ``symmetric_symbol_error_mc`` samples the heterodyne symbol error
 of the same ring.
+``hadamard_radix2`` is the plain stage-by-stage Walsh-Hadamard loop.
 ``RED_CLAIMS`` lists the reproduce checks whose published reference the true
 figure cannot meet; each entry carries the oracle for the measured figure, the
 claim's own stated band and a check that the claim's detail string is true.
@@ -181,6 +182,18 @@ def full_slab_errors(record, config, kind, plaintext) -> int:
         cand = np.where(x[:, None] == 0, np.arange(M)[None, :], np.arange(M)[None, :] + M)
         guess = np.argmax(np.take_along_axis(ll, cand, axis=1), axis=1)
     return int(np.sum(guess != running_key(config, len(record))))
+
+
+def hadamard_radix2(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a copy of ``a`` along its last
+    axis, one radix-2 stage at a time: stage i maps each pair (lo, hi) of
+    entries 2^i apart to (lo + hi, lo - hi)."""
+    a = np.array(a, dtype=float)
+    for i in range(a.shape[-1].bit_length() - 1):
+        pair = a.reshape(-1, 2, 1 << i)
+        lo, hi = pair[:, 0].copy(), pair[:, 1].copy()
+        pair[:, 0], pair[:, 1] = lo + hi, lo - hi
+    return a
 
 
 def dft_spectrum_floor(N, S) -> float:

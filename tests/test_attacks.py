@@ -20,7 +20,7 @@ from alphaeta.cipher import CipherConfig, encode, running_key, slots_per_period
 from alphaeta.constellation import ModulationKind
 from alphaeta.detection import quadrature_binary, srm_symmetric
 
-from oracles import full_slab_errors, symmetric_symbol_error_mc
+from oracles import full_slab_errors, hadamard_radix2, symmetric_symbol_error_mc
 
 
 def _run(config, n, rng, plaintext=None):
@@ -516,20 +516,28 @@ class TestKeyPosterior:
         p = np.exp(lp)
         return float(-(p[p > 0] * lp[p > 0]).sum() / math.log(2))
 
-    @pytest.mark.parametrize("M, osk, ask", [
-        pytest.param(4, True, False, id="4-True"),
-        pytest.param(4, False, False, id="4-False"),
-        pytest.param(2, False, False, id="2-False"),
-        pytest.param(1, True, False, id="1-True"),
-        pytest.param(1, False, False, id="1-False"),
-        pytest.param(64, True, False, id="64-True"),
-        pytest.param(4, True, True, id="ask-4-True"),
+    LADDER = dict(kind="ask", kappa=0.7, ask_S_min=1.5, ask_S_max=4.0)
+
+    @pytest.mark.parametrize("M, osk, fields", [
+        pytest.param(4, True, {}, id="4-True"),
+        pytest.param(4, False, {}, id="4-False"),
+        pytest.param(2, False, {}, id="2-False"),
+        pytest.param(1, True, {}, id="1-True"),
+        pytest.param(1, False, {}, id="1-False"),
+        pytest.param(64, True, {}, id="64-True"),
+        # a ladder's points differ in energy, so only the ask cases read the
+        # -|b|^2 table at characters u != 0
+        pytest.param(4, True, LADDER, id="ask-4-True"),
+        pytest.param(4, False, LADDER, id="ask-4-False"),
+        # S_min must exceed 1 / kappa
+        pytest.param(8, True, dict(LADDER, kappa=0.5, ask_S_min=2.5), id="ask-8-True"),
+        pytest.param(8, True, dict(kappa=0.6), id="8-True-lossy"),
+        pytest.param(8, False, dict(kappa=0.6), id="8-False-lossy"),
     ])
-    def test_matches_per_seed_loop(self, M, osk, ask):
+    def test_matches_per_seed_loop(self, M, osk, fields):
         # the Walsh-Hadamard fold over seed masks must agree with a plain
         # per-seed likelihood loop over re-encoded records
-        ladder = dict(kind="ask", kappa=0.7, ask_S_min=1.5, ask_S_max=4.0) if ask else {}
-        cfg = CipherConfig(M=M, S=0.8, key_bits=6, seed=0x21, osk=osk, **ladder)
+        cfg = CipherConfig(M=M, S=0.8, key_bits=6, seed=0x21, osk=osk, **fields)
         rng = np.random.default_rng(4)
         n = 40
         x = rng.integers(0, 2, n)
@@ -573,11 +581,72 @@ class TestKeyPosterior:
         assert math.isfinite(h) and 0.0 <= h <= key_bits
         assert peak < limit_mb * 2**20
 
+    @pytest.mark.parametrize("osk", [False, True])
+    def test_walsh_transforms_only_the_tables_and_the_seed_space(self, osk, monkeypatch):
+        # the slots' characters come from the constellation's tables, so the
+        # only transforms are of those six rows and of the one 2^|K| table
+        shapes = []
+
+        def spy(a):
+            shapes.append(a.shape)
+            return hadamard(a)
+
+        hadamard = attacks._hadamard
+        monkeypatch.setattr(attacks, "_hadamard", spy)
+        cfg = CipherConfig(M=64, S=0.5, key_bits=10, seed=0x2A5, osk=osk)
+        x, rec = _run(cfg, 300, np.random.default_rng(8))
+        key_posterior_entropy(rec, cfg, x)
+        assert shapes == [(3, 2, 64 << osk), (1 << 10,)]
+
     def test_key_size_cap(self):
         cfg = CipherConfig(M=2, S=1.0, key_bits=24, seed=1, lfsr_taps=0xC20001)
         rec = transmit(np.zeros(4, dtype=int), cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
             key_posterior_entropy(rec, cfg, np.zeros(4, dtype=int))
+
+
+class TestPlaintextBits:
+    ATTACKS = pytest.mark.parametrize("attack", [eve_ctoa_data, eve_key_symbol, key_posterior_entropy],
+                                      ids=["ctoa-data", "kpa", "posterior"])
+
+    @ATTACKS
+    @pytest.mark.parametrize("offset", [2, -1])
+    def test_nonbit_plaintext_rejected(self, attack, offset):
+        # x + 2 used to be read mod 2M, and 2 * ones scored as all errors
+        cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
+        x, rec = _run(cfg, 50, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="plaintext must be bits"):
+            attack(rec, cfg, x + offset)
+
+    @ATTACKS
+    def test_fractional_plaintext_rejected(self, attack):
+        # x + 0.7 used to be truncated to x
+        cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
+        x, rec = _run(cfg, 50, np.random.default_rng(9))
+        with pytest.raises(ValueError, match="plaintext must be integers"):
+            attack(rec, cfg, x + 0.7)
+
+
+class TestHadamard:
+    @pytest.mark.parametrize("bits", range(13))
+    def test_matches_sylvester_matrix(self, bits):
+        # H_{2n} = [[H, H], [H, -H]]; small integer entries keep both sides exact
+        H = np.ones((1, 1), dtype=np.float32)
+        for _ in range(bits):
+            H = np.kron(H, np.array([[1, 1], [1, -1]], dtype=np.float32))
+        rng = np.random.default_rng(bits)
+        for shape in [(1 << bits,), (1, 1 << bits), (3, 1 << bits), (682, 1 << bits)]:
+            a = rng.integers(-4, 5, shape).astype(np.float32)
+            want = (a @ H).astype(float)
+            np.testing.assert_array_equal(attacks._hadamard(a.astype(float)), want)
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (4,), (8,), (1 << 16,), (3, 2, 64),
+                                       (682, 128), (5, 4), (3, 1 << 12)])
+    def test_in_place_and_bitwise_equal_to_radix2_loop(self, shape):
+        a = np.random.default_rng(0).standard_normal(shape)
+        want = hadamard_radix2(a)
+        assert attacks._hadamard(a) is a
+        assert np.array_equal(a, want)
 
 
 class TestClosedFormMetrics:
