@@ -47,11 +47,19 @@ def apply_loss(amplitudes, kappa: float) -> np.ndarray:
 
 
 def heterodyne_sample(amplitudes, rng: np.random.Generator) -> np.ndarray:
-    """Simultaneous two-quadrature outcomes: mean alpha, variance 1/2 per quadrature."""
+    """Simultaneous two-quadrature outcomes: mean alpha, variance 1/2 per quadrature.
+
+    The real quadratures of every slot are drawn first, then the imaginary
+    ones, each as one ``rng.normal`` call of the input's shape; records,
+    reports and claim 7b depend on that order.  A scalar input gives a
+    ``np.complex128`` scalar.
+    """
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    noise = rng.normal(0.0, HETERODYNE_SIGMA, size=amps.shape) \
-        + 1j * rng.normal(0.0, HETERODYNE_SIGMA, size=amps.shape)
-    return amps + noise
+    out = np.empty(amps.shape, dtype=np.complex128)
+    out.real = rng.normal(0.0, HETERODYNE_SIGMA, size=amps.shape)
+    out.imag = rng.normal(0.0, HETERODYNE_SIGMA, size=amps.shape)
+    out += amps
+    return out[()]
 
 
 def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> MeasurementRecord:

@@ -25,18 +25,26 @@ from .constellation import ModulationKind, design_bases, make_ask, make_psk, nei
 # exact Python types of each parsed JSON type: neither True nor 4.0 is an integer
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,)}
 _REQUIRED = ("M", "S", "key_bits", "seed")
+
+
+def _finite(v) -> bool:
+    """A JSON number that is a finite double: neither NaN nor +-Infinity, and
+    no integer beyond the double range."""
+    return abs(v) <= sys.float_info.max
+
+
 # field: (accepted JSON types, test of a value of those types, what it must be)
 _CONFIG_FIELDS = {
     "M": (("integer",), lambda v: v >= 1 and not v & (v - 1), "a power of two"),
-    "S": (("number",), lambda v: v >= 0, ">= 0"),
+    "S": (("number",), lambda v: _finite(v) and v >= 0, "finite and >= 0"),
     "key_bits": (("integer",), lambda v: v >= 4, ">= 4"),
     "seed": (("integer",), lambda v: v >= 1, ">= 1"),
     "lfsr_taps": (("integer", "string"), None, None),
     "osk": (("boolean",), None, None),
     "kind": (("string",), lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
     "kappa": (("number",), lambda v: 0 < v <= 1, "in (0, 1]"),
-    "ask_S_min": (("number",), None, None),
-    "ask_S_max": (("number",), None, None),
+    "ask_S_min": (("number",), _finite, "finite"),
+    "ask_S_max": (("number",), _finite, "finite"),
 }
 # the choices of simulate's --plaintext and --attack, for flags and manifests alike
 _PLAINTEXTS = ("random", "zeros")
@@ -174,8 +182,8 @@ def cmd_bounds(args) -> int:
         print("error: empty grid", file=sys.stderr)
         return 2
     grid = [(n, s) for n in ns for s in ss]
-    if any(n < 2 for n, _ in grid) or any(s < 0 for _, s in grid):
-        print("error: invalid grid (need n >= 2, s >= 0)", file=sys.stderr)
+    if any(n < 2 for n, _ in grid) or not all(_finite(s) and s >= 0 for _, s in grid):
+        print("error: invalid grid (need n >= 2, finite s >= 0)", file=sys.stderr)
         return 2
     if args.kind in _BINARY_KINDS and set(ns) != {2}:
         print(f"error: --kind {args.kind} is a two-state bound; --n must be 2", file=sys.stderr)

@@ -74,8 +74,8 @@ def make_psk(M: int, S: float) -> Constellation:
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
-    if S < 0:
-        raise ValueError("S must be nonnegative")
+    if not math.isfinite(S) or S < 0:
+        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
     s = np.arange(2 * M)
     amps = math.sqrt(S) * np.exp(1j * math.pi * s / M)
     return Constellation(amps, ModulationKind.PSK)
@@ -90,6 +90,8 @@ def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
         raise ValueError("M must be a positive integer")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must be in (0, 1]")
+    if not (math.isfinite(S_min) and math.isfinite(S_max)):
+        raise ValueError(f"the energies S_min and S_max must be finite; got {S_min}, {S_max}")
     if S_max <= S_min:
         raise ValueError("S_max must exceed S_min")
     if S_min <= 1.0 / kappa:

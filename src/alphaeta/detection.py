@@ -185,8 +185,8 @@ def _ring_trace_norm(w: np.ndarray, S: float) -> float:
 def _check_ring(N: int, S: float) -> None:
     if N < 2:
         raise ValueError("need at least two states")
-    if S < 0:
-        raise ValueError("S must be nonnegative")
+    if not math.isfinite(S) or S < 0:
+        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
 
 
 def _ring_log_spectrum(N: int, S: float) -> np.ndarray:

@@ -11,6 +11,7 @@ conditions of the square-root measurement on a symmetric ring in the span
 basis, and ``symmetric_symbol_error_mc`` samples the heterodyne symbol error
 of the same ring.
 ``hadamard_radix2`` is the plain stage-by-stage Walsh-Hadamard loop.
+``heterodyne_sample_sum`` is the heterodyne tap written as one expression.
 ``RED_CLAIMS`` lists the reproduce checks whose published reference the true
 figure cannot meet; each entry carries the oracle for the measured figure, the
 claim's own stated band and a check that the claim's detail string is true.
@@ -18,6 +19,7 @@ claim's own stated band and a check that the claim's detail string is true.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,6 +184,14 @@ def full_slab_errors(record, config, kind, plaintext) -> int:
         cand = np.where(x[:, None] == 0, np.arange(M)[None, :], np.arange(M)[None, :] + M)
         guess = np.argmax(np.take_along_axis(ll, cand, axis=1), axis=1)
     return int(np.sum(guess != running_key(config, len(record))))
+
+
+def heterodyne_sample_sum(amplitudes, rng):
+    """Amplitudes plus complex noise of variance 1/2 per quadrature, with every
+    real quadrature drawn before any imaginary one."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    sigma = math.sqrt(0.5)
+    return amps + (rng.normal(0.0, sigma, amps.shape) + 1j * rng.normal(0.0, sigma, amps.shape))
 
 
 def hadamard_radix2(a: np.ndarray) -> np.ndarray:

@@ -16,9 +16,10 @@ checks that the printed detail is true:
       S in {2..5} is -2.133; the -2 exponent appears only after a log-S
       regressor absorbs the 1/sqrt(S) prefactor (then -2.014).
 """
+import numpy as np
 import pytest
 
-from alphaeta import reproduce
+from alphaeta import channel, reproduce
 
 from oracles import RED_CLAIMS
 
@@ -53,3 +54,44 @@ def test_acceptance_claim(claim_id):
     assert result.measured == pytest.approx(truth, **red.tolerance)
     assert result.passed == red.in_band(truth)
     red.check_detail(result.detail)
+
+
+# figures pinned bit for bit: the draws and the decisions behind them may be
+# rewritten for speed, never changed
+PINNED = {
+    "4b": (0.50138, "0.5 +/- 0.01",
+           "stderr=1.58e-03, bound Pe=0.500000 (ring_spectrum); every slot is a MAP tie "
+           "between equal mixtures, decided as 0, so the rate is the plaintext's "
+           "ones-fraction 0.50138"),
+    "7b": (1.9589843749945324e-05, "<= 4*SE (8.25e-04)",
+           "per-slot 0.89719, joint 0.80497, log2 formula -0.31304"),
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(PINNED))
+def test_pinned_figure(claim_id):
+    result = reproduce.run_claim(claim_id)
+    assert (result.measured, result.expected, result.detail) == PINNED[claim_id]
+    assert result.passed
+
+
+def test_collective_claim_samples_through_the_heterodyne_tap(monkeypatch):
+    shapes = []
+    sample = channel.heterodyne_sample
+
+    def spy(amplitudes, rng):
+        shapes.append(amplitudes.shape)
+        return sample(amplitudes, rng)
+
+    monkeypatch.setattr(channel, "heterodyne_sample", spy)
+    assert reproduce.run_claim("7b").passed
+    assert shapes == [(200_000, 2)]
+
+
+@pytest.mark.parametrize("shape, m", [((9,), 1), ((9,), 3), ((7, 2), 2), ((7, 2), 4)])
+def test_first_argmin_breaks_ties_as_argmin(shape, m):
+    # claim 7b's tournaments must decide as np.argmin, ties included
+    rng = np.random.default_rng(m)
+    costs = [rng.integers(0, 3, size=shape).astype(float) for _ in range(m)]
+    np.testing.assert_array_equal(reproduce._first_argmin(costs),
+                                  np.argmin(np.stack(costs), axis=0))

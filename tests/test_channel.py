@@ -18,6 +18,8 @@ from alphaeta.cipher import CipherConfig, encode
 from alphaeta.constellation import overlap
 from alphaeta.detection import helstrom_binary_pure, quadrature_binary
 
+from oracles import heterodyne_sample_sum
+
 
 class TestApplyLoss:
     def test_identity_channel(self):
@@ -74,6 +76,24 @@ class TestHeterodyneSampling:
         a = heterodyne_sample(np.ones(100), np.random.default_rng(5))
         b = heterodyne_sample(np.ones(100), np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("complex_input", [False, True])
+    @pytest.mark.parametrize("shape", [(), (0,), (5,), (7, 2)])
+    def test_bitwise_equal_to_one_expression(self, shape, complex_input):
+        # records, reports and claim 7b depend on these exact draws
+        src = np.random.default_rng(3)
+        amps = 2.0 * src.normal(size=shape)
+        if complex_input:
+            amps = amps + 1j * src.normal(size=shape)
+        if shape == ():
+            amps = amps.item()  # a Python scalar
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = heterodyne_sample(amps, rng)
+        want = heterodyne_sample_sum(amps, oracle_rng)
+        assert type(got) is type(want)  # np.complex128 for a scalar, else an array
+        assert np.shape(got) == shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestTransmit:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -64,6 +65,15 @@ class TestBounds:
         code, _, err = run_cli("bounds", "--n", "1", "--s", "1", "--kind", "srm")
         assert code == 2
         assert "invalid grid" in err
+
+    @pytest.mark.parametrize("kind", ["srm", "helstrom"])
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_non_finite_energy_exits_2(self, tmp_path, kind, s):
+        code, out, err = run_cli("bounds", "--n", "2", "--s", f"1,{s}", "--kind", kind,
+                                 "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid grid") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["helstrom", "quadrature-homodyne",
                                       "quadrature-heterodyne"])
@@ -185,6 +195,20 @@ class TestSimulate:
             load_config(cfg)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("field, value", [("S", math.inf), ("S", math.nan),
+                                              ("ask_S_min", math.nan), ("ask_S_max", math.inf)])
+    def test_non_finite_energy_exits_2(self, tmp_path, field, value):
+        # json writes these as the Infinity and NaN literals, which json reads back
+        ask = {"kind": "ask", "ask_S_min": 4.0, "ask_S_max": 9.0} if field != "S" else {}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**GOOD_CONFIG, **ask, field: value}))
+        out = tmp_path / "o"
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                               "--bits", "100", "--out", str(out))
+        assert code == 2
+        assert f"/{field}:" in err and "finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_key_entropy_beyond_posterior_limit_exits_2(self, tmp_path):
         # the limit is checked before any attack runs: no partial reports
         cfg = tmp_path / "cfg.json"
@@ -305,6 +329,17 @@ class TestDesign:
         assert int(row["bases"]) == 60
         assert float(row["neighbor_error"]) >= 0.3
 
+    @pytest.mark.parametrize("flags", [("--s", "nan"), ("--s", "inf"),
+                                       ("--kind", "ask", "--s-min", "nan", "--s", "100"),
+                                       ("--kind", "ask", "--s-min", "4", "--s", "inf")],
+                             ids=["s-nan", "s-inf", "ask-s-min-nan", "ask-s-inf"])
+    def test_non_finite_energy_exits_2(self, tmp_path, flags):
+        code, out, err = run_cli("design", "--target-pe", "0.3", *flags,
+                                 "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestValidation:
     def test_valid_config_passes(self):
@@ -343,7 +378,8 @@ OLD_CONFIG_SCHEMA = {
 }
 
 # (config, pointers the validator adds to the schema's): JSON Schema counts an
-# integral float as an integer, which CipherConfig does not
+# integral float as an integer, which CipherConfig does not, and accepts any
+# number as an energy, where the validator wants a finite double
 SCHEMA_CASES = {
     "good": (GOOD_CONFIG, []),
     "required-only": ({"M": 64, "S": 40.0, "key_bits": 12, "seed": 1445}, []),
@@ -365,6 +401,11 @@ SCHEMA_CASES = {
     "kappa-1.5": ({**GOOD_CONFIG, "kappa": 1.5}, []),
     "bad-kind": ({**GOOD_CONFIG, "kind": "qam"}, []),
     "S-negative": ({**GOOD_CONFIG, "S": -1}, []),
+    "S-infinity": ({**GOOD_CONFIG, "S": math.inf}, ["/S"]),
+    "S-nan": ({**GOOD_CONFIG, "S": math.nan}, ["/S"]),
+    "S-beyond-doubles": ({**GOOD_CONFIG, "S": 10 ** 400}, ["/S"]),
+    "ask-min-nan": ({**GOOD_CONFIG, "ask_S_min": math.nan}, ["/ask_S_min"]),
+    "ask-max-infinity": ({**GOOD_CONFIG, "ask_S_max": math.inf}, ["/ask_S_max"]),
     "M-float": ({**GOOD_CONFIG, "M": 64.0}, ["/M"]),
     "key_bits-float": ({**GOOD_CONFIG, "key_bits": 12.0}, ["/key_bits"]),
     "seed-float": ({**GOOD_CONFIG, "seed": 1445.0}, ["/seed"]),

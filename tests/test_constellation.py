@@ -124,6 +124,11 @@ class TestMakePsk:
         with pytest.raises(ValueError):
             make_psk(4, -1.0)
 
+    @pytest.mark.parametrize("S", [math.nan, math.inf])
+    def test_rejects_non_finite_energy(self, S):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            make_psk(4, S)
+
     def test_neighbor_chord_matches_design_spacing(self):
         c = make_psk(1000, 1e4)
         chord = c.neighbor_distance()
@@ -159,6 +164,12 @@ class TestMakeAsk:
         with pytest.raises(ValueError):
             make_ask(2, 0.5, 4.0, 0.5)  # 0.5 <= 1/0.5
         make_ask(2, 2.01, 4.0, 0.5)  # just above the floor is fine
+
+    @pytest.mark.parametrize("S_min, S_max", [(math.nan, 4.0), (2.0, math.nan),
+                                              (2.0, math.inf), (math.inf, math.inf)])
+    def test_rejects_non_finite_energy(self, S_min, S_max):
+        with pytest.raises(ValueError, match="must be finite"):
+            make_ask(2, S_min, S_max, 1.0)
 
 
 class TestNeighborError:

@@ -443,6 +443,13 @@ class TestSrmSymmetric:
         with pytest.raises(ValueError):
             srm_symmetric(4, -1.0)
 
+    @pytest.mark.parametrize("bound", [srm_symmetric, usd_symmetric])
+    @pytest.mark.parametrize("S", [math.nan, math.inf])
+    def test_rejects_non_finite_energy(self, bound, S):
+        # not a bare math.floor error from the spectrum
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            bound(2, S)
+
 
 class TestUsdSymmetric:
     def test_two_state_closed_form(self):
