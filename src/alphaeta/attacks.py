@@ -5,9 +5,10 @@ only record the package makes, followed by optimal classical
 post-processing: max-likelihood key decisions read the nearest allowed
 point, and so does the known-plaintext key MAP under OSK on a PSK ring,
 whose symbol pairs are antipodal; the data-bit MAP is the nearer of its two
-hypotheses' centroids, whose halves mirror each other; only the
-known-plaintext key MAP under OSK on an ASK ladder scores the run of points
-within reach of each sample, with a recorded bound on the mass left out.
+hypotheses' centroids, whose halves mirror each other; the known-plaintext
+key MAP under OSK on an ASK ladder sums each symbol's pair over the run of
+points that a ln 2 certificate leaves in reach.  Every attack decision is
+exact: no likelihood mass is left out of it.
 Quantum-optimal attacks enter only as bounds, so the empirical/bound gap
 stays visible.
 The exhaustive key-posterior oracle scores every seed of any register up to
@@ -32,10 +33,6 @@ from .detection import (
 )
 
 _CHUNK = 4096  # slots per likelihood block
-# Likelihood mass a window may leave out, relative to the nearest point's:
-# below the 2^-53 rounding of the decisions' own sums, so no MAP decision
-# can turn on it.
-_DROPPED_MASS_TOL = 2.0 ** -60
 _POSTERIOR_MAX_KEY_BITS = 22  # largest register the key posterior enumerates
 
 
@@ -54,10 +51,6 @@ class AttackReport:
     empirical: EmpiricalRate
     bound: BoundReport
     seed: int | None = None
-    # largest per-slot bound on the likelihood mass the MAP window left out,
-    # relative to the nearest point's; nonzero only for the ladder pair sum
-    # of kpa under OSK with a window narrower than the ladder
-    dropped_mass_bound: float = 0.0
 
 
 def _rate(errors: int, n: int) -> EmpiricalRate:
@@ -100,28 +93,33 @@ def _nearest(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
     return lo + np.clip(np.rint(pos), 0, last).astype(np.int64)
 
 
-def _ladder_window(y: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """The ladder points within reach of each sample, as an index run: each
-    row's first index ``start``, the run's ``width`` and the bound on the
-    likelihood mass left out, relative to the nearest point's.
+def _ladder_pair_map(y: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Each sample's symbol MAP on a ladder when its polarity is unknown:
+    symbol k is the pair of points {k, k + M}, whose two likelihoods add.
 
-    The run is the 2w+1 points around the nearest one (``_nearest``), clamped
-    inside [0, 2M).  Every dropped point is at least step^2 w(w+1) further in
-    squared distance than the nearest, so the dropped mass is at most
-    (2M-2w-1) e^{-step^2 w(w+1)}.  w is the smallest half-width whose bound
-    is below _DROPPED_MASS_TOL; when none is, the run is the whole ladder and
-    the bound 0.
+    With d* the distance from y to the nearest point, a symbol whose two
+    points both lie farther than sqrt(d*^2 + ln 2) sums to less than
+    2 e^{-d*^2 - ln 2} = e^{-d*^2}, the nearest point's own term, so it
+    cannot win.  On a ladder of step delta the points w + 1 or more steps
+    from the nearest one are at least delta^2 w(w+1) > ln 2 further in
+    squared distance, for w = ceil(sqrt(delta^2/4 + ln 2) / delta).  So the
+    candidates are the symbols of the 2w+1 points around the nearest
+    (``_nearest``), clamped inside [0, 2M): the whole ladder when
+    2w+1 >= 2M.  Each is scored with both of its points, and ties go to the
+    lowest symbol, as in a scan of all M symbols.
     """
-    n = len(beta)
-    w_all = np.arange(n // 2)  # half-widths whose window 2w+1 < 2M
+    n, M = len(beta), len(beta) // 2
     step = beta[1].real - beta[0].real
-    log_bound = np.log(n - 1 - 2 * w_all) - step ** 2 * w_all * (w_all + 1)  # decreasing in w
-    fits = np.flatnonzero(log_bound <= math.log(_DROPPED_MASS_TOL))
-    if not len(fits):
-        return np.zeros(len(y), dtype=np.int64), n, 0.0
-    w = int(fits[0])
-    start = np.clip(_nearest(y, beta, ModulationKind.ASK) - w, 0, n - 1 - 2 * w)
-    return start, 2 * w + 1, math.exp(log_bound[w])
+    w = math.ceil(math.sqrt(step ** 2 / 4 + math.log(2)) / step)
+    width = min(2 * w + 1, n)
+    start = np.clip(_nearest(y, beta, ModulationKind.ASK) - w, 0, n - width)
+    k = (start[:, None] + np.arange(width)) % M
+    # log-likelihoods -|y - beta_j|^2, up to a constant (heterodyne variance
+    # 1/2 per quadrature), rounded as a scan of every point rounds them, so
+    # near-ties fall the same way
+    y = y[:, None]
+    score = np.logaddexp(-np.abs(y - beta[k]) ** 2, -np.abs(y - beta[k + M]) ** 2)
+    return np.where(score == score.max(axis=1, keepdims=True), k, M).min(axis=1)
 
 
 def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
@@ -171,8 +169,8 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     2 e^{-|y|^2 - r^2} cosh(2 r |y| cos(theta - pi k / M)), largest for the
     symbol whose point or antipode is nearest in angle: the nearest point of
     all 2M mod M, exact.  On an ASK ladder the pair is a shift by M steps,
-    not a reflection, so the two likelihoods are summed over each sample's
-    run within reach (``_ladder_window``).  The bound is the
+    not a reflection, so the two likelihoods are summed over the symbols a
+    ln 2 certificate leaves in reach (``_ladder_pair_map``).  The bound is the
     symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
     (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
     bound is an error of exactly 0 (method ``single_state``).
@@ -186,21 +184,10 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     if known and len(x) != n:
         raise ValueError("record and plaintext lengths differ")
 
-    dropped = 0.0
     if known and config.osk and config.kind is ModulationKind.ASK:
         guess = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _CHUNK):
-            y = record.samples[lo:lo + _CHUNK]
-            start, width, bound = _ladder_window(y, beta)
-            # log-likelihoods -|y - beta_j|^2 of each run's points, up to a
-            # constant (heterodyne variance 1/2 per quadrature)
-            ll = -np.abs(y[:, None] - beta[start[:, None] + np.arange(width)]) ** 2
-            # symbol k is the pair {k, k + M}, which run positions i and
-            # i + M hold
-            q = max(0, width - M)
-            ll = np.concatenate([np.logaddexp(ll[:, :q], ll[:, M:M + q]), ll[:, q:M]], axis=1)
-            guess[lo:lo + len(y)] = (start + np.argmax(ll, axis=1)) % M  # first on ties
-            dropped = max(dropped, bound)
+            guess[lo:lo + _CHUNK] = _ladder_pair_map(record.samples[lo:lo + _CHUNK], beta)
     else:
         guess = _nearest(record.samples, beta, config.kind, half=None if config.osk else x) % M
     errors = int(np.sum(guess != k_true))
@@ -210,7 +197,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     else:
         bound = srm_symmetric(M if known else 2 * M, config.S)
     kind = "kpa_key" if known else "ctoa_key"
-    return AttackReport(kind, _rate(errors, n), bound, seed, dropped_mass_bound=dropped)
+    return AttackReport(kind, _rate(errors, n), bound, seed)
 
 
 # --- exhaustive key posterior ------------------------------------------------
@@ -262,9 +249,9 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
 
     Scores all 2^|K|-1 seeds against the Gaussian record and normalizes;
     this is the brute-force key-security oracle, for any taps and |K| <= 22
-    (_POSTERIOR_MAX_KEY_BITS; over 682 slots at M=64 under OSK, |K| = 20
-    takes about 0.09 s and a 25 MB tracemalloc peak, |K| = 22 about 0.45 s
-    and 97 MB, |K| = 24 would take 390 MB).  Every keyed bit is
+    (_POSTERIOR_MAX_KEY_BITS; over 682 slots at M=64, S=0.005 under OSK, a
+    warm call takes 0.07-0.08 s and a 17.4 MiB tracemalloc peak at |K| = 20,
+    0.24-0.36 s and 65.4 MiB at |K| = 22, on 2 cores).  Every keyed bit is
     parity(mask & s) for a seed mask (``_seed_masks``), so slot t's
     log-likelihood is a table f_t(z) over its z = symbol bits (plus the
     polarity bit under OSK), and each Walsh character u of f_t is the

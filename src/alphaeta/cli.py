@@ -20,7 +20,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the module
 
 from . import __version__, attacks, channel, cipher, detection, reproduce
-from .constellation import ModulationKind, design_bases, make_ask, make_psk, neighbor_error
+from .constellation import ModulationKind, design_bases, design_neighbor_error
 
 # exact Python types of each parsed JSON type: neither True nor 4.0 is an integer
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,)}
@@ -309,15 +309,13 @@ def cmd_design(args) -> int:
     kind = ModulationKind(args.kind)
     try:
         m = design_bases(args.target_pe, args.s, kind, S_min=args.s_min)
-        c = make_psk(m, args.s) if kind is ModulationKind.PSK else \
-            make_ask(m, args.s_min, args.s, 1.0)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = [{
         "target_pe": args.target_pe, "s": args.s, "kind": kind.value,
         "bases": m,
-        "neighbor_error": neighbor_error(c),
+        "neighbor_error": design_neighbor_error(m, args.s, kind, args.s_min),
     }]
     _emit(rows, args, "design")
     return 0

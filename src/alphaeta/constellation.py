@@ -142,38 +142,40 @@ def neighbor_error(c: Constellation) -> float:
     return gaussian_tail(t0)
 
 
+def design_neighbor_error(M: int, S: float, kind: ModulationKind = ModulationKind.PSK,
+                          S_min: float | None = None) -> float:
+    """``neighbor_error`` of the M-basis constellation ``design_bases`` weighs,
+    from its chord in closed form, with no point built: 2 sqrt(S) sin(pi/2M)
+    on a PSK ring of energy S, (sqrt(S) - sqrt(S_min))/(2M - 1) on a
+    lossless ASK ladder from S_min to S.  Refuses the energies ``make_psk``
+    and ``make_ask`` (at kappa = 1) refuse.
+    """
+    kind = ModulationKind(kind)
+    if not math.isfinite(S) or S < 0:
+        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
+    if kind is ModulationKind.PSK:
+        chord = 2.0 * math.sqrt(S) * math.sin(math.pi / (2 * M))
+    else:
+        if S_min is None or not 1.0 < S_min < S:  # NaN fails every comparison
+            raise ValueError(f"ASK design needs a finite S_min with 1 = 1/kappa < S_min < S; "
+                             f"got S_min={S_min}, S={S}")
+        chord = (math.sqrt(S) - math.sqrt(S_min)) / (2 * M - 1)
+    return gaussian_tail(chord / (2.0 * COHERENT_SIGMA))
+
+
 def design_bases(target_pe: float, S: float, kind: ModulationKind = ModulationKind.PSK,
                  S_min: float | None = None) -> int:
-    """Smallest number of bases M whose neighbor confusion reaches target_pe.
+    """Smallest power of two M, the base counts ``CipherConfig`` accepts,
+    whose neighbor confusion (``design_neighbor_error``) reaches target_pe.
 
     Neighbor error grows with M at fixed energy (points crowd together), so
-    the admissible set {M : neighbor_error >= target} is upward closed; its
-    boundary M scales like sqrt(S).  Ties at the boundary resolve toward the
-    larger, more secure M.  For ASK supply S_min; S is then read as S_max.
+    the first M = 2^j, j <= 40, that reaches the target is the answer; the
+    boundary M scales like sqrt(S).  For ASK supply S_min; S is then read as
+    S_max.  A target no M up to 2^40 reaches raises ValueError.
     """
     if not 0.2 <= target_pe < 0.5:
         raise ValueError("target_pe must lie in [0.2, 0.5)")
-    kind = ModulationKind(kind)
-
-    def pe(M: int) -> float:
-        if kind is ModulationKind.PSK:
-            return neighbor_error(make_psk(M, S))
-        if S_min is None:
-            raise ValueError("ASK design requires S_min")
-        return neighbor_error(make_ask(M, S_min, S, kappa=1.0))
-
-    if pe(1) >= target_pe:
-        return 1
-    lo, hi = 1, 2
-    while pe(hi) < target_pe:
-        lo, hi = hi, hi * 2
-        if hi > 1 << 40:
-            raise RuntimeError("target_pe unreachable")
-    # invariant: pe(lo) < target <= pe(hi)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pe(mid) >= target_pe:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    for j in range(41):
+        if design_neighbor_error(1 << j, S, kind, S_min) >= target_pe:
+            return 1 << j
+    raise ValueError(f"target_pe {target_pe} is unreachable at S={S} with at most 2^40 bases")

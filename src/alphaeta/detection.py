@@ -22,6 +22,7 @@ circulant basis the Holevo-Yuen conditions hold with equality (see
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,14 @@ def _clip01(x: float) -> float:
     return min(1.0, max(0.0, float(x)))
 
 
+def _distance(a, b) -> float:
+    """|a - b| of two amplitudes, which must be finite."""
+    za, zb = complex(a), complex(b)
+    if not (cmath.isfinite(za) and cmath.isfinite(zb)):
+        raise ValueError(f"the amplitudes must be finite; got {a}, {b}")
+    return abs(za - zb)
+
+
 def helstrom_binary_pure(a, b) -> BoundReport:
     """Minimum error probability between two equiprobable pure coherent states.
 
@@ -69,7 +78,7 @@ def helstrom_binary_pure(a, b) -> BoundReport:
     x / (2 (1 + sqrt(...))), which stays accurate both for nearly identical
     states (Pe just under 1/2) and for far ones (Pe near 0).
     """
-    d2 = abs(complex(a) - complex(b)) ** 2
+    d2 = _distance(a, b) ** 2
     disc = -math.expm1(-d2) if d2 < 745.0 else 1.0
     x = math.exp(-d2) if d2 < 745.0 else 0.0
     pe = x / (2.0 * (1.0 + math.sqrt(disc)))
@@ -89,7 +98,7 @@ def quadrature_binary(a, b, mode: str = "homodyne") -> BoundReport:
         sigma = HETERODYNE_SIGMA
     else:
         raise ValueError(f"unknown mode: {mode}")
-    d = abs(complex(a) - complex(b))
+    d = _distance(a, b)
     return BoundReport(_clip01(gaussian_tail(d / (2.0 * sigma))), "error", "quadrature")
 
 

@@ -6,8 +6,9 @@ error of any signed mixture over that ring from it, and
 ``ladder_mixture_helstrom`` computes the same figure on a real-amplitude
 ladder.  ``full_slab_errors``
 counts the eavesdropper's MAP errors by scoring every sample against every
-constellation point.  ``srm_holevo_yuen_residual`` checks the optimality
-conditions of the square-root measurement on a symmetric ring in the span
+constellation point; ``pair_sum_map`` is its symbol decision when the known
+bit leaves each symbol's polarity unknown.  ``srm_holevo_yuen_residual``
+checks the optimality conditions of the square-root measurement on a symmetric ring in the span
 basis, and ``symmetric_symbol_error_mc`` samples the heterodyne symbol error
 of the same ring.
 ``hadamard_radix2`` is the plain stage-by-stage Walsh-Hadamard loop.
@@ -179,11 +180,19 @@ def full_slab_errors(record, config, kind, plaintext) -> int:
     if kind == "ctoa_key":
         guess = np.argmax(ll, axis=1) % M
     elif config.osk:
-        guess = np.argmax(np.logaddexp(ll[:, :M], ll[:, M:]), axis=1)
+        guess = pair_sum_map(record.samples, beta)
     else:
         cand = np.where(x[:, None] == 0, np.arange(M)[None, :], np.arange(M)[None, :] + M)
         guess = np.argmax(np.take_along_axis(ll, cand, axis=1), axis=1)
     return int(np.sum(guess != running_key(config, len(record))))
+
+
+def pair_sum_map(samples, beta) -> np.ndarray:
+    """Each sample's symbol k maximizing the sum of the likelihoods of its two
+    points {k, k + M}, over all M symbols; ties go to the lowest symbol."""
+    M = len(beta) // 2
+    ll = -np.abs(samples[:, None] - beta[None, :]) ** 2
+    return np.argmax(np.logaddexp(ll[:, :M], ll[:, M:]), axis=1)
 
 
 def heterodyne_sample_sum(amplitudes, rng):

@@ -7,7 +7,6 @@ import pytest
 
 from alphaeta import attacks
 from alphaeta.attacks import (
-    _DROPPED_MASS_TOL,
     bit_hypotheses,
     collective_success,
     collective_usd_bound,
@@ -15,12 +14,12 @@ from alphaeta.attacks import (
     eve_key_symbol,
     key_posterior_entropy,
 )
-from alphaeta.channel import MeasurementRecord, transmit
+from alphaeta.channel import MeasurementRecord, apply_loss, transmit
 from alphaeta.cipher import CipherConfig, encode, running_key, slots_per_period
 from alphaeta.constellation import ModulationKind
 from alphaeta.detection import quadrature_binary, srm_symmetric
 
-from oracles import full_slab_errors, hadamard_radix2, symmetric_symbol_error_mc
+from oracles import full_slab_errors, hadamard_radix2, pair_sum_map, symmetric_symbol_error_mc
 
 
 def _run(config, n, rng, plaintext=None):
@@ -91,7 +90,6 @@ class TestWindowedMap:
         "ask8-low": dict(M=8, S=4.0, kind="ask", ask_S_min=2.0, ask_S_max=4.0),
         "ask8-high": dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0),
     }
-    NARROW = {"ask8-high"}  # the ladder window is narrower than the ladder
 
     @pytest.mark.parametrize("osk", [False, True])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -104,26 +102,82 @@ class TestWindowedMap:
         for rep in reports:
             want = full_slab_errors(rec, cfg, rep.attack_kind, x)
             assert rep.empirical.value == want / len(x), rep.attack_kind
-            # only kpa under OSK on a ladder sums over a window; every other
-            # decision reads the nearest point or centroid and leaves out no
-            # mass
-            ask = cfg.kind is ModulationKind.ASK
-            sum_rule = rep.attack_kind == "kpa_key" and osk and ask
-            if case in self.NARROW and sum_rule:
-                assert 0.0 < rep.dropped_mass_bound <= _DROPPED_MASS_TOL
-            else:
-                assert rep.dropped_mass_bound == 0.0
 
     @pytest.mark.parametrize("case", ["psk8-high", "ask8-high"])
     def test_window_reaches_the_known_half(self, case):
-        # a wrong plaintext puts each sample in the other half, out of reach of
-        # the bound's window; the maximum over the known half must still be
-        # found
+        # a wrong plaintext puts each sample in the other half, far from
+        # every point of the known one; the maximum over the known half must
+        # still be found
         cfg = CipherConfig(key_bits=12, seed=0x5A5, **self.CASES[case])
         x, rec = _run(cfg, 5_000, np.random.default_rng(9))
         rep = eve_key_symbol(rec, cfg, 1 - x)
         assert rep.empirical.value == full_slab_errors(rec, cfg, "kpa_key", 1 - x) / len(x)
         assert rep.empirical.value > 0.5
+
+    @staticmethod
+    def _ladder(M, S_min, S_max, kappa=1.0):
+        cfg = CipherConfig(M=M, S=S_max, key_bits=12, seed=1, kind="ask", kappa=kappa,
+                           ask_S_min=S_min, ask_S_max=S_max)
+        return apply_loss(cfg.constellation().amplitudes, kappa)
+
+    @staticmethod
+    def _whole(beta):
+        """Whether the certificate's run, 2w+1 points with
+        w = ceil(sqrt(step^2/4 + ln 2) / step), covers the whole ladder."""
+        step = beta[1].real - beta[0].real
+        return 2 * math.ceil(math.sqrt(step ** 2 / 4 + math.log(2)) / step) + 1 >= len(beta)
+
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole", "narrow"])
+    def test_pair_sum_on_random_ladders(self, whole):
+        # random ladders with M from 1 to 128, energies and loss; the samples
+        # reach 5 beyond either end.  A short span makes a short step, whose
+        # run covers the whole ladder; a long one leaves a narrow run.
+        rng = np.random.default_rng(11 + whole)
+        tried = 0
+        for _ in range(40):
+            M = 1 << int(rng.integers(0, 8))
+            kappa = rng.uniform(0.1, 1.0)
+            S_min = (1 + rng.uniform(0.01, 20)) / kappa
+            span = rng.uniform(0.01, 2.0) if whole else rng.uniform(50, 4000)
+            beta = self._ladder(M, S_min, S_min + span * M / 8, kappa)
+            if self._whole(beta) != whole:
+                continue
+            tried += 1
+            re = rng.uniform(beta[0].real - 5, beta[-1].real + 5, 1000)
+            y = re + 1j * rng.normal(0, 1, len(re))
+            np.testing.assert_array_equal(attacks._ladder_pair_map(y, beta), pair_sum_map(y, beta))
+        assert tried >= 30
+
+    def test_pair_sum_dense_sweep(self):
+        # a short-step ladder (M = 4, amplitudes 1.5 ... 3.6, step 0.3) swept
+        # from 3 before its first point to 3 past its last: here the run
+        # needs the ln 2 margin, 7 of the 8 points, and 3 points around the
+        # nearest decide thousands of samples wrongly
+        beta = self._ladder(4, 1.5 ** 2, 3.6 ** 2)
+        assert not self._whole(beta)
+        y = np.linspace(beta[0].real - 3, beta[-1].real + 3, 20_001) + 0.3j
+        np.testing.assert_array_equal(attacks._ladder_pair_map(y, beta), pair_sum_map(y, beta))
+        # the same samples as one record, five likelihood chunks
+        cfg = CipherConfig(M=4, S=3.6 ** 2, key_bits=12, seed=0x5A5, osk=True, kind="ask",
+                           ask_S_min=1.5 ** 2, ask_S_max=3.6 ** 2)
+        rec, x = MeasurementRecord(y, 1.0), np.zeros(len(y), dtype=np.int64)
+        want = full_slab_errors(rec, cfg, "kpa_key", x)
+        assert eve_key_symbol(rec, cfg, x).empirical.value == want / len(y)
+
+    def test_pair_sum_tie_goes_to_the_lowest_symbol(self):
+        # the ladder 1.5 ... 6.0 (step 0.3) is symmetric about 3.75, where
+        # symbol 0 = {1.5, 3.9} and symbol 7 = {3.6, 6.0} tie exactly; a scan
+        # of all M symbols takes 0, a scan in run order would take 7
+        fields = dict(M=8, S=36.0, kind="ask", ask_S_min=1.5 ** 2, ask_S_max=36.0)
+        beta = self._ladder(8, 1.5 ** 2, 36.0)
+        y = np.array([3.75, 3.75 + 0.5j])
+        ll = -np.abs(y[:, None] - beta) ** 2
+        pair = np.logaddexp(ll[:, :8], ll[:, 8:])
+        assert np.all(pair[:, 0] == pair[:, 7]) and np.all(pair[:, 0] == pair.max(axis=1))
+        np.testing.assert_array_equal(attacks._ladder_pair_map(y, beta), [0, 0])
+        for half in (0, 1):
+            got, want = TestKeySymbolDecisions._decide(fields, y, half, osk=True)
+            assert got == want == [[0], [0]]
 
 
 class TestCtoaDataDecisions:
@@ -249,15 +303,15 @@ class TestScoredRows:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record the samples of each _ladder_window call."""
+        """Record the samples of each _ladder_pair_map call."""
         calls = []
-        window = attacks._ladder_window
+        pair_map = attacks._ladder_pair_map
 
-        def spy_window(y, beta):
+        def spy_pair_map(y, beta):
             calls.append(y)
-            return window(y, beta)
+            return pair_map(y, beta)
 
-        monkeypatch.setattr(attacks, "_ladder_window", spy_window)
+        monkeypatch.setattr(attacks, "_ladder_pair_map", spy_pair_map)
         return calls
 
     @pytest.mark.parametrize("osk", [False, True], ids=["plain", "osk"])

@@ -4,11 +4,15 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from alphaeta.channel import MeasurementRecord
+from alphaeta.cipher import CipherConfig
 from alphaeta.cli import load_config, validate_config_dict
+from alphaeta.constellation import neighbor_error
 
-from oracles import RED_CLAIMS
+from oracles import RED_CLAIMS, full_slab_errors
 
 GOOD_CONFIG = {
     "M": 64, "S": 40.0, "key_bits": 12, "seed": 1445,
@@ -308,6 +312,37 @@ class TestSimulate:
             counts[name] = round(rate["value"] * rate["trials"])
         assert counts == self.README_COUNTS[osk]
 
+    def test_ask_osk_key_reports(self, tmp_path):
+        # kpa under OSK on a ladder sums each symbol's pair over a run of the
+        # ladder; its reports carry no more fields than any other key report,
+        # rerun byte for byte, and count a full scan's errors
+        config = {"M": 64, "S": 2000.0, "key_bits": 12, "seed": 1445, "osk": True,
+                  "kind": "ask", "kappa": 0.8, "ask_S_min": 2.0, "ask_S_max": 2000.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out1 = tmp_path / "run1"
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "11",
+                               "--bits", "5000", "--plaintext", "zeros",
+                               "--attack", "kpa", "ctoa-key", "--save-record",
+                               "--out", str(out1))
+        assert code == 0, err
+        out2 = tmp_path / "run2"
+        code, _, err = run_cli("simulate", "--from-manifest", str(out1 / "manifest.json"),
+                               "--out", str(out2))
+        assert code == 0, err
+        interleaved = np.fromfile(out1 / "record.bin", dtype="<f8")
+        record = MeasurementRecord(interleaved[0::2] + 1j * interleaved[1::2], 0.8)
+        x = np.zeros(5000, dtype=np.int64)
+        for kind in ("kpa_key", "ctoa_key"):
+            name = f"report_{kind}.json"
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+            rep = json.loads((out1 / name).read_text())
+            assert set(rep) == {"attack_kind", "empirical", "bound", "seed"}
+            rate = rep["empirical"]
+            assert rate["trials"] == 5000
+            want = full_slab_errors(record, CipherConfig(**config), kind, x)
+            assert round(rate["value"] * rate["trials"]) == want
+
     def test_zero_plaintext_probe_is_kpa_setup(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**GOOD_CONFIG, "M": 4, "S": 100.0}))
@@ -326,8 +361,26 @@ class TestDesign:
         code, out, _ = run_cli("design", "--target-pe", "0.3", "--s", "100")
         assert code == 0
         row = next(csv.DictReader(out.splitlines()))
-        assert int(row["bases"]) == 60
+        assert int(row["bases"]) == 64
         assert float(row["neighbor_error"]) >= 0.3
+
+    @pytest.mark.parametrize("flags", [(), ("--kind", "ask", "--s-min", "2")], ids=["psk", "ask"])
+    def test_printed_bases_build_a_config(self, flags):
+        code, out, _ = run_cli("design", "--target-pe", "0.3", "--s", "100", *flags)
+        assert code == 0
+        row = next(csv.DictReader(out.splitlines()))
+        ask = dict(kind="ask", ask_S_min=2.0, ask_S_max=100.0) if flags else {}
+        cfg = CipherConfig(M=int(row["bases"]), S=100.0, key_bits=12, seed=1, **ask)
+        assert float(row["neighbor_error"]) == pytest.approx(
+            neighbor_error(cfg.constellation()), rel=1e-12)
+
+    def test_unreachable_target_exits_2(self, tmp_path):
+        # no ring is built: the 2^40 scan ends at once with an error line
+        code, out, err = run_cli("design", "--target-pe", "0.3", "--s", "1e300",
+                                 "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "unreachable" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flags", [("--s", "nan"), ("--s", "inf"),
                                        ("--kind", "ask", "--s-min", "nan", "--s", "100"),

@@ -9,6 +9,7 @@ from alphaeta.constellation import (
     Constellation,
     ModulationKind,
     design_bases,
+    design_neighbor_error,
     gaussian_tail,
     gram_matrix,
     make_ask,
@@ -200,24 +201,62 @@ class TestNeighborError:
 
 class TestDesignBases:
     def test_result_verifies_bound(self):
+        # the smallest power of two: half of it falls short
         for target in (0.2, 0.3, 0.45):
             for s in (10.0, 100.0, 1e3):
                 m = design_bases(target, s)
+                assert m & (m - 1) == 0
                 assert neighbor_error(make_psk(m, s)) >= target
                 if m > 1:
-                    assert neighbor_error(make_psk(m - 1, s)) < target
+                    assert neighbor_error(make_psk(m // 2, s)) < target
+        for target in (0.2, 0.3, 0.45):
+            for s in (100.0, 4000.0):
+                m = design_bases(target, s, ModulationKind.ASK, 2.0)
+                assert m & (m - 1) == 0 and m > 1
+                assert neighbor_error(make_ask(m, 2.0, s, 1.0)) >= target
+                assert neighbor_error(make_ask(m // 2, 2.0, s, 1.0)) < target
 
     def test_known_point(self):
         # invert the Gaussian tail: Q(t0) = 0.3 at t0 ~ 0.5244, chord = t0
-        # => M ~ pi sqrt(S) / t0 ~ 59.9 at S = 100
-        m = design_bases(0.3, 100.0)
-        assert m == 60
+        # => M ~ pi sqrt(S) / t0 ~ 59.9 at S = 100, and 64 is the next power
+        # of two
+        assert design_bases(0.3, 100.0) == 64
+
+    def test_powers_of_two_at_the_otp_energy(self):
+        # the integer boundaries are 237, 379, 785 and 7926 bases
+        got = [design_bases(t, 4000.0) for t in (0.2, 0.3, 0.4, 0.49)]
+        assert got == [256, 512, 1024, 8192]
 
     def test_energy_scaling_doubles_bases(self):
         for s in (50.0, 200.0, 800.0):
             m1 = design_bases(0.3, s)
             m2 = design_bases(0.3, 4 * s)
-            assert abs(m2 - 2 * m1) <= 1
+            assert m2 == 2 * m1
+
+    @pytest.mark.parametrize("M, S", [(1, 4.0), (60, 100.0), (64, 100.0), (379, 4000.0),
+                                      (512, 4000.0), (4096, 1e6)])
+    def test_closed_form_matches_the_built_ring(self, M, S):
+        assert design_neighbor_error(M, S) == pytest.approx(neighbor_error(make_psk(M, S)),
+                                                            rel=1e-12)
+
+    @pytest.mark.parametrize("M, S_min, S", [(1, 2.0, 100.0), (9, 2.0, 100.0),
+                                             (64, 2.0, 4000.0), (512, 1.5, 2000.0)])
+    def test_closed_form_matches_the_built_ladder(self, M, S_min, S):
+        got = design_neighbor_error(M, S, ModulationKind.ASK, S_min)
+        assert got == pytest.approx(neighbor_error(make_ask(M, S_min, S, 1.0)), rel=1e-12)
+
+    def test_unreachable_target_raises_at_once(self):
+        # M ~ 6 sqrt(S) bases would be needed, far beyond 2^40; no ring is
+        # built, so this returns at once
+        with pytest.raises(ValueError, match="unreachable"):
+            design_bases(0.3, 1e300)
+
+    @pytest.mark.parametrize("S_min, S", [(None, 100.0), (1.0, 100.0), (math.nan, 100.0),
+                                          (4.0, 4.0), (4.0, math.inf)])
+    def test_ladder_energies_checked(self, S_min, S):
+        # what make_ask refuses at kappa = 1
+        with pytest.raises(ValueError):
+            design_bases(0.3, S, ModulationKind.ASK, S_min)
 
     def test_target_range_enforced(self):
         with pytest.raises(ValueError):

@@ -128,6 +128,23 @@ class TestQuadrature:
         assert helstrom_binary_pure(a, b).value <= quadrature_binary(a, b).value + 1e-12
 
 
+class TestBinaryInputs:
+    # a NaN distance fails every comparison, so these bounds used to come out
+    # as an error of exactly 0 instead of raising
+    @pytest.mark.parametrize("bound", [
+        helstrom_binary_pure,
+        quadrature_binary,
+        lambda a, b: quadrature_binary(a, b, "heterodyne"),
+    ], ids=["helstrom", "homodyne", "heterodyne"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                                     complex(1.0, math.nan), complex(0.0, math.inf),
+                                     complex(-math.inf, 1.0)])
+    def test_non_finite_amplitude_raises(self, bound, bad):
+        for a, b in ((bad, 0.0), (1.0, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                bound(a, b)
+
+
 class TestHelstromMixed:
     def test_equal_ensembles(self):
         # w = 0 gives exactly 1/2 on the ring and on the ladder
