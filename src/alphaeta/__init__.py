@@ -10,8 +10,6 @@ from .constellation import (
     gram_matrix,
     make_ask,
     make_psk,
-    neighbor_error,
-    overlap,
 )
 from .detection import (
     BoundReport,
@@ -55,7 +53,7 @@ from .attacks import (
 __all__ = [
     "__version__",
     "Constellation", "ModulationKind", "design_bases", "gram_matrix",
-    "make_ask", "make_psk", "neighbor_error", "overlap",
+    "make_ask", "make_psk",
     "BoundReport",
     "helstrom_binary_mixed", "helstrom_binary_pure", "quadrature_binary",
     "srm_symmetric", "usd_symmetric",

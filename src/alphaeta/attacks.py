@@ -81,7 +81,9 @@ def _nearest(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
     |Re y - point| on a ladder, so the sample's position along the run,
     rounded and clamped to it, is the nearest candidate; ring angles are
     taken from the run's middle, so a sample outside a half goes to the
-    nearer end.  At S = 0 every point ties and, as in a full scan, lo wins."""
+    nearer end.  Ties go to the lower index, as in a full scan: halves round
+    down, so a sample exactly between two ladder points takes the lower, and
+    at S = 0, where every point ties, lo wins."""
     M = len(beta) // 2
     lo, last = (0, 2 * M - 1) if half is None else (half * M, M - 1)
     if not beta.any():
@@ -90,7 +92,8 @@ def _nearest(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
         pos = np.angle(y * np.exp(-1j * math.pi * (lo + last / 2) / M)) * (M / math.pi) + last / 2
     else:
         pos = (y.real - beta[0].real) / (beta[1].real - beta[0].real) - lo
-    return lo + np.clip(np.rint(pos), 0, last).astype(np.int64)
+    # ceil(pos - 1/2) rounds half down; np.rint would round half to even
+    return lo + np.clip(np.ceil(pos - 0.5), 0, last).astype(np.int64)
 
 
 def _ladder_pair_map(y: np.ndarray, beta: np.ndarray) -> np.ndarray:

@@ -263,15 +263,16 @@ def cmd_simulate(args) -> int:
 
     for kind in args.attack:
         if kind == "bob":
-            bits = channel.bob_receive(
-                channel.apply_loss(config.constellation().amplitudes[indices], config.kappa),
-                config, rng=rng)
+            beta = channel.apply_loss(config.constellation().amplitudes, config.kappa)
+            bits = channel.bob_receive(beta[indices], config, rng=rng)
             dump("report_bob.json", {
                 "attack_kind": "bob_keyed_reception",
                 "empirical": dataclasses.asdict(
                     attacks._rate(int(np.count_nonzero(bits != plaintext)), n)),
+                # every keyed pair {k, k + M} lies as far apart as {0, M}, on
+                # a ring and on an equally spaced ladder alike
                 "bound": dataclasses.asdict(
-                    detection.helstrom_binary_pure(np.sqrt(config.S), -np.sqrt(config.S))),
+                    detection.helstrom_binary_pure(beta[0], beta[config.M])),
                 "seed": args.seed,
             })
         elif kind == "ctoa-data":

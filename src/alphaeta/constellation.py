@@ -1,4 +1,4 @@
-"""Coherent-state constellations: amplitudes, overlaps, Gram matrices, signal design."""
+"""Coherent-state constellations: amplitudes, Gram matrices, signal design."""
 from __future__ import annotations
 
 import math
@@ -11,29 +11,6 @@ import numpy as np
 class ModulationKind(str, Enum):
     PSK = "psk"
     ASK = "ask"
-
-
-def log_overlap(a, b) -> complex:
-    """Complex logarithm of <a|b>.
-
-    Real part is the log-magnitude, imaginary part the phase.  Working in
-    log form keeps products of many overlaps finite at large photon numbers
-    (log-magnitudes down to about -1e5 are routine there).
-    """
-    za, zb = complex(a), complex(b)
-    return -0.5 * (abs(za) ** 2 + abs(zb) ** 2) + za.conjugate() * zb
-
-
-def overlap(a, b) -> complex:
-    """Inner product <a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b).
-
-    Satisfies |<a|b>|^2 = exp(-|a-b|^2).  Underflows to exactly 0 once the
-    log-magnitude drops below about -745; that is acceptable and documented.
-    """
-    lo = log_overlap(a, b)
-    if lo.real < -745.0:
-        return 0.0j
-    return complex(np.exp(lo))
 
 
 @dataclass(frozen=True)
@@ -56,14 +33,6 @@ class Constellation:
 
     def __len__(self) -> int:
         return len(self.amplitudes)
-
-    def neighbor_distance(self) -> float:
-        """Smallest chord distance between adjacent points (wrapping for PSK)."""
-        amps = self.amplitudes
-        d = np.abs(np.diff(amps))
-        if self.kind is ModulationKind.PSK and len(amps) > 2:
-            d = np.append(d, abs(amps[0] - amps[-1]))
-        return float(d.min())
 
 
 def make_psk(M: int, S: float) -> Constellation:
@@ -101,10 +70,13 @@ def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
 
 
 def gram_matrix(c: Constellation | np.ndarray) -> np.ndarray:
-    """Hermitian PSD matrix of pairwise overlaps <alpha_i|alpha_j>.
+    """Hermitian PSD matrix of pairwise overlaps
+    <alpha_i|alpha_j> = exp(-|alpha_i|^2/2 - |alpha_j|^2/2 + conj(alpha_i) alpha_j),
+    so that |<a|b>|^2 = exp(-|a - b|^2).
 
     Entries are evaluated in log form and exponentiated at the end, so far
-    pairs underflow cleanly to 0 instead of producing spurious NaNs.
+    pairs (log-magnitude below about -745) underflow cleanly to 0 instead of
+    producing spurious NaNs.
     """
     amps = c.amplitudes if isinstance(c, Constellation) else np.asarray(c, dtype=np.complex128)
     if len(amps) == 0:
@@ -128,28 +100,19 @@ def gaussian_tail(t: float) -> float:
     return 0.5 * math.erfc(t / math.sqrt(2.0))
 
 
-def neighbor_error(c: Constellation) -> float:
-    """Gaussian confusion probability between adjacent constellation points.
-
-    The decision variable lives on the line joining two neighbors at chord
-    distance d; each state contributes quadrature noise of sigma = 1/2, and a
-    midpoint threshold errs with probability Q(t0) where t0 = (d/2)/sigma = d.
-    Chord distance is used rather than arc length: the noise lives in the
-    plane, and at practical parameters arc and chord agree to < 0.1%.
-    Strictly in (0, 1/2].
-    """
-    t0 = c.neighbor_distance() / (2.0 * COHERENT_SIGMA)
-    return gaussian_tail(t0)
-
-
 def design_neighbor_error(M: int, S: float, kind: ModulationKind = ModulationKind.PSK,
                           S_min: float | None = None) -> float:
-    """``neighbor_error`` of the M-basis constellation ``design_bases`` weighs,
-    from its chord in closed form, with no point built: 2 sqrt(S) sin(pi/2M)
-    on a PSK ring of energy S, (sqrt(S) - sqrt(S_min))/(2M - 1) on a
-    lossless ASK ladder from S_min to S.  Refuses the energies ``make_psk``
-    and ``make_ask`` (at kappa = 1) refuse.
+    """Gaussian confusion Q(d / 2 sigma) = Q(d) of a midpoint threshold between
+    adjacent points of the M-basis constellation ``design_bases`` weighs, with
+    sigma = 1/2 the quadrature noise and d their chord in closed form, no point
+    built: 2 sqrt(S) sin(pi/2M) on a PSK ring of energy S, and
+    (sqrt(S) - sqrt(S_min))/(2M - 1) on a lossless ASK ladder from S_min to S.
+    The chord, not the arc: the noise lives in the plane, and at practical
+    parameters the two agree to < 0.1%.  Refuses the base counts and energies
+    ``make_psk`` and ``make_ask`` (at kappa = 1) refuse.
     """
+    if M < 1:
+        raise ValueError("M must be a positive integer")
     kind = ModulationKind(kind)
     if not math.isfinite(S) or S < 0:
         raise ValueError(f"the energy S must be finite and nonnegative; got {S}")

@@ -78,7 +78,8 @@ def helstrom_binary_pure(a, b) -> BoundReport:
     x / (2 (1 + sqrt(...))), which stays accurate both for nearly identical
     states (Pe just under 1/2) and for far ones (Pe near 0).
     """
-    d2 = _distance(a, b) ** 2
+    d = _distance(a, b)
+    d2 = d * d  # overflows to inf where d ** 2 raises; the error is then exactly 0
     disc = -math.expm1(-d2) if d2 < 745.0 else 1.0
     x = math.exp(-d2) if d2 < 745.0 else 0.0
     pe = x / (2.0 * (1.0 + math.sqrt(disc)))
@@ -159,11 +160,17 @@ def helstrom_binary_mixed(c: Constellation, q0, q1) -> BoundReport:
     if c.kind is ModulationKind.PSK:
         trace_norm = _ring_trace_norm(w, abs(c.amplitudes[0]) ** 2)
         return BoundReport(_clip01(0.5 - 0.5 * trace_norm), "error", "ring_spectrum")
-    g = gram_matrix(c)
+    trace_norm = _gram_trace_norm(w, c.amplitudes)
+    return BoundReport(_clip01(0.5 - 0.5 * trace_norm), "error", "gram_eigen")
+
+
+def _gram_trace_norm(w: np.ndarray, amplitudes: np.ndarray) -> float:
+    """Tr|sum_j w_j |a_j><a_j|| of any points, from the eigenvalues of
+    diag(w) G, G their Gram matrix (see ``helstrom_binary_mixed``)."""
+    g = gram_matrix(amplitudes)
     if not g.imag.any():  # exactly real, as on every ladder
         g = g.real
-    trace_norm = float(np.abs(np.linalg.eigvals(w[:, None] * g).real).sum())
-    return BoundReport(_clip01(0.5 - 0.5 * trace_norm), "error", "gram_eigen")
+    return float(np.abs(np.linalg.eigvals(w[:, None] * g).real).sum())
 
 
 def _ring_trace_norm(w: np.ndarray, S: float) -> float:

@@ -11,6 +11,8 @@ bit leaves each symbol's polarity unknown.  ``srm_holevo_yuen_residual``
 checks the optimality conditions of the square-root measurement on a symmetric ring in the span
 basis, and ``symmetric_symbol_error_mc`` samples the heterodyne symbol error
 of the same ring.
+``neighbor_chord`` and ``neighbor_confusion`` read the closest adjacent
+points of a built constellation.
 ``hadamard_radix2`` is the plain stage-by-stage Walsh-Hadamard loop.
 ``heterodyne_sample_sum`` is the heterodyne tap written as one expression.
 ``RED_CLAIMS`` lists the reproduce checks whose published reference the true
@@ -31,6 +33,7 @@ from scipy.special import logsumexp
 from alphaeta.attacks import EmpiricalRate
 from alphaeta.channel import apply_loss
 from alphaeta.cipher import running_key
+from alphaeta.constellation import ModulationKind
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,6 +204,21 @@ def heterodyne_sample_sum(amplitudes, rng):
     amps = np.asarray(amplitudes, dtype=np.complex128)
     sigma = math.sqrt(0.5)
     return amps + (rng.normal(0.0, sigma, amps.shape) + 1j * rng.normal(0.0, sigma, amps.shape))
+
+
+def neighbor_chord(c) -> float:
+    """Smallest distance |beta_{j+1} - beta_j| between adjacent points of a
+    built constellation, wrapping from the last point to the first on a ring."""
+    amps = c.amplitudes
+    if c.kind is ModulationKind.PSK:
+        amps = np.append(amps, amps[0])
+    return float(np.abs(np.diff(amps)).min())
+
+
+def neighbor_confusion(c) -> float:
+    """Midpoint-threshold error Q(d / 2 sigma) = Q(d) between the closest
+    adjacent points, d their chord and sigma = 1/2 the quadrature noise."""
+    return 0.5 * math.erfc(neighbor_chord(c) / math.sqrt(2.0))
 
 
 def hadamard_radix2(a: np.ndarray) -> np.ndarray:

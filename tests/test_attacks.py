@@ -401,6 +401,20 @@ class TestKeySymbolDecisions:
         assert all(len(g) == 1 for g in got) and {g[0] for g in got} == set(range(8))
 
     @pytest.mark.parametrize("half", [None, 0, 1])
+    def test_ask_exact_midpoints_take_the_lower_point(self, half):
+        # the ladder 2, 3, ..., 9 and every midpoint between its points, all
+        # exact in floats: each midpoint ties, and a full scan takes the
+        # lower point where rounding half to even would take every other
+        # upper one
+        fields = dict(M=4, S=81.0, kind="ask", ask_S_min=4.0, ask_S_max=81.0)
+        beta = CipherConfig(key_bits=12, seed=1, **fields).constellation().amplitudes
+        assert np.array_equal(beta, np.arange(2.0, 10.0))
+        got, want = self._decide(fields, np.arange(2.5, 9.0), half)
+        assert got == want
+        if half is None:
+            assert got == [[j % 4] for j in range(7)]
+
+    @pytest.mark.parametrize("half", [None, 0, 1])
     def test_vacuum_takes_the_first_candidate(self, half):
         # at S = 0 every point ties and a full scan takes the run's first
         fields = dict(M=4, S=0.0)

@@ -15,7 +15,7 @@ from alphaeta.channel import (
     transmit,
 )
 from alphaeta.cipher import CipherConfig, encode
-from alphaeta.constellation import overlap
+from alphaeta.constellation import gram_matrix
 from alphaeta.detection import helstrom_binary_pure, quadrature_binary
 
 from oracles import heterodyne_sample_sum
@@ -52,8 +52,8 @@ class TestApplyLoss:
     def test_overlap_after_loss(self):
         a, b = 1.2 + 0.5j, -0.8j
         kappa = 0.37
-        la, lb = apply_loss(np.array([a, b]), kappa)
-        assert abs(overlap(la, lb)) ** 2 == pytest.approx(
+        lost = apply_loss(np.array([a, b]), kappa)
+        assert abs(gram_matrix(lost)[0, 1]) ** 2 == pytest.approx(
             math.exp(-kappa * abs(a - b) ** 2), rel=1e-12)
 
 

@@ -10,9 +10,9 @@ import pytest
 from alphaeta.channel import MeasurementRecord
 from alphaeta.cipher import CipherConfig
 from alphaeta.cli import load_config, validate_config_dict
-from alphaeta.constellation import neighbor_error
+from alphaeta.detection import helstrom_binary_pure
 
-from oracles import RED_CLAIMS, full_slab_errors
+from oracles import RED_CLAIMS, full_slab_errors, neighbor_confusion
 
 GOOD_CONFIG = {
     "M": 64, "S": 40.0, "key_bits": 12, "seed": 1445,
@@ -286,6 +286,34 @@ class TestSimulate:
         # clamp that this route never runs
         assert set(rep["bound"]) == {"value", "kind", "method"}
 
+    @staticmethod
+    def _bob_bound(tmp_path, name, config):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / name
+        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                               "--bits", "100", "--attack", "bob", "--out", str(out))
+        assert code == 0, err
+        return json.loads((out / "report_bob.json").read_text())["bound"]
+
+    def test_bob_bound_reads_the_ladder(self, tmp_path):
+        # make_ask ignores S: the same ladder at S=1 and S=1000 gives one
+        # bound, that of the pair {0, M} Bob tells apart
+        ladder = {"M": 4, "key_bits": 12, "seed": 1445, "kind": "ask",
+                  "ask_S_min": 2.0, "ask_S_max": 200.0}
+        low, high = (self._bob_bound(tmp_path, name, {**ladder, "S": s})
+                     for name, s in (("low", 1.0), ("high", 1000.0)))
+        assert low == high
+        beta = CipherConfig(S=1.0, **ladder).constellation().amplitudes
+        assert low["value"] == helstrom_binary_pure(beta[0], beta[4]).value > 0
+
+    def test_bob_bound_reads_the_lossy_ring(self, tmp_path):
+        # S = 4 at kappa = 1/4 leaves the antipodal pair +-1 after loss
+        bound = self._bob_bound(tmp_path, "lossy", {**GOOD_CONFIG, "S": 4.0, "kappa": 0.25})
+        want = helstrom_binary_pure(1.0, -1.0)
+        assert bound["method"] == want.method
+        assert bound["value"] == pytest.approx(want.value, rel=1e-12, abs=0)
+
     # error counts of the README run (M=512, S=4000, |K|=16, seed 7, 2e4
     # bits), recorded at the commit before ctoa-data settled rows from index
     # counts, when every point of every run was scored; a kernel change that
@@ -372,7 +400,7 @@ class TestDesign:
         ask = dict(kind="ask", ask_S_min=2.0, ask_S_max=100.0) if flags else {}
         cfg = CipherConfig(M=int(row["bases"]), S=100.0, key_bits=12, seed=1, **ask)
         assert float(row["neighbor_error"]) == pytest.approx(
-            neighbor_error(cfg.constellation()), rel=1e-12)
+            neighbor_confusion(cfg.constellation()), rel=1e-12)
 
     def test_unreachable_target_exits_2(self, tmp_path):
         # no ring is built: the 2^40 scan ends at once with an error line

@@ -14,27 +14,32 @@ from alphaeta.constellation import (
     gram_matrix,
     make_ask,
     make_psk,
-    neighbor_error,
-    overlap,
 )
 
+from oracles import neighbor_chord, neighbor_confusion
+
 amplitudes = st.complex_numbers(max_magnitude=12.0, allow_nan=False, allow_infinity=False)
+
+
+def gram_entry(a, b) -> complex:
+    """<a|b>, the off-diagonal entry of the two states' Gram matrix."""
+    return complex(gram_matrix(np.array([a, b]))[0, 1])
 
 
 class TestOverlap:
     def test_identity(self):
         for a in (0, 1.5, 2 - 3j, 0.1j):
-            assert overlap(a, a) == pytest.approx(1.0, abs=1e-12)
+            assert gram_entry(a, a) == pytest.approx(1.0, abs=1e-12)
 
     def test_antipodal_unit_energy(self):
         # closed form e^{-|2 alpha|^2} at S = 1, cross-checked below by quadrature
-        got = abs(overlap(1.0, -1.0)) ** 2
+        got = abs(gram_entry(1.0, -1.0)) ** 2
         assert got == pytest.approx(math.exp(-4.0), rel=1e-12)
         assert got == pytest.approx(1.8316e-2, rel=1e-4)
 
     def test_right_angle_pair(self):
-        assert abs(overlap(1.0, 1.0j)) ** 2 == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert abs(overlap(1.0, 1.0j)) ** 2 == pytest.approx(0.13534, rel=1e-4)
+        assert abs(gram_entry(1.0, 1.0j)) ** 2 == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert abs(gram_entry(1.0, 1.0j)) ** 2 == pytest.approx(0.13534, rel=1e-4)
 
     def test_against_wavepacket_quadrature(self):
         # independent oracle: overlap of two displaced Gaussian wavepackets
@@ -45,23 +50,23 @@ class TestOverlap:
             psi_a = (2 / math.pi) ** 0.25 * np.exp(-((x - a) ** 2))
             psi_b = (2 / math.pi) ** 0.25 * np.exp(-((x - b) ** 2))
             braket = np.trapezoid(psi_a * psi_b, x)
-            assert abs(overlap(a, b)) == pytest.approx(braket, rel=1e-9)
+            assert abs(gram_entry(a, b)) == pytest.approx(braket, rel=1e-9)
 
     @given(amplitudes, amplitudes)
     def test_magnitude_at_most_one(self, a, b):
-        m = abs(overlap(a, b))
+        m = abs(gram_entry(a, b))
         assert m <= 1.0 + 1e-12
         if abs(a - b) > 1e-6:
             assert m < 1.0
 
     @given(amplitudes, amplitudes)
     def test_conjugate_symmetry(self, a, b):
-        assert overlap(a, b) == pytest.approx(overlap(b, a).conjugate(), abs=1e-12)
+        assert gram_entry(a, b) == pytest.approx(gram_entry(b, a).conjugate(), abs=1e-12)
 
     @given(amplitudes, amplitudes, st.floats(0.01, 1.0))
     def test_loss_compatibility(self, a, b, kappa):
         # scaling both amplitudes by sqrt(kappa) rescales the exponent by kappa
-        lhs = abs(overlap(math.sqrt(kappa) * a, math.sqrt(kappa) * b)) ** 2
+        lhs = abs(gram_entry(math.sqrt(kappa) * a, math.sqrt(kappa) * b)) ** 2
         rhs = math.exp(-kappa * abs(a - b) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
 
@@ -132,7 +137,7 @@ class TestMakePsk:
 
     def test_neighbor_chord_matches_design_spacing(self):
         c = make_psk(1000, 1e4)
-        chord = c.neighbor_distance()
+        chord = neighbor_chord(c)
         assert chord == pytest.approx(2 * 100 * math.sin(math.pi / 2000), rel=1e-12)
         assert chord == pytest.approx(0.31415913, rel=1e-6)
         # the arc-length design spacing 2 pi |alpha| / 2M agrees to < 0.1% at this scale
@@ -155,7 +160,7 @@ class TestMakeAsk:
         # the nominal design step is (amax - amin)/2M = 0.5; the realized
         # ladder step is (amax - amin)/(2M - 1) because both endpoints are populated
         c = make_ask(2, 4.0, 16.0, 1.0)
-        assert c.neighbor_distance() == pytest.approx(2.0 / 3.0)
+        assert neighbor_chord(c) == pytest.approx(2.0 / 3.0)
 
     def test_strictly_increasing(self):
         c = make_ask(4, 2.0, 9.0, 1.0)
@@ -176,27 +181,36 @@ class TestMakeAsk:
 class TestNeighborError:
     def test_upper_limit_half(self):
         # vanishing spacing kills the integral: Pe -> 1/2
-        pe = neighbor_error(make_psk(1 << 14, 0.01))
+        pe = design_neighbor_error(1 << 14, 0.01)
         assert pe == pytest.approx(0.5, abs=1e-3)
         assert pe < 0.5
 
     def test_unit_argument(self):
         # chord distance 1 at sigma 1/2 gives the standard normal tail at 1
-        c = make_psk(1000, (1.0 / (2 * math.sin(math.pi / 2000))) ** 2)
-        assert c.neighbor_distance() == pytest.approx(1.0, rel=1e-12)
-        assert neighbor_error(c) == pytest.approx(0.15866, rel=1e-4)
-        assert neighbor_error(c) == pytest.approx(gaussian_tail(1.0), rel=1e-12)
+        S = (1.0 / (2 * math.sin(math.pi / 2000))) ** 2
+        assert neighbor_chord(make_psk(1000, S)) == pytest.approx(1.0, rel=1e-12)
+        assert design_neighbor_error(1000, S) == pytest.approx(0.15866, rel=1e-4)
+        assert design_neighbor_error(1000, S) == pytest.approx(gaussian_tail(1.0), rel=1e-12)
 
     def test_monotone_in_energy(self):
-        pes = [neighbor_error(make_psk(64, s)) for s in (1.0, 10.0, 100.0, 1e3)]
+        pes = [design_neighbor_error(64, s) for s in (1.0, 10.0, 100.0, 1e3)]
         assert all(a > b for a, b in zip(pes, pes[1:]))
+
+    @pytest.mark.parametrize("M", [0, -2])
+    @pytest.mark.parametrize("kind", ["psk", "ask"])
+    def test_needs_one_basis(self, M, kind):
+        # as make_psk and make_ask refuse it, not a ZeroDivisionError or an
+        # error probability of 1
+        with pytest.raises(ValueError, match="positive integer"):
+            design_neighbor_error(M, 100.0, kind, 2.0)
 
     def test_needs_two_points(self):
         # a constellation holds 2M >= 2 points, so every one has a neighbor
         for n in (0, 1, 3):
             with pytest.raises(ValueError, match="even number of points"):
                 Constellation(np.ones(n), ModulationKind.PSK)
-        assert neighbor_error(Constellation(np.array([1.0, -1.0]), ModulationKind.PSK)) > 0
+        two = Constellation(np.array([1.0, -1.0]), ModulationKind.PSK)
+        assert design_neighbor_error(1, 1.0) == neighbor_confusion(two) > 0
 
 
 class TestDesignBases:
@@ -206,15 +220,15 @@ class TestDesignBases:
             for s in (10.0, 100.0, 1e3):
                 m = design_bases(target, s)
                 assert m & (m - 1) == 0
-                assert neighbor_error(make_psk(m, s)) >= target
+                assert neighbor_confusion(make_psk(m, s)) >= target
                 if m > 1:
-                    assert neighbor_error(make_psk(m // 2, s)) < target
+                    assert neighbor_confusion(make_psk(m // 2, s)) < target
         for target in (0.2, 0.3, 0.45):
             for s in (100.0, 4000.0):
                 m = design_bases(target, s, ModulationKind.ASK, 2.0)
                 assert m & (m - 1) == 0 and m > 1
-                assert neighbor_error(make_ask(m, 2.0, s, 1.0)) >= target
-                assert neighbor_error(make_ask(m // 2, 2.0, s, 1.0)) < target
+                assert neighbor_confusion(make_ask(m, 2.0, s, 1.0)) >= target
+                assert neighbor_confusion(make_ask(m // 2, 2.0, s, 1.0)) < target
 
     def test_known_point(self):
         # invert the Gaussian tail: Q(t0) = 0.3 at t0 ~ 0.5244, chord = t0
@@ -236,14 +250,14 @@ class TestDesignBases:
     @pytest.mark.parametrize("M, S", [(1, 4.0), (60, 100.0), (64, 100.0), (379, 4000.0),
                                       (512, 4000.0), (4096, 1e6)])
     def test_closed_form_matches_the_built_ring(self, M, S):
-        assert design_neighbor_error(M, S) == pytest.approx(neighbor_error(make_psk(M, S)),
+        assert design_neighbor_error(M, S) == pytest.approx(neighbor_confusion(make_psk(M, S)),
                                                             rel=1e-12)
 
     @pytest.mark.parametrize("M, S_min, S", [(1, 2.0, 100.0), (9, 2.0, 100.0),
                                              (64, 2.0, 4000.0), (512, 1.5, 2000.0)])
     def test_closed_form_matches_the_built_ladder(self, M, S_min, S):
         got = design_neighbor_error(M, S, ModulationKind.ASK, S_min)
-        assert got == pytest.approx(neighbor_error(make_ask(M, S_min, S, 1.0)), rel=1e-12)
+        assert got == pytest.approx(neighbor_confusion(make_ask(M, S_min, S, 1.0)), rel=1e-12)
 
     def test_unreachable_target_raises_at_once(self):
         # M ~ 6 sqrt(S) bases would be needed, far beyond 2^40; no ring is

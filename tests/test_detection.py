@@ -10,9 +10,9 @@ from alphaeta.constellation import (
     Constellation,
     ModulationKind,
     gaussian_tail,
+    gram_matrix,
     make_ask,
     make_psk,
-    overlap,
 )
 from alphaeta.detection import (
     _ring_log_spectrum,
@@ -47,7 +47,7 @@ ORACLE_POINTS = [(4, 1.0), (64, 10.0), (2047, 100.0), (2047, 1e3), (2047, 1e4), 
 def two_state_trace_norm(a, b):
     """Dense 2x2 oracle: orthonormalize {|a>, |b>} explicitly and
     eigendecompose the signed operator (|b><b| - |a><a|) / 2."""
-    ov = overlap(a, b)
+    ov = gram_matrix(np.array([a, b]))[0, 1]
     # |b> = ov |a> + sqrt(1-|ov|^2) |perp>, with 1-|ov|^2 = -expm1(-|a-b|^2)
     s = math.sqrt(-math.expm1(-abs(complex(a) - complex(b)) ** 2))
     vb = np.array([ov, s])
@@ -84,10 +84,18 @@ class TestHelstromPure:
         slope = np.polyfit(s, np.log(pe), 1)[0]
         assert slope == pytest.approx(-4.0, rel=0.05)
 
+    @pytest.mark.parametrize("a, b", [(1e154, 0.0), (1e200, 0.0), (1e300, -1e300),
+                                      (0.0, 1e200j)])
+    def test_far_states_err_exactly_never(self, a, b):
+        # |a - b|^2 overflows a double: the error is exactly 0, as the
+        # homodyne receiver's is, not an OverflowError
+        assert helstrom_binary_pure(a, b).value == 0.0
+        assert quadrature_binary(a, b).value == 0.0
+
     @given(amplitudes, amplitudes)
     def test_never_errorless_for_overlapping_states(self, a, b):
         rep = helstrom_binary_pure(a, b)
-        if abs(overlap(a, b)) > 0:
+        if abs(gram_matrix(np.array([a, b]))[0, 1]) > 0:
             assert rep.value > 0.0
 
 
@@ -163,24 +171,20 @@ class TestHelstromMixed:
 
     @pytest.mark.parametrize("M,S", [(2, 0.7), (2, 2.5)])
     def test_four_state_dense_oracle(self, M, S):
-        from alphaeta.reproduce import _dense_mixed_helstrom
-
         c = make_psk(M, S)
         q0, q1 = np.array([0.7, 0.3, 0.0, 0.0]), np.array([0.0, 0.0, 0.55, 0.45])
         got = helstrom_binary_mixed(c, q0, q1).value
-        want = _dense_mixed_helstrom(c.amplitudes, q0, q1)
-        assert got == pytest.approx(want, abs=1e-10)
+        want = ring_mixture_helstrom((q1 - q0) / 2, S)
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_ask_ladder_dense_oracle(self):
         # ladders are not circulant: they take the Gram eigenvalue route
-        from alphaeta.reproduce import _dense_mixed_helstrom
-
         c = make_ask(2, 1.5, 6.0, 1.0)
         q0, q1 = np.array([0.7, 0.3, 0.0, 0.0]), np.array([0.0, 0.0, 0.6, 0.4])
         rep = helstrom_binary_mixed(c, q0, q1)
         assert rep.method == "gram_eigen"
-        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, q0, q1),
-                                          abs=1e-10)
+        assert rep.value == pytest.approx(ladder_mixture_helstrom(c.amplitudes, (q1 - q0) / 2),
+                                          rel=0, abs=1e-14)
 
     def test_designed_even_odd_mixtures_near_half(self):
         c = make_psk(512, 4000.0)
@@ -230,27 +234,31 @@ class TestHelstromRing:
 
     @pytest.mark.parametrize("M", [1, 2, 4, 8])
     def test_half_rings_match_dense_oracle(self, M):
-        from alphaeta.reproduce import _dense_mixed_helstrom
-
-        # at S = 10 the oracle's Gram-Schmidt keeps every direction; at low S
-        # it drops near-dependent ones and is itself off by up to 7e-12
         c, q0, q1 = self.half_rings(M, 10.0)
         rep = helstrom_binary_mixed(c, q0, q1)
         assert rep.method == "ring_spectrum"
-        want = _dense_mixed_helstrom(c.amplitudes, q0, q1)
-        assert rep.value == pytest.approx(want, abs=1e-15)
+        want = ring_mixture_helstrom((q1 - q0) / 2, 10.0)
+        assert rep.value == pytest.approx(want, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("S", [0.5, 1.3])
+    def test_low_energy_half_rings_match_dense_oracle(self, S):
+        # 16 points at S <= 1.3 are nearly linearly dependent: a span basis
+        # would drop directions, while the route reads every eigenvalue
+        c, q0, q1 = self.half_rings(8, S)
+        rep = helstrom_binary_mixed(c, q0, q1)
+        assert rep.method == "ring_spectrum"
+        want = ring_mixture_helstrom((q1 - q0) / 2, S)
+        assert rep.value == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_unequal_weights_match_dense_oracle(self):
         # w_{j+M} != -w_j, so the route takes the full Hermitian eigensolve
-        from alphaeta.reproduce import _dense_mixed_helstrom
-
         c = make_psk(4, 10.0)
         q0 = np.array([0.7, 0.2, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0])
         q1 = np.array([0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
         rep = helstrom_binary_mixed(c, q0, q1)
         assert rep.method == "ring_spectrum"
-        assert rep.value == pytest.approx(_dense_mixed_helstrom(c.amplitudes, q0, q1),
-                                          abs=1e-15)
+        assert rep.value == pytest.approx(ring_mixture_helstrom((q1 - q0) / 2, 10.0),
+                                          rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
     def test_matches_span_route(self, skewed):
@@ -392,12 +400,11 @@ class TestRingSpectrum:
 class TestHelstromEvenOdd:
     @pytest.mark.parametrize("S", [0.7, 2.5])
     def test_matches_dense_oracle(self, S):
-        from alphaeta.reproduce import _dense_mixed_helstrom
-
         c = make_psk(2, S)
         q_even, q_odd = even_odd_mixtures(c)
-        want = _dense_mixed_helstrom(c.amplitudes, q_even, q_odd)
-        assert helstrom_binary_mixed(c, q_even, q_odd).value == pytest.approx(want, abs=1e-10)
+        want = ring_mixture_helstrom((q_odd - q_even) / 2, S)
+        assert helstrom_binary_mixed(c, q_even, q_odd).value == pytest.approx(want, rel=0,
+                                                                             abs=1e-15)
 
 
 class TestSrmSymmetric:
@@ -475,7 +482,7 @@ class TestUsdSymmetric:
             assert got == pytest.approx(1.0 - math.exp(-2 * s), rel=1e-12)
             # two-pure-state unambiguous bound 1 - |<a|b>|
             assert got == pytest.approx(
-                1.0 - abs(overlap(math.sqrt(s), -math.sqrt(s))), rel=1e-12)
+                1.0 - abs(gram_matrix(make_psk(1, s))[0, 1]), rel=1e-12)
 
     def test_success_kind(self):
         rep = usd_symmetric(2, 1.0)
