@@ -24,11 +24,10 @@ from .cipher import (
     decode,
     default_taps,
     encode,
+    keystream,
     lfsr_period,
     lfsr_stream,
-    osk_stream,
     reciprocal_taps,
-    running_key,
     sequence_count_log2,
     slots_per_period,
 )
@@ -36,6 +35,7 @@ from .channel import (
     MeasurementRecord,
     apply_loss,
     bob_receive,
+    received,
     save_record,
     transmit,
 )
@@ -57,10 +57,11 @@ __all__ = [
     "BoundReport",
     "helstrom_binary_mixed", "helstrom_binary_pure", "quadrature_binary",
     "srm_symmetric", "usd_symmetric",
-    "CipherConfig", "decode", "default_taps", "encode", "lfsr_period",
-    "lfsr_stream", "osk_stream", "reciprocal_taps", "running_key",
+    "CipherConfig", "decode", "default_taps", "encode", "keystream",
+    "lfsr_period", "lfsr_stream", "reciprocal_taps",
     "sequence_count_log2", "slots_per_period",
-    "MeasurementRecord", "apply_loss", "bob_receive", "save_record", "transmit",
+    "MeasurementRecord", "apply_loss", "bob_receive", "received", "save_record",
+    "transmit",
     "AttackReport", "EmpiricalRate", "bit_hypotheses",
     "collective_success", "collective_usd_bound", "eve_ctoa_data",
     "eve_key_symbol", "key_posterior_entropy",

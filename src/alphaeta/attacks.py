@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MeasurementRecord, apply_loss
-from .cipher import CipherConfig, _bits, _lfsr_extend, running_key
+from .channel import MeasurementRecord, received
+from .cipher import CipherConfig, _bits, _lfsr_extend, keystream
 from .constellation import ModulationKind
 from .detection import (
     BoundReport,
@@ -142,15 +142,14 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     on its side.  Under OSK both hypotheses are the same row, the centroids
     are equal and every slot is an exact tie, decided 0, as at S = 0.  The
     reported bound is the mixed-state Helstrom value for the same two
-    hypotheses.
+    hypotheses over the same received points.
     """
     truth = _bits(truth)
     if len(truth) != len(record):
         raise ValueError("record and plaintext lengths differ")
     q = bit_hypotheses(config)
-    c = config.constellation()
-    beta = apply_loss(c.amplitudes, config.kappa)
-    c0, c1 = (row @ beta for row in q)  # one call per row: equal rows, equal centroids
+    c = received(config)
+    c0, c1 = (row @ c.amplitudes for row in q)  # one call per row: equal rows, equal centroids
     guess = ((record.samples - (c0 + c1) / 2) * np.conj(c1 - c0)).real > 0
     return AttackReport("ctoa_data", _rate(int(np.count_nonzero(guess != truth)), len(record)),
                         helstrom_binary_mixed(c, *q), seed)
@@ -178,10 +177,9 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
     bound is an error of exactly 0 (method ``single_state``).
     """
-    beta = apply_loss(config.constellation().amplitudes, config.kappa)
+    beta = received(config).amplitudes
     M = config.M
     n = len(record)
-    k_true = np.asarray(running_key(config, n), dtype=np.int64)
     known = plaintext is not None
     x = _bits(plaintext) if known else None
     if known and len(x) != n:
@@ -193,7 +191,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
             guess[lo:lo + _CHUNK] = _ladder_pair_map(record.samples[lo:lo + _CHUNK], beta)
     else:
         guess = _nearest(record.samples, beta, config.kind, half=None if config.osk else x) % M
-    errors = int(np.sum(guess != k_true))
+    errors = int(np.sum(guess != keystream(config, n) % M))
 
     if known and M == 1:  # one candidate symbol: the guess cannot err
         bound = BoundReport(0.0, "error", "single_state")
@@ -256,14 +254,14 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     warm call takes 0.07-0.08 s and a 17.4 MiB tracemalloc peak at |K| = 20,
     0.24-0.36 s and 65.4 MiB at |K| = 22, on 2 cores).  Every keyed bit is
     parity(mask & s) for a seed mask (``_seed_masks``), so slot t's
-    log-likelihood is a table f_t(z) over its z = symbol bits (plus the
-    polarity bit under OSK), and each Walsh character u of f_t is the
-    character of one seed mask v_t(u).  With the known bit x_t, z selects
-    the point p = (z + x_t M) mod 2M, and
-    f_t(z) = -|y_t|^2 + Re y_t 2 Re b_p + Im y_t 2 Im b_p - |b_p|^2
-    is linear in y_t.  So the characters R_x, I_x, E_x of 2 Re b_p,
-    2 Im b_p and -|b_p|^2 over z, each divided by 2^zbits, are built once
-    per call from the constellation, and slot t's character u != 0 is
+    log-likelihood is a table f_t(z) over its key index z = r_t M + k_t
+    (``keystream``: the symbol bits, plus the polarity bit under OSK), and
+    each Walsh character u of f_t is the character of one seed mask v_t(u).
+    With the known bit x_t, z selects the point j = (z + x_t M) mod 2M, and
+    f_t(z) = -|y_t|^2 + Re y_t 2 Re b_j + Im y_t 2 Im b_j - |b_j|^2
+    is linear in y_t.  So the characters R_x, I_x, E_x of 2 Re b_j,
+    2 Im b_j and -|b_j|^2 over z, each divided by 2^zbits, are built once
+    per call from the received constellation, and slot t's character u != 0 is
     Re y_t R_x(u) + Im y_t I_x(u) + E_x(u) at x = x_t; -|y_t|^2 reaches
     only u = 0, the same for every seed.  The characters of all slots are
     summed into one 2^|K| table whose Walsh-Hadamard transform is every
@@ -278,8 +276,8 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     if len(x) != slots:
         raise ValueError("record and plaintext lengths differ")
     M, bps = config.M, config.bits_per_symbol
-    zbits = bps + config.osk  # z = polarity * M + symbol
-    beta = apply_loss(config.constellation().amplitudes, config.kappa)
+    zbits = bps + config.osk
+    beta = received(config).amplitudes
     # row x: point sym + (x xor polarity) M, i.e. (z + x M) mod 2M
     pts = beta[(np.arange(1 << zbits) + M * np.arange(2)[:, None]) % (2 * M)]
     R, I, E = _hadamard(np.stack([2 * pts.real, 2 * pts.imag, -np.abs(pts) ** 2])) / (1 << zbits)

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .cipher import CipherConfig, _state_indices, osk_stream, running_key
-from .constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, ModulationKind
+from .cipher import CipherConfig, _state_indices, keystream
+from .constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, Constellation
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,13 @@ def apply_loss(amplitudes, kappa: float) -> np.ndarray:
     return np.asarray(amplitudes, dtype=np.complex128) * np.sqrt(kappa)
 
 
+def received(config: CipherConfig) -> Constellation:
+    """The points that reach the receivers: the launched constellation
+    (``config.constellation()``) after the channel's loss ``config.kappa``."""
+    c = config.constellation()
+    return Constellation(apply_loss(c.amplitudes, config.kappa), c.kind)
+
+
 def heterodyne_sample(amplitudes, rng: np.random.Generator) -> np.ndarray:
     """Simultaneous two-quadrature outcomes: mean alpha, variance 1/2 per quadrature.
 
@@ -69,43 +76,33 @@ def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> Measure
     reception is a separate homodyne path (see ``bob_receive``).  Indices
     outside [0, 2M) or not integers raise ``ValueError``.
     """
-    amps = apply_loss(config.constellation().amplitudes[_state_indices(indices, config)],
-                      config.kappa)
+    amps = received(config).amplitudes[_state_indices(indices, config)]
     return MeasurementRecord(heterodyne_sample(amps, rng), config.kappa)
 
 
 def bob_receive(values, config: CipherConfig,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Keyed binary reception: project each slot on the known basis axis and threshold.
+    """Keyed binary reception: project each slot on the axis of its key pair
+    and threshold at the pair's midpoint.
 
     ``values`` may be noiseless post-loss amplitudes (pass ``rng`` to let Bob
     draw his own homodyne noise at variance 1/4) or pre-sampled outcomes
-    (``rng=None`` adds nothing).  Returns the decoded bits.
+    (``rng=None`` adds nothing).  With beta the received points and p the
+    key index (``keystream``), bit 0 sits at beta_p and bit 1 at
+    beta_{p+M}; along d_p = beta_{p+M} - beta_p the bit is 1 past the
+    midpoint, on a ring and a ladder alike.  Where d_p = 0 (S = 0) the axis
+    is 0 and the noise alone decides.  Returns the decoded bits.
     """
     y = np.asarray(values, dtype=np.complex128)
-    n = len(y)
-    k = running_key(config, n)
-    c = config.constellation()
-    root_kappa = np.sqrt(config.kappa)
-
-    if config.kind is ModulationKind.PSK:
-        # rotate each slot's basis axis onto the real line; there are M axes
-        axis = np.exp(-1j * np.pi * np.arange(config.M) / config.M)[k]
-        proj = (axis * y).real
-        if rng is not None:
-            proj = proj + rng.normal(0.0, COHERENT_SIGMA, size=n)
-        raw = (proj < 0).astype(np.int64)
-    else:
-        proj = y.real
-        if rng is not None:
-            proj = proj + rng.normal(0.0, COHERENT_SIGMA, size=n)
-        lo = c.amplitudes[k].real * root_kappa
-        hi = c.amplitudes[k + config.M].real * root_kappa
-        raw = (proj > 0.5 * (lo + hi)).astype(np.int64)
-
-    if config.osk:
-        raw = raw ^ osk_stream(config, n)
-    return raw
+    p = keystream(config, len(y))
+    beta = received(config).amplitudes
+    d = np.roll(beta, -config.M) - beta
+    axis = np.divide(np.conj(d), np.abs(d), out=np.zeros_like(d), where=d != 0)
+    offset = (axis * (beta + d / 2)).real
+    proj = (axis[p] * y).real - offset[p]
+    if rng is not None:
+        proj = proj + rng.normal(0.0, COHERENT_SIGMA, size=len(y))
+    return (proj > 0).astype(np.int64)
 
 
 # --- record files -----------------------------------------------------------

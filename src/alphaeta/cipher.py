@@ -185,23 +185,23 @@ class CipherConfig:
         return make_ask(self.M, self.ask_S_min, self.ask_S_max, self.kappa)
 
 
-def running_key(config: CipherConfig, count: int) -> np.ndarray:
-    """Running-key symbols: consecutive big-endian log2(M)-bit blocks of the
-    LFSR stream.  Blocks are cut from the unbroken stream; they are not
-    realigned at the register period, so the symbol sequence period is
-    (2^|K|-1)/gcd(log2 M, 2^|K|-1) blocks."""
+def keystream(config: CipherConfig, count: int) -> np.ndarray:
+    """Per-slot key index p_t = k_t + r_t M: the point that carries data bit 0.
+
+    k_t is the running-key symbol, the t-th big-endian log2(M)-bit block of
+    the LFSR stream, and r_t the overlap-selection-keying polarity bit, drawn
+    from the reciprocal register (0 without OSK).  Blocks are cut from the
+    unbroken stream; they are not realigned at the register period, so the
+    symbol sequence period is (2^|K|-1)/gcd(log2 M, 2^|K|-1) blocks."""
     bps = config.bits_per_symbol
     bits = lfsr_stream(config.seed, config.taps, count * bps, config.key_bits).reshape(count, bps)
-    symbols = np.zeros(count, dtype=np.int64)
+    p = np.zeros(count, dtype=np.int64)
+    if config.osk:  # the polarity is the top bit, above the symbol's
+        p |= lfsr_stream(config.seed, config.osk_taps, count, config.key_bits)
     for column in bits.T:  # most significant bit first
-        symbols <<= 1
-        symbols |= column
-    return symbols
-
-
-def osk_stream(config: CipherConfig, count: int) -> np.ndarray:
-    """Keyed polarity bits for overlap selection keying, one per slot."""
-    return lfsr_stream(config.seed, config.osk_taps, count, config.key_bits)
+        p <<= 1
+        p |= column
+    return p
 
 
 def slots_per_period(config: CipherConfig) -> int:
@@ -211,17 +211,13 @@ def slots_per_period(config: CipherConfig) -> int:
 
 
 def encode(plaintext, config: CipherConfig) -> np.ndarray:
-    """Map data bits to constellation indices: slot t carries (k_t + x_t * M) mod 2M.
-
-    With OSK enabled each data bit is first XORed with the keyed polarity bit,
-    which Bob rederives from the shared seed.  Values other than 0 and 1,
+    """Map data bits to constellation indices: slot t carries (p_t + x_t M) mod 2M,
+    p_t the key index (``keystream``).  Under OSK this is (k_t + (x_t xor r_t) M)
+    mod 2M, since (x xor r) M = (x + r) M mod 2M.  Values other than 0 and 1,
     fractions included, raise ``ValueError``.
     """
     x = _bits(plaintext)
-    k = running_key(config, len(x))
-    if config.osk:
-        x = x ^ osk_stream(config, len(x))
-    return (k + x * config.M) % (2 * config.M)
+    return (keystream(config, len(x)) + x * config.M) % (2 * config.M)
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -254,13 +250,9 @@ def _state_indices(indices, config: CipherConfig) -> np.ndarray:
 
 
 def decode(indices, config: CipherConfig) -> np.ndarray:
-    """Invert ``encode``: x_t = ((s_t - k_t) mod 2M) // M, undoing OSK if enabled."""
+    """Invert ``encode``: x_t = ((s_t - p_t) mod 2M) // M."""
     s = _state_indices(indices, config)
-    k = running_key(config, len(s))
-    x = ((s - k) % (2 * config.M)) // config.M
-    if config.osk:
-        x = x ^ osk_stream(config, len(s))
-    return x
+    return ((s - keystream(config, len(s))) % (2 * config.M)) // config.M
 
 
 def sequence_count_log2(config: CipherConfig) -> float:

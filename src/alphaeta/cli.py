@@ -263,7 +263,7 @@ def cmd_simulate(args) -> int:
 
     for kind in args.attack:
         if kind == "bob":
-            beta = channel.apply_loss(config.constellation().amplitudes, config.kappa)
+            beta = channel.received(config).amplitudes
             bits = channel.bob_receive(beta[indices], config, rng=rng)
             dump("report_bob.json", {
                 "attack_kind": "bob_keyed_reception",

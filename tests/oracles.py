@@ -7,7 +7,9 @@ error of any signed mixture over that ring from it, and
 ladder.  ``full_slab_errors``
 counts the eavesdropper's MAP errors by scoring every sample against every
 constellation point; ``pair_sum_map`` is its symbol decision when the known
-bit leaves each symbol's polarity unknown.  ``srm_holevo_yuen_residual``
+bit leaves each symbol's polarity unknown.  ``bob_nearest_bits`` is Bob's
+keyed decision as the nearer point of each slot's pair.
+``srm_holevo_yuen_residual``
 checks the optimality conditions of the square-root measurement on a symmetric ring in the span
 basis, and ``symmetric_symbol_error_mc`` samples the heterodyne symbol error
 of the same ring.
@@ -32,7 +34,7 @@ from scipy.special import logsumexp
 
 from alphaeta.attacks import EmpiricalRate
 from alphaeta.channel import apply_loss
-from alphaeta.cipher import running_key
+from alphaeta.cipher import keystream, lfsr_stream
 from alphaeta.constellation import ModulationKind
 
 
@@ -187,7 +189,7 @@ def full_slab_errors(record, config, kind, plaintext) -> int:
     else:
         cand = np.where(x[:, None] == 0, np.arange(M)[None, :], np.arange(M)[None, :] + M)
         guess = np.argmax(np.take_along_axis(ll, cand, axis=1), axis=1)
-    return int(np.sum(guess != running_key(config, len(record))))
+    return int(np.sum(guess != keystream(config, len(record)) % M))
 
 
 def pair_sum_map(samples, beta) -> np.ndarray:
@@ -196,6 +198,25 @@ def pair_sum_map(samples, beta) -> np.ndarray:
     M = len(beta) // 2
     ll = -np.abs(samples[:, None] - beta[None, :]) ** 2
     return np.argmax(np.logaddexp(ll[:, :M], ll[:, M:]), axis=1)
+
+
+def bob_nearest_bits(values, config) -> np.ndarray:
+    """Bob's keyed bits by brute force: each slot decodes to the bit of the
+    nearer point of its pair, bit 0 at k + r M and bit 1 at k + (1 - r) M
+    (mod 2M) among the launched points times sqrt(kappa), with the symbol k
+    and the OSK polarity r (0 without OSK) cut from ``lfsr_stream`` itself;
+    a tie decodes to 0."""
+    y = np.asarray(values, dtype=np.complex128)
+    n, M, bps = len(y), config.M, config.bits_per_symbol
+    bits = lfsr_stream(config.seed, config.taps, n * bps, config.key_bits).astype(np.int64)
+    k = bits.reshape(n, bps) @ (1 << np.arange(bps - 1, -1, -1))
+    r = np.zeros(n, dtype=np.int64)
+    if config.osk:
+        r += lfsr_stream(config.seed, config.osk_taps, n, config.key_bits)
+    beta = math.sqrt(config.kappa) * config.constellation().amplitudes
+    far0 = np.abs(y - beta[(k + r * M) % (2 * M)])
+    far1 = np.abs(y - beta[(k + (1 - r) * M) % (2 * M)])
+    return (far1 < far0).astype(np.int64)
 
 
 def heterodyne_sample_sum(amplitudes, rng):

@@ -15,11 +15,18 @@ from alphaeta.attacks import (
     key_posterior_entropy,
 )
 from alphaeta.channel import MeasurementRecord, apply_loss, transmit
-from alphaeta.cipher import CipherConfig, encode, running_key, slots_per_period
+from alphaeta.cipher import CipherConfig, encode, keystream, slots_per_period
 from alphaeta.constellation import ModulationKind
 from alphaeta.detection import quadrature_binary, srm_symmetric
 
-from oracles import full_slab_errors, hadamard_radix2, pair_sum_map, symmetric_symbol_error_mc
+from oracles import (
+    full_slab_errors,
+    hadamard_radix2,
+    ladder_mixture_helstrom,
+    pair_sum_map,
+    ring_mixture_helstrom,
+    symmetric_symbol_error_mc,
+)
 
 
 def _run(config, n, rng, plaintext=None):
@@ -49,13 +56,35 @@ class TestCtoaData:
         assert rep.bound.value == pytest.approx(0.5, abs=1e-12)
 
     def test_empirical_never_beats_bound(self):
-        for m, s, osk, seed in [(2, 1.0, False, 3), (4, 4.0, False, 4),
-                                (16, 25.0, True, 5)]:
-            cfg = CipherConfig(M=m, S=s, key_bits=10, seed=0x111, osk=osk)
+        for m, s, osk, seed, kappa in [(2, 1.0, False, 3, 1.0), (4, 4.0, False, 4, 1.0),
+                                       (16, 25.0, True, 5, 1.0), (8, 10.0, False, 6, 0.25)]:
+            cfg = CipherConfig(M=m, S=s, key_bits=10, seed=0x111, osk=osk, kappa=kappa)
             rng = np.random.default_rng(seed)
             x, rec = _run(cfg, 30_000, rng)
             rep = eve_ctoa_data(rec, cfg, x)
             assert rep.empirical.value >= rep.bound.value - 3 * rep.empirical.stderr
+
+    @pytest.mark.parametrize("kappa, want", [(0.1, 0.126242), (0.5, 0.037664)])
+    def test_ring_bound_reads_the_received_points(self, kappa, want):
+        # the states Eve holds are the ring at energy kappa S; the launched
+        # ring at S = 10 would give 0.015689, below what she can reach
+        cfg = CipherConfig(M=8, S=10.0, key_bits=10, seed=0x111, kappa=kappa)
+        q0, q1 = bit_hypotheses(cfg)
+        truth = ring_mixture_helstrom((q1 - q0) / 2, kappa * 10.0)
+        assert truth == pytest.approx(want, abs=1e-6)
+        rep = eve_ctoa_data(MeasurementRecord(np.zeros(1), kappa), cfg, [0])
+        assert rep.bound.value == pytest.approx(truth, abs=1e-12)
+
+    def test_ladder_bound_reads_the_received_points(self):
+        # the launched ladder would give 0.069784
+        cfg = CipherConfig(M=4, S=30.0, key_bits=10, seed=0x111, kind="ask", kappa=0.5,
+                           ask_S_min=3.0, ask_S_max=30.0)
+        q0, q1 = bit_hypotheses(cfg)
+        amps = math.sqrt(0.5) * np.linspace(math.sqrt(3.0), math.sqrt(30.0), 8)
+        truth = ladder_mixture_helstrom(amps, (q1 - q0) / 2)
+        assert truth == pytest.approx(0.101966, abs=1e-6)
+        rep = eve_ctoa_data(MeasurementRecord(np.zeros(1), 0.5), cfg, [0])
+        assert rep.bound.value == pytest.approx(truth, abs=1e-12)
 
     def test_hypothesis_ensembles_shape(self):
         # bit b is uniform on the half {k + b M}; OSK spreads both bits
@@ -361,7 +390,7 @@ class TestKeySymbolDecisions:
         by_symbol = {}
         for seed in range(1, 1 << 12):
             cfg = dataclasses.replace(base, seed=seed)
-            by_symbol.setdefault(int(running_key(cfg, 1)[0]), cfg)
+            by_symbol.setdefault(int(keystream(cfg, 1)[0] % cfg.M), cfg)
             if len(by_symbol) == base.M:
                 break
         x = None if half is None else [half]

@@ -11,6 +11,7 @@ from alphaeta.channel import (
     apply_loss,
     bob_receive,
     heterodyne_sample,
+    received,
     save_record,
     transmit,
 )
@@ -18,7 +19,7 @@ from alphaeta.cipher import CipherConfig, encode
 from alphaeta.constellation import gram_matrix
 from alphaeta.detection import helstrom_binary_pure, quadrature_binary
 
-from oracles import heterodyne_sample_sum
+from oracles import bob_nearest_bits, heterodyne_sample_sum
 
 
 class TestApplyLoss:
@@ -172,6 +173,52 @@ class TestBobReceive:
         x = np.random.default_rng(9).integers(0, 2, 300)
         amps = apply_loss(cfg.constellation().amplitudes[encode(x, cfg)], cfg.kappa)
         np.testing.assert_array_equal(bob_receive(amps, cfg), x)
+
+
+    @pytest.mark.parametrize("kappa", [1.0, 0.5])
+    @pytest.mark.parametrize("osk", [False, True])
+    @pytest.mark.parametrize("fields", [
+        dict(M=8, S=1.0),
+        dict(M=4, S=1.0, kind="ask", ask_S_min=2.5, ask_S_max=16.0),
+    ], ids=["psk", "ask"])
+    def test_matches_nearest_point_oracle(self, fields, osk, kappa):
+        # noiseless points decode to the plaintext, and noisy outcomes to the
+        # bit of the nearer point of each slot's keyed pair
+        cfg = CipherConfig(key_bits=10, seed=0x2B1, osk=osk, kappa=kappa, **fields)
+        rng = np.random.default_rng(5)
+        n = 2000
+        x = rng.integers(0, 2, n)
+        points = math.sqrt(kappa) * cfg.constellation().amplitudes[encode(x, cfg)]
+        np.testing.assert_array_equal(bob_receive(points, cfg), x)
+        np.testing.assert_array_equal(bob_nearest_bits(points, cfg), x)
+        noisy = points + rng.normal(0.0, 0.5, n) + 1j * rng.normal(0.0, 0.5, n)
+        bits = bob_receive(noisy, cfg)
+        assert 0 < np.count_nonzero(bits != x) < n // 2
+        np.testing.assert_array_equal(bits, bob_nearest_bits(noisy, cfg))
+
+    @pytest.mark.parametrize("osk", [False, True])
+    def test_vacuum_leaves_only_the_noise(self, osk):
+        # at S = 0 both points of every pair are the vacuum: Bob's own noise
+        # alone decides, so an all-zero plaintext errs at rate 1/2
+        cfg = CipherConfig(M=8, S=0.0, key_bits=10, seed=0x2B1, osk=osk)
+        n = 20_000
+        x = np.zeros(n, dtype=np.int64)
+        amps = cfg.constellation().amplitudes[encode(x, cfg)]
+        ber = np.mean(bob_receive(amps, cfg, rng=np.random.default_rng(8)) != x)
+        assert abs(ber - 0.5) < 4 * math.sqrt(0.25 / n)
+
+
+class TestReceived:
+    @pytest.mark.parametrize("fields", [
+        dict(M=8, S=4.0),
+        dict(M=4, S=1.0, kind="ask", ask_S_min=2.5, ask_S_max=16.0),
+    ], ids=["psk", "ask"])
+    def test_launched_points_after_loss(self, fields):
+        cfg = CipherConfig(key_bits=10, seed=1, kappa=0.5, **fields)
+        c = received(cfg)
+        assert c.kind is cfg.kind
+        np.testing.assert_array_equal(
+            c.amplitudes, cfg.constellation().amplitudes * math.sqrt(0.5))
 
 
 class TestRecordFiles:

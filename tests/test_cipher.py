@@ -13,10 +13,10 @@ from alphaeta.cipher import (
     decode,
     default_taps,
     encode,
+    keystream,
     lfsr_period,
     lfsr_stream,
     reciprocal_taps,
-    running_key,
     sequence_count_log2,
     slots_per_period,
 )
@@ -142,7 +142,7 @@ class TestRunningKey:
     def test_binary_symbols_are_raw_bits(self):
         cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=0x53)
         bits = lfsr_stream(0x53, cfg.taps, 40, 8)
-        assert np.array_equal(running_key(cfg, 40), bits)
+        assert np.array_equal(keystream(cfg, 40) % cfg.M, bits)
 
     def test_big_endian_chunking(self):
         # bits 1011 0001 ... -> symbols 11, 1 for M = 16
@@ -150,7 +150,7 @@ class TestRunningKey:
         bits = lfsr_stream(0xB1, cfg.taps, 8, 8)
         want0 = bits[0] * 8 + bits[1] * 4 + bits[2] * 2 + bits[3]
         want1 = bits[4] * 8 + bits[5] * 4 + bits[6] * 2 + bits[7]
-        np.testing.assert_array_equal(running_key(cfg, 2), [want0, want1])
+        np.testing.assert_array_equal(keystream(cfg, 2) % cfg.M, [want0, want1])
 
     def test_symbol_histogram_exact_over_full_cycle(self):
         # blocks of 4 bits stride through every phase of the length-4095
@@ -158,7 +158,7 @@ class TestRunningKey:
         # count exactly: 2^(12-4) per value, one less for zero
         cfg = CipherConfig(M=16, S=1.0, key_bits=12, seed=1)
         period = (1 << 12) - 1
-        sym = running_key(cfg, period)
+        sym = keystream(cfg, period) % cfg.M
         counts = np.bincount(sym, minlength=16)
         assert counts[0] == 255
         assert np.all(counts[1:] == 256)
@@ -168,27 +168,32 @@ class TestRunningKey:
 
     def test_degenerate_single_basis(self):
         cfg = CipherConfig(M=1, S=1.0, key_bits=8, seed=0x11)
-        assert np.array_equal(running_key(cfg, 5), np.zeros(5, dtype=np.int64))
+        assert np.array_equal(keystream(cfg, 5) % cfg.M, np.zeros(5, dtype=np.int64))
 
     @pytest.mark.parametrize("M", [1, 2, 8, 512])
     def test_matches_weighted_sum_of_bits(self, M):
         # the symbols as the dot product of each block with its bit weights;
-        # 600 blocks of up to 9 bits run past the 255-bit register period
-        cfg = CipherConfig(M=M, S=1.0, key_bits=8, seed=0x3C)
-        bps = cfg.bits_per_symbol
-        count = 600
-        bits = lfsr_stream(cfg.seed, cfg.taps, count * bps, cfg.key_bits)
-        want = bits.reshape(count, bps) @ (1 << np.arange(bps - 1, -1, -1))
-        got = running_key(cfg, count)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, want)
+        # 600 blocks of up to 9 bits run past the 255-bit register period.
+        # Under OSK the key index is k_t + r_t M, r_t the reciprocal
+        # register's output bit.
+        for osk in (False, True):
+            cfg = CipherConfig(M=M, S=1.0, key_bits=8, seed=0x3C, osk=osk)
+            bps = cfg.bits_per_symbol
+            count = 600
+            bits = lfsr_stream(cfg.seed, cfg.taps, count * bps, cfg.key_bits)
+            want = bits.reshape(count, bps) @ (1 << np.arange(bps - 1, -1, -1))
+            polarity = lfsr_stream(cfg.seed, cfg.osk_taps, count, cfg.key_bits) * osk
+            got = keystream(cfg, count)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got % M, want)
+            np.testing.assert_array_equal(got // M, polarity)
 
 
 class TestEncodeDecode:
     def test_map_definition(self):
         # M = 2, symbol 1, bit 1 -> index 3 (phase 3 pi / 2)
         cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=0x53)
-        k = running_key(cfg, 6)
+        k = keystream(cfg, 6) % cfg.M
         x = np.ones(6, dtype=np.int64)
         np.testing.assert_array_equal(encode(x, cfg), k + 2)
         amps = cfg.constellation().amplitudes
@@ -196,9 +201,11 @@ class TestEncodeDecode:
         assert np.angle(amps[encode(x, cfg)[slot]]) % (2 * np.pi) == pytest.approx(3 * np.pi / 2)
 
     def test_all_zero_probe_reveals_running_key(self):
-        cfg = CipherConfig(M=8, S=2.0, key_bits=10, seed=0x2A)
+        # bit 0 rides the key index itself, the polarity included under OSK
         x = np.zeros(100, dtype=np.int64)
-        np.testing.assert_array_equal(encode(x, cfg), running_key(cfg, 100))
+        for osk in (False, True):
+            cfg = CipherConfig(M=8, S=2.0, key_bits=10, seed=0x2A, osk=osk)
+            np.testing.assert_array_equal(encode(x, cfg), keystream(cfg, 100))
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     @pytest.mark.parametrize("osk", [False, True])
@@ -333,6 +340,6 @@ class TestPeriods:
         cfg = CipherConfig(M=64, S=1.0, key_bits=12, seed=1)
         bit_period = (1 << 12) - 1
         sym_period = bit_period // math.gcd(6, bit_period)
-        a = running_key(cfg, 2 * sym_period)
+        a = keystream(cfg, 2 * sym_period) % cfg.M
         assert np.array_equal(a[:sym_period], a[sym_period:])
         assert bit_period % sym_period == 0
