@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MeasurementRecord, received
-from .cipher import CipherConfig, _bits, _lfsr_extend, keystream
+from .cipher import CipherConfig, _bits, _lfsr_extend, _state_indices
 from .constellation import ModulationKind
 from .detection import (
     BoundReport,
@@ -54,6 +54,8 @@ class AttackReport:
 
 
 def _rate(errors: int, n: int) -> EmpiricalRate:
+    if n == 0:
+        raise ValueError("the record holds no slots")
     p = errors / n
     return EmpiricalRate(p, math.sqrt(max(p * (1 - p), 1.0 / n) / n), n)
 
@@ -155,10 +157,12 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
                         helstrom_binary_mixed(c, *q), seed)
 
 
-def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
+def eve_key_symbol(record: MeasurementRecord, config: CipherConfig, truth,
                    plaintext=None, seed: int | None = None) -> AttackReport:
     """Attack on the running-key symbol, known-plaintext or ciphertext-only.
 
+    ``truth`` holds the sent state indices, which score the decisions: slot
+    t's symbol is truth_t mod M, so the attack never reads the key itself.
     Symbol k is the pair of points {k, k + M}.  Ciphertext-only, the
     decision is the most likely point mod M (``_nearest``), i.e. the most
     likely symbol and bit together: on a ring that is the symbol MAP (see
@@ -180,6 +184,9 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
     beta = received(config).amplitudes
     M = config.M
     n = len(record)
+    truth = _state_indices(truth, config)
+    if len(truth) != n:
+        raise ValueError("record and sent indices lengths differ")
     known = plaintext is not None
     x = _bits(plaintext) if known else None
     if known and len(x) != n:
@@ -191,7 +198,7 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig,
             guess[lo:lo + _CHUNK] = _ladder_pair_map(record.samples[lo:lo + _CHUNK], beta)
     else:
         guess = _nearest(record.samples, beta, config.kind, half=None if config.osk else x) % M
-    errors = int(np.sum(guess != keystream(config, n) % M))
+    errors = int(np.sum(guess != truth % M))
 
     if known and M == 1:  # one candidate symbol: the guess cannot err
         bound = BoundReport(0.0, "error", "single_state")

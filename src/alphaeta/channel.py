@@ -99,9 +99,12 @@ def bob_receive(values, config: CipherConfig,
     d = np.roll(beta, -config.M) - beta
     axis = np.divide(np.conj(d), np.abs(d), out=np.zeros_like(d), where=d != 0)
     offset = (axis * (beta + d / 2)).real
-    proj = (axis[p] * y).real - offset[p]
+    rotated = axis[p]
+    rotated *= y
+    proj = rotated.real
+    proj -= offset[p]
     if rng is not None:
-        proj = proj + rng.normal(0.0, COHERENT_SIGMA, size=len(y))
+        proj += rng.normal(0.0, COHERENT_SIGMA, size=len(y))
     return (proj > 0).astype(np.int64)
 
 

@@ -74,8 +74,10 @@ def _mulmod(a: int, b: int, poly: int, nbits: int) -> int:
 
 def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndarray:
     """The first ``count`` terms of s[t+nbits] = XOR_{j in taps} s[t+j] from its
-    first ``nbits`` terms ``head``: stream bits (uint8) or, by linearity, the
-    seed masks of the unit seeds (int64).
+    first ``nbits`` terms ``head``: stream bits (uint8), by linearity the
+    seed masks of the unit seeds (int64), or the packed per-slot key words
+    of ``keystream`` (int64).  Only the recurrence's coefficients are used,
+    so p need not be primitive, irreducible or have an x^0 term.
 
     Jump-ahead by doubling: with L terms known, s[t+L] is the XOR of s[t+b]
     over the bits b of x^L mod p, p = x^nbits + taps, which gives terms
@@ -192,16 +194,58 @@ def keystream(config: CipherConfig, count: int) -> np.ndarray:
     the LFSR stream, and r_t the overlap-selection-keying polarity bit, drawn
     from the reciprocal register (0 without OSK).  Blocks are cut from the
     unbroken stream; they are not realigned at the register period, so the
-    symbol sequence period is (2^|K|-1)/gcd(log2 M, 2^|K|-1) blocks."""
-    bps = config.bits_per_symbol
-    bits = lfsr_stream(config.seed, config.taps, count * bps, config.key_bits).reshape(count, bps)
-    p = np.zeros(count, dtype=np.int64)
-    if config.osk:  # the polarity is the top bit, above the symbol's
-        p |= lfsr_stream(config.seed, config.osk_taps, count, config.key_bits)
-    for column in bits.T:  # most significant bit first
-        p <<= 1
-        p |= column
-    return p
+    symbol sequence period is (2^|K|-1)/gcd(log2 M, 2^|K|-1) blocks.
+
+    Built as int64 words, never bit by bit: ``_slot_recurrence`` gives the
+    first words and the linear recurrence the rest follow, which
+    ``_lfsr_extend`` runs.  A negative or non-integer ``count`` raises
+    ``ValueError``.
+    """
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError("count must be a nonnegative integer")
+    head, coeffs = _slot_recurrence(config)
+    return _lfsr_extend(head, coeffs, len(head), count)
+
+
+def _slot_recurrence(config: CipherConfig) -> tuple[np.ndarray, int]:
+    """The key indices p_0, ..., p_{r-1} and the mask of the c_j in
+    p_{t+r} = XOR_{j<r} c_j p_{t+j}.
+
+    With b = log2 M, let sigma_t be the register state at stream bit t b and
+    rho_t the reciprocal register's state at its bit t (under OSK).  Slot
+    t + 1's state is a fixed GF(2)-linear map of slot t's, sigma -> A^b sigma
+    and rho -> B rho for the two shift maps, and p_t is GF(2)-linear in it.
+    So the first dependency between slot states, XOR_{j<r} c_j
+    (sigma_j, rho_j) = (sigma_r, rho_r), carries over to every later slot and
+    to its index.  Elimination finds it at some r <= w, the state width |K|
+    (2|K| under OSK), from the first w b + |K| stream bits and w + |K|
+    polarity bits; a register state is |K| stream bits, the first lowest.
+    """
+    n, b = config.key_bits, config.bits_per_symbol
+    width = n << config.osk
+    key = _as_int(lfsr_stream(config.seed, config.taps, width * b + n, n))
+    polarity = _as_int(lfsr_stream(config.seed, config.osk_taps, width + n, n)) if config.osk else 0
+    mask = (1 << n) - 1
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (state, mask of the slots XORed in)
+    for r in range(width + 1):
+        state, used = (key >> r * b & mask) | (polarity >> r & mask) << n, 1 << r
+        while state and state.bit_length() - 1 in basis:
+            reduced, slots = basis[state.bit_length() - 1]
+            state ^= reduced
+            used ^= slots
+        if not state:
+            break
+        basis[state.bit_length() - 1] = (state, used)
+    # symbol t is stream bits t b, ..., t b + b - 1, the first the most
+    # significant; the polarity bit sits above it
+    head = [int(f"{key >> t * b & ((1 << b) - 1):0{b}b}"[::-1], 2) | (polarity >> t & 1) << b
+            for t in range(r)]
+    return np.array(head, dtype=np.int64), used ^ (1 << r)
+
+
+def _as_int(bits: np.ndarray) -> int:
+    """The bit array as one integer, bit i at position i."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def slots_per_period(config: CipherConfig) -> int:
@@ -217,7 +261,9 @@ def encode(plaintext, config: CipherConfig) -> np.ndarray:
     fractions included, raise ``ValueError``.
     """
     x = _bits(plaintext)
-    return (keystream(config, len(x)) + x * config.M) % (2 * config.M)
+    p = keystream(config, len(x))
+    p ^= x << config.bits_per_symbol  # p < 2M, so XOR adds x M mod 2M
+    return p
 
 
 def _integers(values, what: str) -> np.ndarray:

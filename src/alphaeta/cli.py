@@ -279,10 +279,10 @@ def cmd_simulate(args) -> int:
             rep = attacks.eve_ctoa_data(record, config, plaintext, seed=args.seed)
             dump("report_ctoa_data.json", dataclasses.asdict(rep))
         elif kind == "ctoa-key":
-            rep = attacks.eve_key_symbol(record, config, None, seed=args.seed)
+            rep = attacks.eve_key_symbol(record, config, indices, None, seed=args.seed)
             dump("report_ctoa_key.json", dataclasses.asdict(rep))
         elif kind == "kpa":
-            rep = attacks.eve_key_symbol(record, config, plaintext, seed=args.seed)
+            rep = attacks.eve_key_symbol(record, config, indices, plaintext, seed=args.seed)
             dump("report_kpa_key.json", dataclasses.asdict(rep))
         else:  # key-entropy
             dump("report_key_entropy.json", {

@@ -7,7 +7,8 @@ error of any signed mixture over that ring from it, and
 ladder.  ``full_slab_errors``
 counts the eavesdropper's MAP errors by scoring every sample against every
 constellation point; ``pair_sum_map`` is its symbol decision when the known
-bit leaves each symbol's polarity unknown.  ``bob_nearest_bits`` is Bob's
+bit leaves each symbol's polarity unknown.  ``keystream_bits`` packs each
+slot's key index from single stream bits; ``bob_nearest_bits`` is Bob's
 keyed decision as the nearer point of each slot's pair.
 ``srm_holevo_yuen_residual``
 checks the optimality conditions of the square-root measurement on a symmetric ring in the span
@@ -34,7 +35,7 @@ from scipy.special import logsumexp
 
 from alphaeta.attacks import EmpiricalRate
 from alphaeta.channel import apply_loss
-from alphaeta.cipher import keystream, lfsr_stream
+from alphaeta.cipher import lfsr_stream
 from alphaeta.constellation import ModulationKind
 
 
@@ -189,7 +190,7 @@ def full_slab_errors(record, config, kind, plaintext) -> int:
     else:
         cand = np.where(x[:, None] == 0, np.arange(M)[None, :], np.arange(M)[None, :] + M)
         guess = np.argmax(np.take_along_axis(ll, cand, axis=1), axis=1)
-    return int(np.sum(guess != keystream(config, len(record)) % M))
+    return int(np.sum(guess != keystream_bits(config, len(record)) % M))
 
 
 def pair_sum_map(samples, beta) -> np.ndarray:
@@ -200,19 +201,31 @@ def pair_sum_map(samples, beta) -> np.ndarray:
     return np.argmax(np.logaddexp(ll[:, :M], ll[:, M:]), axis=1)
 
 
+def keystream_bits(config, count) -> np.ndarray:
+    """The per-slot key index k_t + r_t M packed bit by bit: log2(M) stream
+    bits per slot from ``lfsr_stream``, the first the most significant, under
+    the OSK polarity bit r_t, the reciprocal register's bit t (0 without OSK)."""
+    bps = config.bits_per_symbol
+    bits = lfsr_stream(config.seed, config.taps, count * bps, config.key_bits).reshape(count, bps)
+    p = np.zeros(count, dtype=np.int64)
+    if config.osk:  # the polarity is the top bit, above the symbol's
+        p |= lfsr_stream(config.seed, config.osk_taps, count, config.key_bits)
+    for column in bits.T:  # most significant bit first
+        p <<= 1
+        p |= column
+    return p
+
+
 def bob_nearest_bits(values, config) -> np.ndarray:
     """Bob's keyed bits by brute force: each slot decodes to the bit of the
     nearer point of its pair, bit 0 at k + r M and bit 1 at k + (1 - r) M
     (mod 2M) among the launched points times sqrt(kappa), with the symbol k
-    and the OSK polarity r (0 without OSK) cut from ``lfsr_stream`` itself;
-    a tie decodes to 0."""
+    and the OSK polarity r (0 without OSK) packed bit by bit
+    (``keystream_bits``); a tie decodes to 0."""
     y = np.asarray(values, dtype=np.complex128)
-    n, M, bps = len(y), config.M, config.bits_per_symbol
-    bits = lfsr_stream(config.seed, config.taps, n * bps, config.key_bits).astype(np.int64)
-    k = bits.reshape(n, bps) @ (1 << np.arange(bps - 1, -1, -1))
-    r = np.zeros(n, dtype=np.int64)
-    if config.osk:
-        r += lfsr_stream(config.seed, config.osk_taps, n, config.key_bits)
+    M = config.M
+    p = keystream_bits(config, len(y))
+    k, r = p % M, p // M
     beta = math.sqrt(config.kappa) * config.constellation().amplitudes
     far0 = np.abs(y - beta[(k + r * M) % (2 * M)])
     far1 = np.abs(y - beta[(k + (1 - r) * M) % (2 * M)])

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,8 +128,9 @@ class TestWindowedMap:
         cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **self.CASES[case])
         rng = np.random.default_rng(cfg.M)
         x, rec = _run(cfg, 10_000, rng)  # spans three likelihood chunks
-        reports = [eve_ctoa_data(rec, cfg, x), eve_key_symbol(rec, cfg, None),
-                   eve_key_symbol(rec, cfg, x)]
+        sent = encode(x, cfg)
+        reports = [eve_ctoa_data(rec, cfg, x), eve_key_symbol(rec, cfg, sent, None),
+                   eve_key_symbol(rec, cfg, sent, x)]
         for rep in reports:
             want = full_slab_errors(rec, cfg, rep.attack_kind, x)
             assert rep.empirical.value == want / len(x), rep.attack_kind
@@ -139,7 +142,7 @@ class TestWindowedMap:
         # still be found
         cfg = CipherConfig(key_bits=12, seed=0x5A5, **self.CASES[case])
         x, rec = _run(cfg, 5_000, np.random.default_rng(9))
-        rep = eve_key_symbol(rec, cfg, 1 - x)
+        rep = eve_key_symbol(rec, cfg, encode(x, cfg), 1 - x)
         assert rep.empirical.value == full_slab_errors(rec, cfg, "kpa_key", 1 - x) / len(x)
         assert rep.empirical.value > 0.5
 
@@ -191,7 +194,7 @@ class TestWindowedMap:
                            ask_S_min=1.5 ** 2, ask_S_max=3.6 ** 2)
         rec, x = MeasurementRecord(y, 1.0), np.zeros(len(y), dtype=np.int64)
         want = full_slab_errors(rec, cfg, "kpa_key", x)
-        assert eve_key_symbol(rec, cfg, x).empirical.value == want / len(y)
+        assert eve_key_symbol(rec, cfg, encode(x, cfg), x).empirical.value == want / len(y)
 
     def test_pair_sum_tie_goes_to_the_lowest_symbol(self):
         # the ladder 1.5 ... 6.0 (step 0.3) is symmetric about 3.75, where
@@ -359,18 +362,19 @@ class TestScoredRows:
     def test_max_rules_score_nothing(self, monkeypatch):
         cfg = CipherConfig(**self.README)
         x, rec = _run(cfg, 20_000, np.random.default_rng(7))
+        sent = encode(x, cfg)
         calls = self._spy(monkeypatch)
-        eve_key_symbol(rec, cfg, None)
-        eve_key_symbol(rec, cfg, x)
+        eve_key_symbol(rec, cfg, sent, None)
+        eve_key_symbol(rec, cfg, sent, x)
         # kpa under OSK on a ring: each symbol's pair is antipodal, so its
         # pair sum is largest at the nearest point too
-        eve_key_symbol(rec, dataclasses.replace(cfg, osk=True), x)
+        eve_key_symbol(rec, dataclasses.replace(cfg, osk=True), sent, x)
         assert calls == []
         # on a ladder the pair is a shift, and the pair sum goes through the
         # window, once per chunk
         ask = CipherConfig(key_bits=12, seed=0x5A5, osk=True, **TestKeySymbolDecisions.ASK8)
         x, rec = _run(ask, 20_000, np.random.default_rng(7))
-        eve_key_symbol(rec, ask, x)
+        eve_key_symbol(rec, ask, encode(x, ask), x)
         assert len(calls) == 5
 
 
@@ -378,7 +382,8 @@ class TestKeySymbolDecisions:
     # The key attacks on single-slot records: the max rules (ctoa-key; kpa
     # without OSK) and kpa under OSK.  A slot's decision is read as the one
     # symbol it does not err on: the record is scored once per symbol j,
-    # under a seed whose first running-key symbol is j.
+    # by the attack against the sent index j and by the full slab under a
+    # seed whose first running-key symbol is j.
     PSK8 = dict(M=8, S=400.0)
     ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)
 
@@ -399,7 +404,7 @@ class TestKeySymbolDecisions:
         for y in ys:
             rec = MeasurementRecord(np.array([y]), base.kappa)
             got.append([j for j, cfg in sorted(by_symbol.items())
-                        if eve_key_symbol(rec, cfg, x).empirical.value == 0.0])
+                        if eve_key_symbol(rec, cfg, [j], x).empirical.value == 0.0])
             want.append([j for j, cfg in sorted(by_symbol.items())
                          if full_slab_errors(rec, cfg, kind, x or [0]) == 0])
         return got, want
@@ -504,7 +509,7 @@ class TestKeySymbolAttacks:
         rng = np.random.default_rng(2)
         x = np.zeros(5_000, dtype=np.int64)
         _, rec = _run(cfg, 5_000, rng, plaintext=x)
-        rep = eve_key_symbol(rec, cfg, x)
+        rep = eve_key_symbol(rec, cfg, encode(x, cfg), x)
         assert rep.attack_kind == "kpa_key"
         assert rep.empirical.value == 0.0
 
@@ -529,9 +534,10 @@ class TestKeySymbolAttacks:
         cfg = CipherConfig(M=8, S=4.0, key_bits=10, seed=0x2BD)
         rng = np.random.default_rng(5)
         x = rng.integers(0, 2, 40_000)
-        rec = transmit(encode(x, cfg), cfg, rng)
-        kpa = eve_key_symbol(rec, cfg, x)
-        ctoa = eve_key_symbol(rec, cfg, None)
+        sent = encode(x, cfg)
+        rec = transmit(sent, cfg, rng)
+        kpa = eve_key_symbol(rec, cfg, sent, x)
+        ctoa = eve_key_symbol(rec, cfg, sent, None)
         assert kpa.attack_kind == "kpa_key" and ctoa.attack_kind == "ctoa_key"
         assert kpa.empirical.value <= ctoa.empirical.value + 3 * ctoa.empirical.stderr
         assert kpa.bound.value == srm_symmetric(8, 4.0).value
@@ -541,8 +547,9 @@ class TestKeySymbolAttacks:
         cfg = CipherConfig(M=4, S=100.0, key_bits=10, seed=0x19F, osk=True)
         rng = np.random.default_rng(6)
         x = rng.integers(0, 2, 5_000)
-        rec = transmit(encode(x, cfg), cfg, rng)
-        rep = eve_key_symbol(rec, cfg, x)
+        sent = encode(x, cfg)
+        rec = transmit(sent, cfg, rng)
+        rep = eve_key_symbol(rec, cfg, sent, x)
         assert rep.empirical.value < 0.01  # far-separated states
 
     @pytest.mark.parametrize("osk", [False, True])
@@ -550,9 +557,18 @@ class TestKeySymbolAttacks:
         # M = 1 leaves one candidate symbol once the plaintext is known
         cfg = CipherConfig(M=1, S=4.0, key_bits=8, seed=0x55, osk=osk)
         x, rec = _run(cfg, 1_000, np.random.default_rng(7))
-        rep = eve_key_symbol(rec, cfg, x)
+        rep = eve_key_symbol(rec, cfg, encode(x, cfg), x)
         assert rep.empirical.value == 0.0
         assert rep.bound.value == 0.0 and rep.bound.method == "single_state"
+
+    def test_sent_indices_checked(self):
+        cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
+        x, rec = _run(cfg, 10, np.random.default_rng(1))
+        sent = encode(x, cfg)
+        for truth, match in ((sent[:9], "lengths differ"), (sent + 8, "out of range"),
+                             (sent + 0.5, "integers")):
+            with pytest.raises(ValueError, match=match):
+                eve_key_symbol(rec, cfg, truth, x)
 
 
 class TestKeyPosterior:
@@ -702,8 +718,13 @@ class TestKeyPosterior:
             key_posterior_entropy(rec, cfg, np.zeros(4, dtype=int))
 
 
+def _kpa_on_symbol_zero(rec, cfg, x):
+    """The known-plaintext key attack, scored against symbol 0 in every slot."""
+    return eve_key_symbol(rec, cfg, np.zeros(len(rec), dtype=np.int64), x)
+
+
 class TestPlaintextBits:
-    ATTACKS = pytest.mark.parametrize("attack", [eve_ctoa_data, eve_key_symbol, key_posterior_entropy],
+    ATTACKS = pytest.mark.parametrize("attack", [eve_ctoa_data, _kpa_on_symbol_zero, key_posterior_entropy],
                                       ids=["ctoa-data", "kpa", "posterior"])
 
     @ATTACKS
@@ -722,6 +743,53 @@ class TestPlaintextBits:
         x, rec = _run(cfg, 50, np.random.default_rng(9))
         with pytest.raises(ValueError, match="plaintext must be integers"):
             attack(rec, cfg, x + 0.7)
+
+
+class TestEmptyRecord:
+    CFG = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
+    EMPTY = MeasurementRecord(np.zeros(0), 1.0)
+
+    def test_attacks_refuse_it(self):
+        none = np.zeros(0, dtype=np.int64)
+        for attack in (lambda: eve_ctoa_data(self.EMPTY, self.CFG, none),
+                       lambda: eve_key_symbol(self.EMPTY, self.CFG, none, None),
+                       lambda: eve_key_symbol(self.EMPTY, self.CFG, none, none)):
+            with pytest.raises(ValueError, match="no slots"):
+                attack()
+
+    def test_posterior_is_the_prior(self):
+        # no slot, no evidence: every nonzero seed is equally likely
+        h = key_posterior_entropy(self.EMPTY, self.CFG, np.zeros(0, dtype=np.int64))
+        assert h == pytest.approx(math.log2(2 ** 8 - 1), abs=1e-12)
+
+
+class TestEveReadsNoSecret:
+    # Eve's reports are scored against the sent indices, so two configs that
+    # differ only in the secret seed give the same report on the same record
+    CONFIGS = {
+        "psk": dict(M=8, S=10.0),
+        "ask": dict(M=8, S=2000.0, kind="ask", ask_S_min=3.0, ask_S_max=2000.0, kappa=0.5),
+    }
+
+    @pytest.mark.parametrize("osk", [False, True])
+    @pytest.mark.parametrize("case", sorted(CONFIGS))
+    def test_reports_ignore_the_seed(self, case, osk):
+        cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **self.CONFIGS[case])
+        other = dataclasses.replace(cfg, seed=0x123)
+        x, rec = _run(cfg, 2_000, np.random.default_rng(3))
+        sent = encode(x, cfg)
+        for run in (lambda c: eve_ctoa_data(rec, c, x),
+                    lambda c: eve_key_symbol(rec, c, sent, None),
+                    lambda c: eve_key_symbol(rec, c, sent, x)):
+            assert run(cfg) == run(other)
+
+    def test_attacks_module_never_reads_the_key(self):
+        tree = ast.parse(Path(attacks.__file__).read_text())
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "keystream" not in imported
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "seed"]
 
 
 class TestHadamard:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from alphaeta.attacks import _seed_masks
 from alphaeta.cipher import (
     PRIMITIVE_TAPS,
     CipherConfig,
+    _slot_recurrence,
     decode,
     default_taps,
     encode,
@@ -20,6 +22,8 @@ from alphaeta.cipher import (
     sequence_count_log2,
     slots_per_period,
 )
+
+from oracles import keystream_bits
 
 
 def lfsr_reference(seed: int, taps: int, nbits: int, count: int) -> list[int]:
@@ -187,6 +191,46 @@ class TestRunningKey:
             assert got.dtype == np.int64
             np.testing.assert_array_equal(got % M, want)
             np.testing.assert_array_equal(got // M, polarity)
+
+    @pytest.mark.parametrize("M", [1, 8])
+    @pytest.mark.parametrize("count", [-1, 2.5, 3.0, "4"])
+    def test_count_checked(self, M, count):
+        cfg = CipherConfig(M=M, S=1.0, key_bits=8, seed=0x3C)
+        with pytest.raises(ValueError, match="count"):
+            keystream(cfg, count)
+
+    @staticmethod
+    def _tap_sets(key_bits):
+        """The shipped taps where there are some, a reducible tap set with
+        x^0 (an even number of terms, so x + 1 divides it: not maximal) and
+        one without x^0 (a singular shift map); random above that."""
+        rng = random.Random(key_bits)
+        while True:
+            reducible = rng.getrandbits(key_bits) | 1
+            singular = rng.getrandbits(key_bits) & ~1
+            if reducible.bit_count() % 2 and singular:
+                break
+        return [PRIMITIVE_TAPS.get(key_bits), reducible, singular]
+
+    @pytest.mark.parametrize("M", [1, 2, 512, 1 << 40], ids=["M1", "M2", "M512", "M2^40"])
+    @pytest.mark.parametrize("key_bits", [*range(4, 23), 64, 127, 128])
+    def test_matches_bit_packing(self, key_bits, M):
+        # the word recurrence against the per-bit packing, at the counts
+        # around its head length r (r <= |K|, 2|K| under OSK) and far past it
+        seed = random.Random(-key_bits).randrange(1, 1 << key_bits)
+        for taps in self._tap_sets(key_bits):
+            if taps is None:
+                continue
+            for osk in (False, True):
+                cfg = CipherConfig(M=M, S=1.0, key_bits=key_bits, seed=seed, lfsr_taps=taps,
+                                   osk=osk)
+                r = len(_slot_recurrence(cfg)[0])
+                assert 1 <= r <= key_bits << osk
+                for count in sorted({0, 1, r - 1, r, r + 1, 10_000}):
+                    got = keystream(cfg, count)
+                    assert got.dtype == np.int64 and len(got) == count
+                    np.testing.assert_array_equal(got, keystream_bits(cfg, count),
+                                                  err_msg=f"taps={taps:#x} osk={osk} count={count}")
 
 
 class TestEncodeDecode:
