@@ -211,37 +211,30 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig, truth,
 # --- exhaustive key posterior ------------------------------------------------
 
 def _hadamard(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of the C-contiguous float array
-    ``a`` along its last axis, whose length is a power of two; in place.
+    """Unnormalized Walsh-Hadamard transform of the float array ``a`` along
+    its last axis, whose length is a power of two; in place.
 
-    Radix-2 butterflies, stage i pairing entries 2^i apart.  When the axis
-    holds at least 8 entries, stages 0-2 run between the 8 strided columns
-    of a (-1, 8) view, so each butterfly is one long loop rather than one
-    short run per row; the later stages pair contiguous runs of 2^i >= 8.
-    All stages write lo - hi through one scratch half-array.  Every entry
-    is the same sum, in the same order, as in a plain stage-by-stage loop.
+    Constant-geometry order (Pease 1968): every stage reads the adjacent
+    pairs (lo, hi) = (2j, 2j+1) of the current order and writes lo + hi to
+    entry j and lo - hi to entry j + n/2 of a full-length buffer, which then
+    trades roles with ``a``; an odd stage count ends with one copy back.
+    Each stage rotates the index bits right by one, so stage i pairs the
+    entries that differ in bit i of the natural index, lo the one with bit
+    i clear, and after all stages the order is natural again: every entry
+    is the same sum, in the same order, as in a plain radix-2 loop whose
+    stage i pairs entries 2^i apart.  At every stage the reads are stride-2
+    runs and the writes contiguous runs, each half the axis long.
     """
-    bits = a.shape[-1].bit_length() - 1
-    scratch = np.empty(a.size // 2)
-    first = 0
-    if bits >= 3:
-        cols = a.reshape(-1, 8).T
-        for h in (1, 2, 4):
-            for j in range(8):
-                if not j & h:
-                    _butterfly(cols[j], cols[j + h], scratch[:len(cols[j])])
-        first = 3
-    for i in range(first, bits):
-        pair = a.reshape(-1, 2, 1 << i)
-        _butterfly(pair[:, 0], pair[:, 1], scratch.reshape(-1, 1 << i))
+    half = a.shape[-1] // 2
+    src, dst = a, np.empty_like(a)
+    for _ in range(half.bit_length()):
+        lo, hi = src[..., 0::2], src[..., 1::2]
+        np.add(lo, hi, out=dst[..., :half])
+        np.subtract(lo, hi, out=dst[..., half:])
+        src, dst = dst, src
+    if src is not a:
+        a[...] = src
     return a
-
-
-def _butterfly(lo: np.ndarray, hi: np.ndarray, diff: np.ndarray) -> None:
-    """(lo, hi) <- (lo + hi, lo - hi), with ``diff`` as scratch."""
-    np.subtract(lo, hi, out=diff)
-    lo += hi
-    hi[...] = diff
 
 
 def _seed_masks(taps: int, k: int, count: int) -> np.ndarray:
@@ -258,8 +251,8 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     Scores all 2^|K|-1 seeds against the Gaussian record and normalizes;
     this is the brute-force key-security oracle, for any taps and |K| <= 22
     (_POSTERIOR_MAX_KEY_BITS; over 682 slots at M=64, S=0.005 under OSK, a
-    warm call takes 0.07-0.08 s and a 17.4 MiB tracemalloc peak at |K| = 20,
-    0.24-0.36 s and 65.4 MiB at |K| = 22, on 2 cores).  Every keyed bit is
+    warm call takes 0.03-0.07 s and a 17.4 MiB tracemalloc peak at |K| = 20,
+    0.14-0.38 s and 65.4 MiB at |K| = 22, on 2 cores).  Every keyed bit is
     parity(mask & s) for a seed mask (``_seed_masks``), so slot t's
     log-likelihood is a table f_t(z) over its key index z = r_t M + k_t
     (``keystream``: the symbol bits, plus the polarity bit under OSK), and
@@ -273,7 +266,10 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     only u = 0, the same for every seed.  The characters of all slots are
     summed into one 2^|K| table whose Walsh-Hadamard transform is every
     seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time with no per-slot
-    transform, O(2^|K| + slots log2 2M + chunk * 2M) memory.
+    transform and no BLAS call.  Memory: 2 * 2^|K| floats for the transform
+    (the table and ``_hadamard``'s buffer), the record's seed masks
+    (slots log2 2M) and two chunk * 2M block tables, the masks and the
+    weights f, written in place.
     """
     k = config.key_bits
     if k > _POSTERIOR_MAX_KEY_BITS:
@@ -294,12 +290,22 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     if config.osk:
         bit_masks = np.column_stack([bit_masks, _seed_masks(config.osk_taps, k, slots)])
     coeff = np.zeros(1 << k)
-    masks = np.empty((min(slots, _CHUNK), 1 << zbits), dtype=np.int64)
+    block = (min(slots, _CHUNK), 1 << zbits)
+    masks, table = np.empty(block, dtype=np.int64), np.empty(block)
     for lo in range(0, slots, _CHUNK):
         t = slice(lo, lo + _CHUNK)
         y, xt = record.samples[t, None], x[t]
-        f = y.real * R[xt] + y.imag * I[xt] + E[xt]
-        v = masks[:len(xt)]
+        v, f = masks[:len(xt)], table[:len(xt)]
+        scratch = v.view(np.float64)  # free until the masks are built
+        zero, one = xt == 0, xt != 0
+        # f = y.real * R[x] + y.imag * I[x] + E[x], each slot's rows filled
+        # by its bit rather than gathered, one ufunc at a time
+        f[zero], f[one] = R
+        f *= y.real
+        scratch[zero], scratch[one] = I
+        f += np.multiply(scratch, y.imag, out=scratch)
+        scratch[zero], scratch[one] = E
+        f += scratch
         v[:, 0] = 0
         for i in range(zbits):  # character u's mask: the XOR of its bits' masks
             np.bitwise_xor(v[:, :1 << i], bit_masks[t, i:i + 1], out=v[:, 1 << i:2 << i])

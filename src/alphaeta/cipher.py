@@ -60,15 +60,21 @@ def reciprocal_taps(taps: int, key_bits: int) -> int:
 
 
 def _mulmod(a: int, b: int, poly: int, nbits: int) -> int:
-    """a * b mod poly in GF(2)[x]; a, b below x^nbits, poly of degree nbits."""
+    """a * b mod poly in GF(2)[x]; a, b below x^nbits, poly of degree nbits:
+    one shifted copy of a per set bit of b, then ``_mod``."""
     r = 0
     while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> nbits:
-            a ^= poly
+        low = b & -b
+        r ^= a * low
+        b ^= low
+    return _mod(r, poly, nbits)
+
+
+def _mod(r: int, poly: int, nbits: int) -> int:
+    """r mod poly in GF(2)[x], poly of degree nbits: its top set bit cleared
+    by a shifted poly until none is left at or above x^nbits."""
+    while (top := r.bit_length() - 1) >= nbits:
+        r ^= poly << (top - nbits)
     return r
 
 
@@ -80,21 +86,25 @@ def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndar
     so p need not be primitive, irreducible or have an x^0 term.
 
     Jump-ahead by doubling: with L terms known, s[t+L] is the XOR of s[t+b]
-    over the bits b of x^L mod p, p = x^nbits + taps, which gives terms
-    L..2L-nbits from known ones.  L = 2^i + nbits - 1 at stage i.
+    over the set bits b of x^L mod p, p = x^nbits + taps, which gives terms
+    L..2L-nbits from known ones.  L = 2^i + nbits - 1 at stage i; the next
+    stage's x^L and x^(2^i) are made only if it runs.
     """
     poly = taps | 1 << nbits
     out = np.zeros(max(count, nbits), dtype=head.dtype)
     out[:nbits] = head
-    known, jump, x_pow2 = nbits, taps, _mulmod(1, 2, poly, nbits)  # x^known, x^(2^i) mod p
+    known, jump, x_pow2 = nbits, taps, _mod(2, poly, nbits)  # x^known, x^(2^i) mod p
     while known < count:
         new = min(known - nbits + 1, count - known)
-        for b in range(nbits):
-            if jump >> b & 1:
-                out[known:known + new] ^= out[b:b + new]
+        block, rest = out[known:known + new], jump
+        while rest:
+            b = (rest & -rest).bit_length() - 1
+            block ^= out[b:b + new]
+            rest &= rest - 1
         known += new
-        jump = _mulmod(jump, x_pow2, poly, nbits)
-        x_pow2 = _mulmod(x_pow2, x_pow2, poly, nbits)
+        if known < count:
+            jump = _mulmod(jump, x_pow2, poly, nbits)
+            x_pow2 = _mod(int(f"{x_pow2:b}", 4), poly, nbits)  # bit i to 2i: the square
     return out[:count]
 
 

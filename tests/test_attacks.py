@@ -1,6 +1,8 @@
 import ast
 import dataclasses
+import inspect
 import math
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -646,14 +648,22 @@ class TestKeyPosterior:
         pytest.param(8, True, dict(LADDER, kappa=0.5, ask_S_min=2.5), id="ask-8-True"),
         pytest.param(8, True, dict(kappa=0.6), id="8-True-lossy"),
         pytest.param(8, False, dict(kappa=0.6), id="8-False-lossy"),
+        # a block of _CHUNK slots that all carry one bit, then a mixed block
+        # of 37: both bits' rows and a short last block in one record; S is
+        # low enough that the posterior stays spread
+        pytest.param(4, True, dict(S=0.001, slots=attacks._CHUNK + 37), id="blocks-4-True"),
+        pytest.param(4, False, dict(S=0.001, slots=attacks._CHUNK + 37), id="blocks-4-False"),
+        pytest.param(4, True, dict(S=0.001, slots=attacks._CHUNK + 37, fill=1), id="blocks-4-True-ones"),
     ])
     def test_matches_per_seed_loop(self, M, osk, fields):
         # the Walsh-Hadamard fold over seed masks must agree with a plain
         # per-seed likelihood loop over re-encoded records
-        cfg = CipherConfig(M=M, S=0.8, key_bits=6, seed=0x21, osk=osk, **fields)
+        fields = dict(S=0.8, slots=40, fill=0) | fields
+        n, fill = fields.pop("slots"), fields.pop("fill")
+        cfg = CipherConfig(M=M, key_bits=6, seed=0x21, osk=osk, **fields)
         rng = np.random.default_rng(4)
-        n = 40
         x = rng.integers(0, 2, n)
+        x[:n // attacks._CHUNK * attacks._CHUNK] = fill  # every full block one bit
         rec = transmit(encode(x, cfg), cfg, rng)
         got = key_posterior_entropy(rec, cfg, x)
         assert got == pytest.approx(self._per_seed_entropy(rec, cfg, x), abs=1e-9)
@@ -790,6 +800,25 @@ class TestEveReadsNoSecret:
         assert "keystream" not in imported
         assert not [node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "seed"]
+
+
+class TestPosteriorCallsNoBlas:
+    """The key posterior makes no BLAS call: no ``@`` and no call to ``dot``,
+    ``matmul``, ``einsum``, ``tensordot`` or anything in ``np.linalg``, in
+    ``_hadamard``, ``key_posterior_entropy`` or the helpers it calls.  After
+    the host sits idle, the first threaded BLAS call in a process costs about
+    1 s instead of 0.09 s, and that spike would land on the posterior's
+    timings; its sums are plain ufunc and bincount passes."""
+
+    BLAS = {"dot", "matmul", "einsum", "tensordot", "linalg"}
+
+    @pytest.mark.parametrize("name", ["_hadamard", "key_posterior_entropy", "_seed_masks"])
+    def test_no_blas(self, name):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(attacks, name))))
+        assert not [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
+        named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not named & self.BLAS
 
 
 class TestHadamard:
