@@ -15,6 +15,7 @@ from .detection import (
     BoundReport,
     helstrom_binary_mixed,
     helstrom_binary_pure,
+    pair_symmetric,
     quadrature_binary,
     srm_symmetric,
     usd_symmetric,
@@ -28,7 +29,6 @@ from .cipher import (
     lfsr_period,
     lfsr_stream,
     reciprocal_taps,
-    sequence_count_log2,
     slots_per_period,
 )
 from .channel import (
@@ -43,7 +43,6 @@ from .attacks import (
     AttackReport,
     EmpiricalRate,
     bit_hypotheses,
-    collective_success,
     collective_usd_bound,
     eve_ctoa_data,
     eve_key_symbol,
@@ -55,14 +54,13 @@ __all__ = [
     "Constellation", "ModulationKind", "design_bases", "gram_matrix",
     "make_ask", "make_psk",
     "BoundReport",
-    "helstrom_binary_mixed", "helstrom_binary_pure", "quadrature_binary",
-    "srm_symmetric", "usd_symmetric",
+    "helstrom_binary_mixed", "helstrom_binary_pure", "pair_symmetric",
+    "quadrature_binary", "srm_symmetric", "usd_symmetric",
     "CipherConfig", "decode", "default_taps", "encode", "keystream",
-    "lfsr_period", "lfsr_stream", "reciprocal_taps",
-    "sequence_count_log2", "slots_per_period",
+    "lfsr_period", "lfsr_stream", "reciprocal_taps", "slots_per_period",
     "MeasurementRecord", "apply_loss", "bob_receive", "received", "save_record",
     "transmit",
     "AttackReport", "EmpiricalRate", "bit_hypotheses",
-    "collective_success", "collective_usd_bound", "eve_ctoa_data",
-    "eve_key_symbol", "key_posterior_entropy",
+    "collective_usd_bound", "eve_ctoa_data", "eve_key_symbol",
+    "key_posterior_entropy",
 ]

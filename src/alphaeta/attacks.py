@@ -2,15 +2,16 @@
 
 Eve's simulated receiver is the heterodyne tap of ``channel.transmit``, the
 only record the package makes, followed by optimal classical
-post-processing: max-likelihood key decisions read the nearest allowed
-point, and so does the known-plaintext key MAP under OSK on a PSK ring,
-whose symbol pairs are antipodal; the data-bit MAP is the nearer of its two
-hypotheses' centroids, whose halves mirror each other; the known-plaintext
-key MAP under OSK on an ASK ladder sums each symbol's pair over the run of
-points that a ln 2 certificate leaves in reach.  Every attack decision is
-exact: no likelihood mass is left out of it.
-Quantum-optimal attacks enter only as bounds, so the empirical/bound gap
-stays visible.
+post-processing.  The data-bit MAP is the nearer of its two hypotheses'
+centroids, whose halves mirror each other.  Key symbols follow one rule:
+with the slot's polarity unknown (ciphertext-only, or any attack under OSK)
+symbol k is the pair of points {k, k + M}, whose MAP is the nearest point
+mod M on a PSK ring, where the pair is antipodal, and a pair sum over the
+run of points that a ln 2 certificate leaves in reach on an ASK ladder;
+with the bit known and no OSK it is the nearest point of the known half.
+Every attack decision is exact: no likelihood mass is left out of it.
+Quantum-optimal attacks enter only as bounds on the same ensembles, so the
+empirical/bound gap stays visible.
 The exhaustive key-posterior oracle scores every seed of any register up to
 22 bits with one Walsh-Hadamard transform over the seed space; each slot's
 Walsh characters are read from tables the constellation fixes.
@@ -28,7 +29,8 @@ from .constellation import ModulationKind
 from .detection import (
     BoundReport,
     helstrom_binary_mixed,
-    srm_symmetric,
+    helstrom_binary_pure,
+    pair_symmetric,
     usd_symmetric,
 )
 
@@ -50,7 +52,6 @@ class AttackReport:
     attack_kind: str  # ctoa_data | ctoa_key | kpa_key
     empirical: EmpiricalRate
     bound: BoundReport
-    seed: int | None = None
 
 
 def _rate(errors: int, n: int) -> EmpiricalRate:
@@ -127,8 +128,7 @@ def _ladder_pair_map(y: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.where(score == score.max(axis=1, keepdims=True), k, M).min(axis=1)
 
 
-def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
-                  seed: int | None = None) -> AttackReport:
+def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth) -> AttackReport:
     """Ciphertext-only attack on the data: per-slot MAP bit decision.
 
     Bit b's likelihood sums the Gaussian likelihoods of the points its
@@ -154,36 +154,40 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth,
     c0, c1 = (row @ c.amplitudes for row in q)  # one call per row: equal rows, equal centroids
     guess = ((record.samples - (c0 + c1) / 2) * np.conj(c1 - c0)).real > 0
     return AttackReport("ctoa_data", _rate(int(np.count_nonzero(guess != truth)), len(record)),
-                        helstrom_binary_mixed(c, *q), seed)
+                        helstrom_binary_mixed(c, *q))
 
 
 def eve_key_symbol(record: MeasurementRecord, config: CipherConfig, truth,
-                   plaintext=None, seed: int | None = None) -> AttackReport:
+                   plaintext=None) -> AttackReport:
     """Attack on the running-key symbol, known-plaintext or ciphertext-only.
 
     ``truth`` holds the sent state indices, which score the decisions: slot
     t's symbol is truth_t mod M, so the attack never reads the key itself.
-    Symbol k is the pair of points {k, k + M}.  Ciphertext-only, the
-    decision is the most likely point mod M (``_nearest``), i.e. the most
-    likely symbol and bit together: on a ring that is the symbol MAP (see
-    below), on a ladder it can differ from the pair sum near ties.  A known
-    bit without OSK rules out one point of each pair, and the decision is
-    the nearest point of the known half mod M, exact.  Under OSK the known
-    bit leaves the pair's polarity unknown, so the symbol MAP sums its two
-    likelihoods.  On a PSK ring of radius r the pair is antipodal, and for
+    One rule picks the ensemble, and the decision and the bound both read
+    it.  With the slot's polarity unknown, ciphertext-only or under OSK
+    (where the known bit leaves its XOR with the keyed polarity unknown),
+    symbol k is the pair of points {k, k + M} and the symbol MAP sums their
+    two likelihoods, so ``kpa`` under OSK is the ciphertext-only attack.  On
+    a PSK ring of radius r the pair is antipodal, and for
     y = |y| e^{i theta} the sum is
     2 e^{-|y|^2 - r^2} cosh(2 r |y| cos(theta - pi k / M)), largest for the
     symbol whose point or antipode is nearest in angle: the nearest point of
-    all 2M mod M, exact.  On an ASK ladder the pair is a shift by M steps,
-    not a reflection, so the two likelihoods are summed over the symbols a
-    ln 2 certificate leaves in reach (``_ladder_pair_map``).  The bound is the
-    symmetric-ensemble optimum at N = M (known plaintext) or N = 2M
-    (ciphertext-only); a known plaintext at M = 1 leaves one candidate, whose
-    bound is an error of exactly 0 (method ``single_state``).
+    all 2M mod M (``_nearest``), exact.  On an ASK ladder the pair is a
+    shift by M steps, not a reflection, so the two likelihoods are summed
+    over the symbols a ln 2 certificate leaves in reach
+    (``_ladder_pair_map``).  A known bit without OSK rules out one point of
+    each pair, and the decision is the nearest point of the known half mod
+    M, exact.
+
+    The bound is for the same ensemble, on the received points: exactly 0
+    at M = 1 (``single_state``); the exact optimum ``pair_symmetric`` for
+    the pairs of a PSK ring; otherwise (the known half, both ASK ensembles)
+    the Helstrom error of two adjacent points, a lower bound
+    (``adjacent_pair``): a genie that names which of the adjacent candidates
+    {2j, 2j + 1} was sent, and the polarity, can only help Eve.
     """
     beta = received(config).amplitudes
-    M = config.M
-    n = len(record)
+    M, n = config.M, len(record)
     truth = _state_indices(truth, config)
     if len(truth) != n:
         raise ValueError("record and sent indices lengths differ")
@@ -191,21 +195,24 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig, truth,
     x = _bits(plaintext) if known else None
     if known and len(x) != n:
         raise ValueError("record and plaintext lengths differ")
+    pair = not known or config.osk
+    ring = config.kind is ModulationKind.PSK
 
-    if known and config.osk and config.kind is ModulationKind.ASK:
+    if pair and not ring:
         guess = np.empty(n, dtype=np.int64)
         for lo in range(0, n, _CHUNK):
             guess[lo:lo + _CHUNK] = _ladder_pair_map(record.samples[lo:lo + _CHUNK], beta)
     else:
-        guess = _nearest(record.samples, beta, config.kind, half=None if config.osk else x) % M
+        guess = _nearest(record.samples, beta, config.kind, half=None if pair else x) % M
     errors = int(np.sum(guess != truth % M))
 
-    if known and M == 1:  # one candidate symbol: the guess cannot err
+    if M == 1:
         bound = BoundReport(0.0, "error", "single_state")
+    elif pair and ring:
+        bound = pair_symmetric(M, abs(beta[0]) ** 2)
     else:
-        bound = srm_symmetric(M if known else 2 * M, config.S)
-    kind = "kpa_key" if known else "ctoa_key"
-    return AttackReport(kind, _rate(errors, n), bound, seed)
+        bound = BoundReport(helstrom_binary_pure(beta[0], beta[1]).value, "error", "adjacent_pair")
+    return AttackReport("kpa_key" if known else "ctoa_key", _rate(errors, n), bound)
 
 
 # --- exhaustive key posterior ------------------------------------------------
@@ -323,31 +330,17 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
 
 # --- closed-form security metrics --------------------------------------------
 
-def collective_success(per_slot_pd: float, L: int) -> float:
-    """log2 of the joint success probability pd^L.
-
-    The optimal collective measurement over product hypotheses factorizes
-    into per-slot measurements, so the joint success is the per-slot success
-    to the L-th power; it is returned in log2 because the value itself
-    underflows at once for realistic L.
-    """
-    if not 0.0 <= per_slot_pd <= 1.0:
-        raise ValueError("per_slot_pd out of range")
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if per_slot_pd == 0.0:
-        return -math.inf
-    return L * math.log2(per_slot_pd)
-
-
 def collective_usd_bound(N: int, S: float, key_bits: int) -> tuple[float, bool]:
     """Collective unambiguous-attack success over one key's worth of slots.
 
-    L = floor(|K| / log2 N) slots carry the key; the collective success is the
-    per-slot unambiguous success to the L-th power (log2-domain), compared
-    against the 2^-|K| pure-guessing line.
+    L = floor(|K| / log2 N) slots carry the key.  The optimal collective
+    measurement over product hypotheses factorizes into per-slot
+    measurements, so the collective success is the per-slot unambiguous
+    success to the L-th power; it is returned in log2 because the value
+    itself underflows at once for realistic L, and compared against the
+    2^-|K| pure-guessing line.
     """
     pd = usd_symmetric(N, S).value
     L = max(1, int(key_bits / math.log2(N)))
-    log2_pd = collective_success(pd, L)
+    log2_pd = L * math.log2(pd) if pd > 0 else -math.inf
     return log2_pd, log2_pd < -key_bits

@@ -2,7 +2,6 @@
 bit-to-state mapping with optional overlap selection keying, keyed decoding."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,14 +309,3 @@ def decode(indices, config: CipherConfig) -> np.ndarray:
     s = _state_indices(indices, config)
     return ((s - keystream(config, len(s))) % (2 * config.M)) // config.M
 
-
-def sequence_count_log2(config: CipherConfig) -> float:
-    """log2 of the number of distinct transmittable state sequences,
-    (2^|K| / log2 M) * log2(2M); the count itself overflows for real key sizes."""
-    if config.M < 2:
-        raise ValueError("M must be at least 2")
-    per_block = math.log2(2 * config.M) / math.log2(config.M)
-    try:
-        return math.ldexp(per_block, config.key_bits)
-    except OverflowError:
-        return math.inf

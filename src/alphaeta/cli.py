@@ -258,7 +258,7 @@ def cmd_simulate(args) -> int:
 
     def dump(name: str, payload: dict) -> None:
         path = outdir / name
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps({**payload, "seed": args.seed}, indent=2, sort_keys=True) + "\n")
         outputs.append(str(path))
 
     for kind in args.attack:
@@ -273,16 +273,15 @@ def cmd_simulate(args) -> int:
                 # a ring and on an equally spaced ladder alike
                 "bound": dataclasses.asdict(
                     detection.helstrom_binary_pure(beta[0], beta[config.M])),
-                "seed": args.seed,
             })
         elif kind == "ctoa-data":
-            rep = attacks.eve_ctoa_data(record, config, plaintext, seed=args.seed)
+            rep = attacks.eve_ctoa_data(record, config, plaintext)
             dump("report_ctoa_data.json", dataclasses.asdict(rep))
         elif kind == "ctoa-key":
-            rep = attacks.eve_key_symbol(record, config, indices, None, seed=args.seed)
+            rep = attacks.eve_key_symbol(record, config, indices, None)
             dump("report_ctoa_key.json", dataclasses.asdict(rep))
         elif kind == "kpa":
-            rep = attacks.eve_key_symbol(record, config, indices, plaintext, seed=args.seed)
+            rep = attacks.eve_key_symbol(record, config, indices, plaintext)
             dump("report_kpa_key.json", dataclasses.asdict(rep))
         else:  # key-entropy
             dump("report_key_entropy.json", {
@@ -290,7 +289,7 @@ def cmd_simulate(args) -> int:
                 "key_posterior_entropy_bits":
                     attacks.key_posterior_entropy(record, config, plaintext),
                 "key_bits": config.key_bits,
-                "trials": n, "seed": args.seed,
+                "trials": n,
             })
 
     if args.save_record:

@@ -7,7 +7,7 @@ a mixed hypothesis is a probability vector over a constellation's points.
 Symmetric (PSK) rings take their circulant Gram spectrum from one
 log-domain closed form (Poisson mass by residue class, relative error under
 1.2e-12 per eigenvalue against 60-digit mpmath at N <= 4096, S <= 3e4, no
-clamp), which the minimum-error, unambiguous and
+clamp), which the minimum-error, antipodal-pair, unambiguous and
 mixed-state Helstrom figures all read; every pair of mixtures on a ring,
 the even/odd and half-ring pairs included, takes the one route in
 ``helstrom_binary_mixed``.  Weights that mirror onto themselves about some
@@ -39,8 +39,9 @@ class BoundReport:
 
     value: float
     kind: str  # "error" | "success"
-    # closed_form | ring_spectrum (PSK mixtures) | gram_eigen (ASK
-    # mixtures) | srm_spectrum | usd_spectrum | quadrature | single_state
+    # closed_form | ring_spectrum (PSK mixtures) | gram_eigen (ASK mixtures) |
+    # srm_spectrum | pair_spectrum (antipodal pairs) | usd_spectrum |
+    # quadrature | single_state | adjacent_pair (key symbols' lower bound)
     method: str
 
     def __post_init__(self):
@@ -264,6 +265,26 @@ def srm_symmetric(N: int, S: float) -> BoundReport:
     _check_ring(N, S)
     success = float((np.exp(0.5 * _ring_log_spectrum(N, S)).sum() / N) ** 2)
     return BoundReport(_clip01(1.0 - success), "error", "srm_spectrum")
+
+
+def pair_symmetric(M: int, S: float) -> BoundReport:
+    """Minimum-error figure for the M antipodal pairs of the 2M-point ring of
+    energy S under uniform priors, hypothesis k the mixture
+    (|a_k><a_k| + |-a_k><-a_k|) / 2, a_k = a_0 e^{i pi k / M}.  Reports the error.
+
+    Photon-number parity commutes with every pair: rho_k = |e_k><e_k| +
+    |o_k><o_k| with the cats e_k, o_k = (|a_k> +- |-a_k>) / 2, and pinching
+    by parity changes no outcome probability, so the optimum is the sum of
+    the two blocks' optima.  Each block is a symmetric pure ensemble of M
+    states, unnormalized Gram spectrum lambda_k / 2 over the even (odd) k of
+    the 2M ring, whose square-root measurement is optimal (``srm_symmetric``):
+    P_s = [(sum_{k even} sqrt(lambda_k))^2 + (sum_{k odd} sqrt(lambda_k))^2] / (2 M^2),
+    within 1.2e-12 relative.
+    """
+    _check_ring(2 * M, S)
+    root = np.exp(0.5 * _ring_log_spectrum(2 * M, S))
+    success = float((root[0::2].sum() ** 2 + root[1::2].sum() ** 2) / (2 * M * M))
+    return BoundReport(_clip01(1.0 - success), "error", "pair_spectrum")
 
 
 def usd_symmetric(N: int, S: float) -> BoundReport:

@@ -252,7 +252,7 @@ def _claim_collective_enumeration():
     # delta method: pj - p1^2 has influence (a - p)(b - p) under independence
     se = p1 * (1 - p1) / math.sqrt(trials)
     diff = abs(pj - p1 ** 2)
-    log2_formula = attacks.collective_success(p1, 2)
+    log2_formula = 2 * math.log2(p1)
     return (diff, f"<= 4*SE ({4*se:.2e})", diff <= 4 * se,
             f"per-slot {p1:.5f}, joint {pj:.5f}, log2 formula {log2_formula:.5f}")
 

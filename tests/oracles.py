@@ -6,10 +6,12 @@ error of any signed mixture over that ring from it, and
 ``ladder_mixture_helstrom`` computes the same figure on a real-amplitude
 ladder.  ``full_slab_errors``
 counts the eavesdropper's MAP errors by scoring every sample against every
-constellation point; ``pair_sum_map`` is its symbol decision when the known
-bit leaves each symbol's polarity unknown.  ``keystream_bits`` packs each
+constellation point; ``pair_sum_map`` is its symbol decision when the slot's
+polarity is unknown, ciphertext-only or under OSK.  ``keystream_bits`` packs each
 slot's key index from single stream bits; ``bob_nearest_bits`` is Bob's
 keyed decision as the nearer point of each slot's pair.
+``pair_block_srm_success`` is the optimum for the antipodal pairs of a ring,
+from the square-root measurement of each parity block's cat states.
 ``srm_holevo_yuen_residual``
 checks the optimality conditions of the square-root measurement on a symmetric ring in the span
 basis, and ``symmetric_symbol_error_mc`` samples the heterodyne symbol error
@@ -103,6 +105,35 @@ def ring_mixture_helstrom(w, S) -> float:
         return float(mpmath.mpf(1) / 2 - mpmath.fsum(abs(e) for e in eig) / 2)
 
 
+def pair_block_srm_success(M, S) -> float:
+    """Optimum success for the M antipodal-pair mixtures of the 2M-point ring
+    of energy S under uniform priors, at 60 digits, from the cat states.
+
+    The pair mixture rho_k is |e_k><e_k| + |o_k><o_k| with the cats
+    e_k, o_k = (|a_k> +- |-a_k>) / 2, a_k = sqrt(S) w^k, w = e^{i pi / M}.
+    Parity splits the problem into two symmetric pure ensembles, so the
+    optimum is the sum of their square-root-measurement successes
+    sum_k ((Phi^{1/2})_kk)^2, with Phi the Gram matrix of the cats weighted
+    by 1/M: e^{-S} cosh(S w^(k-j)) / M for the even block and
+    e^{-S} sinh(S w^(k-j)) / M for the odd.  Each Phi is positive definite
+    at the sizes used (M <= 16), and its square root comes from mpmath's
+    Hermitian eigensolve, with no eigenvalue clamped."""
+    with mpmath.workdps(60):
+        s = mpmath.mpf(S)
+        total = mpmath.mpf(0)
+        for block in (mpmath.cosh, mpmath.sinh):
+            phi = mpmath.matrix(M, M)
+            for j in range(M):
+                for k in range(M):
+                    phi[j, k] = mpmath.exp(-s) * block(s * mpmath.expjpi(mpmath.mpf(k - j) / M)) / M
+            lam, vec = mpmath.eighe(phi)
+            if min(lam) <= 0:
+                raise ValueError("the cats' Gram matrix is singular at this precision")
+            root = vec * mpmath.diag([mpmath.sqrt(x) for x in lam]) * vec.H
+            total += mpmath.fsum(abs(root[k, k]) ** 2 for k in range(M))
+        return float(total)
+
+
 def ladder_mixture_helstrom(amps, w) -> float:
     """Helstrom error 1/2 - Tr|Delta| / 2 of Delta = sum_j w_j |a_j><a_j| over
     real amplitudes, at 50 digits: the nonzero eigenvalues of Delta are those
@@ -173,7 +204,9 @@ def symmetric_symbol_error_mc(N, S, trials, rng) -> EmpiricalRate:
 
 def full_slab_errors(record, config, kind, plaintext) -> int:
     """MAP error count of one eavesdropper attack ("ctoa_data", "ctoa_key" or
-    "kpa_key"), scoring every sample against all 2M points at once."""
+    "kpa_key"), scoring every sample against all 2M points at once.  A key
+    symbol whose polarity is unknown, ciphertext-only or under OSK, is the
+    pair of its two points (``pair_sum_map``)."""
     beta = apply_loss(config.constellation().amplitudes, config.kappa)
     ll = -np.abs(record.samples[:, None] - beta[None, :]) ** 2
     M = config.M
@@ -183,9 +216,7 @@ def full_slab_errors(record, config, kind, plaintext) -> int:
         sets = [np.arange(2 * M)] * 2 if config.osk else [np.arange(M), np.arange(M, 2 * M)]
         l0, l1 = (logsumexp(ll[:, s], axis=1) for s in sets)
         return int(np.sum((l1 > l0).astype(np.int64) != x))
-    if kind == "ctoa_key":
-        guess = np.argmax(ll, axis=1) % M
-    elif config.osk:
+    if kind == "ctoa_key" or config.osk:
         guess = pair_sum_map(record.samples, beta)
     else:
         cand = np.where(x[:, None] == 0, np.arange(M)[None, :], np.arange(M)[None, :] + M)

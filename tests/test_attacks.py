@@ -12,21 +12,22 @@ import pytest
 from alphaeta import attacks
 from alphaeta.attacks import (
     bit_hypotheses,
-    collective_success,
     collective_usd_bound,
     eve_ctoa_data,
     eve_key_symbol,
     key_posterior_entropy,
 )
-from alphaeta.channel import MeasurementRecord, apply_loss, transmit
+from alphaeta.channel import MeasurementRecord, apply_loss, received, transmit
 from alphaeta.cipher import CipherConfig, encode, keystream, slots_per_period
 from alphaeta.constellation import ModulationKind
-from alphaeta.detection import quadrature_binary, srm_symmetric
+from alphaeta.detection import (helstrom_binary_pure, quadrature_binary, srm_symmetric,
+                                usd_symmetric)
 
 from oracles import (
     full_slab_errors,
     hadamard_radix2,
     ladder_mixture_helstrom,
+    pair_block_srm_success,
     pair_sum_map,
     ring_mixture_helstrom,
     symmetric_symbol_error_mc,
@@ -373,11 +374,14 @@ class TestScoredRows:
         eve_key_symbol(rec, dataclasses.replace(cfg, osk=True), sent, x)
         assert calls == []
         # on a ladder the pair is a shift, and the pair sum goes through the
-        # window, once per chunk
+        # window, once per chunk, ciphertext-only and under OSK
         ask = CipherConfig(key_bits=12, seed=0x5A5, osk=True, **TestKeySymbolDecisions.ASK8)
         x, rec = _run(ask, 20_000, np.random.default_rng(7))
         eve_key_symbol(rec, ask, encode(x, ask), x)
         assert len(calls) == 5
+        eve_key_symbol(rec, ask, encode(x, ask), None)
+        eve_key_symbol(rec, dataclasses.replace(ask, osk=False), encode(x, ask), None)
+        assert len(calls) == 15
 
 
 class TestKeySymbolDecisions:
@@ -439,16 +443,19 @@ class TestKeySymbolDecisions:
     @pytest.mark.parametrize("half", [None, 0, 1])
     def test_ask_exact_midpoints_take_the_lower_point(self, half):
         # the ladder 2, 3, ..., 9 and every midpoint between its points, all
-        # exact in floats: each midpoint ties, and a full scan takes the
-        # lower point where rounding half to even would take every other
-        # upper one
+        # exact in floats: in a known half each midpoint ties, and a full
+        # scan takes the lower point where rounding half to even would take
+        # every other upper one.  Ciphertext-only, each symbol is a pair, and
+        # the symbol whose partner is nearer wins; only at the centre 5.5 do
+        # the symbols 3 = {5, 9} and 0 = {2, 6} tie exactly, and a scan of
+        # all M symbols takes the lowest
         fields = dict(M=4, S=81.0, kind="ask", ask_S_min=4.0, ask_S_max=81.0)
         beta = CipherConfig(key_bits=12, seed=1, **fields).constellation().amplitudes
         assert np.array_equal(beta, np.arange(2.0, 10.0))
         got, want = self._decide(fields, np.arange(2.5, 9.0), half)
         assert got == want
         if half is None:
-            assert got == [[j % 4] for j in range(7)]
+            assert got == [[0], [1], [2], [0], [1], [2], [3]]
 
     @pytest.mark.parametrize("half", [None, 0, 1])
     def test_vacuum_takes_the_first_candidate(self, half):
@@ -493,15 +500,17 @@ class TestKeySymbolDecisions:
     def test_osk_ask_sums_each_pair(self):
         # on a ladder the pair {k, k + M} is a shift by M steps, not a
         # reflection, so its pair sum is not the nearest point's symbol: on
-        # this dense ladder the partner tips some decisions
+        # this dense ladder the partner tips some decisions, under OSK and
+        # ciphertext-only alike
         fields = dict(M=4, S=20.0, kind="ask", ask_S_min=2.0, ask_S_max=20.0)
         beta = CipherConfig(key_bits=12, seed=1, **fields).constellation().amplitudes.real
         xs = np.linspace(beta[0] - 2, beta[-1] + 2, 61)
-        got, want = self._decide(fields, xs + 0.3j, 0, osk=True)
-        assert got == want
         nearest = np.argmin(np.abs(xs[:, None] - beta), axis=1) % 4
-        assert all(len(g) == 1 for g in got)
-        assert any(g[0] != j for g, j in zip(got, nearest))
+        for half, osk in ((0, True), (None, False)):
+            got, want = self._decide(fields, xs + 0.3j, half, osk=osk)
+            assert got == want
+            assert all(len(g) == 1 for g in got)
+            assert any(g[0] != j for g, j in zip(got, nearest))
 
 
 class TestKeySymbolAttacks:
@@ -532,7 +541,9 @@ class TestKeySymbolAttacks:
                 assert emp.value >= bound - 3 * emp.stderr
 
     def test_kpa_beats_ctoa_on_key(self):
-        # knowing the plaintext halves the candidate set per slot
+        # knowing the plaintext halves the candidate set per slot.  The
+        # ciphertext-only bound is the optimum for the M antipodal pairs;
+        # the known half's is the Helstrom error of two adjacent points
         cfg = CipherConfig(M=8, S=4.0, key_bits=10, seed=0x2BD)
         rng = np.random.default_rng(5)
         x = rng.integers(0, 2, 40_000)
@@ -542,8 +553,11 @@ class TestKeySymbolAttacks:
         ctoa = eve_key_symbol(rec, cfg, sent, None)
         assert kpa.attack_kind == "kpa_key" and ctoa.attack_kind == "ctoa_key"
         assert kpa.empirical.value <= ctoa.empirical.value + 3 * ctoa.empirical.stderr
-        assert kpa.bound.value == srm_symmetric(8, 4.0).value
-        assert ctoa.bound.value == srm_symmetric(16, 4.0).value
+        beta = received(cfg).amplitudes
+        assert kpa.bound.method == "adjacent_pair"
+        assert kpa.bound.value == helstrom_binary_pure(beta[0], beta[1]).value
+        assert ctoa.bound.method == "pair_spectrum"
+        assert ctoa.bound.success == pytest.approx(pair_block_srm_success(8, 4.0), rel=0, abs=1e-13)
 
     def test_osk_marginalization_still_finds_symbols(self):
         cfg = CipherConfig(M=4, S=100.0, key_bits=10, seed=0x19F, osk=True)
@@ -556,12 +570,77 @@ class TestKeySymbolAttacks:
 
     @pytest.mark.parametrize("osk", [False, True])
     def test_single_symbol_kpa_cannot_err(self, osk):
-        # M = 1 leaves one candidate symbol once the plaintext is known
+        # M = 1 leaves one candidate symbol, with the plaintext known or not
         cfg = CipherConfig(M=1, S=4.0, key_bits=8, seed=0x55, osk=osk)
         x, rec = _run(cfg, 1_000, np.random.default_rng(7))
-        rep = eve_key_symbol(rec, cfg, encode(x, cfg), x)
-        assert rep.empirical.value == 0.0
-        assert rep.bound.value == 0.0 and rep.bound.method == "single_state"
+        for plaintext in (x, None):
+            rep = eve_key_symbol(rec, cfg, encode(x, cfg), plaintext)
+            assert rep.empirical.value == 0.0
+            assert rep.bound.value == 0.0 and rep.bound.method == "single_state"
+
+    # PSK and ASK, with and without loss; ask4-dense is the M=4 ladder of
+    # energies 1.5 ... 12, where the pair sum and the nearest point decide
+    # apart (ciphertext-only errors 0.6597 and 0.6765 over 2e5 slots).  A
+    # ladder reads no S: a ring bound at ask8-lossy's S = 1 would exceed
+    # the error heterodyne reaches
+    KEY_CASES = {
+        "psk2": dict(M=2, S=1.0),
+        "psk16": dict(M=16, S=25.0),
+        "psk8-lossy": dict(M=8, S=10.0, kappa=0.25),
+        "ask4-dense": dict(M=4, S=12.0, kind="ask", ask_S_min=1.5, ask_S_max=12.0),
+        "ask8-lossy": dict(M=8, S=1.0, kind="ask", ask_S_min=3.0, ask_S_max=2000.0, kappa=0.5),
+    }
+
+    @pytest.mark.parametrize("osk", [False, True])
+    @pytest.mark.parametrize("case", sorted(KEY_CASES))
+    def test_empirical_never_beats_bound(self, case, osk):
+        cfg = CipherConfig(key_bits=10, seed=0x111, osk=osk, **self.KEY_CASES[case])
+        x, rec = _run(cfg, 30_000, np.random.default_rng(cfg.M))
+        sent = encode(x, cfg)
+        for plaintext in (None, x):
+            rep = eve_key_symbol(rec, cfg, sent, plaintext)
+            assert rep.empirical.value >= rep.bound.value - 3 * rep.empirical.stderr
+
+    @pytest.mark.parametrize("case", ["psk8-lossy", "ask4-dense"])
+    def test_kpa_under_osk_is_ciphertext_only(self, case):
+        # under OSK the known bit leaves the polarity unknown, so both
+        # attacks face the pairs {k, k + M}: one decision, one bound
+        cfg = CipherConfig(key_bits=10, seed=0x111, osk=True, **self.KEY_CASES[case])
+        x, rec = _run(cfg, 20_000, np.random.default_rng(8))
+        sent = encode(x, cfg)
+        ctoa, kpa = eve_key_symbol(rec, cfg, sent, None), eve_key_symbol(rec, cfg, sent, x)
+        assert (ctoa.attack_kind, kpa.attack_kind) == ("ctoa_key", "kpa_key")
+        assert dataclasses.replace(kpa, attack_kind="ctoa_key") == ctoa
+
+    def test_ladder_reports_ignore_S(self):
+        # a ladder is set by ask_S_min and ask_S_max alone, so its key
+        # reports read no S
+        cfg = CipherConfig(key_bits=10, seed=0x111, **self.KEY_CASES["ask8-lossy"])
+        x, rec = _run(cfg, 2_000, np.random.default_rng(9))
+        sent = encode(x, cfg)
+        for osk in (False, True):
+            a, b = (dataclasses.replace(cfg, S=S, osk=osk) for S in (1.0, 1000.0))
+            for plaintext in (None, x):
+                assert eve_key_symbol(rec, a, sent, plaintext) == eve_key_symbol(rec, b, sent, plaintext)
+
+    @pytest.mark.parametrize("case", sorted(KEY_CASES))
+    def test_bounds_read_the_received_points(self, case):
+        # the pairs of a ring take the pair optimum at the received energy;
+        # the known half and both ladder ensembles, two adjacent points
+        cfg = CipherConfig(key_bits=10, seed=0x111, **self.KEY_CASES[case])
+        ring = cfg.kind is ModulationKind.PSK
+        pairs = pair_block_srm_success(cfg.M, cfg.kappa * cfg.S) if ring else None
+        beta = received(cfg).amplitudes
+        adjacent = helstrom_binary_pure(beta[0], beta[1]).value
+        rec, x = MeasurementRecord(beta[:1], cfg.kappa), np.zeros(1, dtype=np.int64)
+        for osk in (False, True):
+            for plaintext in (None, x):
+                bound = eve_key_symbol(rec, dataclasses.replace(cfg, osk=osk), [0], plaintext).bound
+                if ring and (osk or plaintext is None):
+                    assert bound.method == "pair_spectrum"
+                    assert bound.success == pytest.approx(pairs, rel=0, abs=1e-12)
+                else:
+                    assert bound.method == "adjacent_pair" and bound.value == adjacent
 
     def test_sent_indices_checked(self):
         cfg = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
@@ -845,12 +924,15 @@ class TestHadamard:
 
 class TestClosedFormMetrics:
     def test_collective_success_values(self):
-        assert collective_success(0.5, 10) == pytest.approx(-10.0)
-        assert collective_success(1.0, 7) == 0.0
-        assert collective_success(0.0, 3) == -math.inf
+        # two states at S: the per-slot success is 1 - e^{-2S}, so at
+        # S = ln 2 / 2 it is 1/2, and one bit per slot gives L = |K| slots
+        assert collective_usd_bound(2, math.log(2) / 2, 10)[0] == pytest.approx(-10.0)
+        log2_pd, below = collective_usd_bound(2, 1e4, 7)
+        assert log2_pd == pytest.approx(0.0, abs=1e-12) and not below
+        assert collective_usd_bound(4, 1.0, 10)[0] == 5 * math.log2(usd_symmetric(4, 1.0).value)
 
     def test_collective_monotone_in_slots(self):
-        vals = [collective_success(0.3, L) for L in (1, 2, 5, 10)]
+        vals = [collective_usd_bound(2, 0.2, L)[0] for L in (1, 2, 5, 10)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_collective_usd_reference(self):
@@ -872,4 +954,6 @@ class TestClosedFormMetrics:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            collective_success(0.5, 0)
+            collective_usd_bound(1, 1.0, 8)
+        with pytest.raises(ValueError):
+            collective_usd_bound(4, -1.0, 8)

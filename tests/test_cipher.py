@@ -19,7 +19,6 @@ from alphaeta.cipher import (
     lfsr_period,
     lfsr_stream,
     reciprocal_taps,
-    sequence_count_log2,
     slots_per_period,
 )
 
@@ -350,27 +349,6 @@ class TestConfig:
         cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=1, kind="ask")
         with pytest.raises(ValueError):
             cfg.constellation()
-
-
-class TestSequenceCount:
-    def test_worked_example(self):
-        cfg = CipherConfig(M=16, S=1.0, key_bits=8, seed=1)
-        assert sequence_count_log2(cfg) == pytest.approx(320.0)
-
-    def test_binary_case(self):
-        for kb in (8, 12, 16):
-            cfg = CipherConfig(M=2, S=1.0, key_bits=kb, seed=1)
-            assert sequence_count_log2(cfg) == pytest.approx(2.0 ** (kb + 1))
-
-    def test_monotone_in_key_bits(self):
-        vals = [sequence_count_log2(CipherConfig(M=16, S=1.0, key_bits=kb, seed=1))
-                for kb in (8, 10, 12, 14)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_single_basis_rejected(self):
-        cfg = CipherConfig(M=1, S=1.0, key_bits=8, seed=1)
-        with pytest.raises(ValueError):
-            sequence_count_log2(cfg)
 
 
 class TestPeriods:

@@ -19,6 +19,7 @@ from alphaeta.detection import (
     BoundReport,
     helstrom_binary_mixed,
     helstrom_binary_pure,
+    pair_symmetric,
     quadrature_binary,
     srm_symmetric,
     usd_symmetric,
@@ -27,6 +28,7 @@ from alphaeta.detection import (
 from oracles import (
     even_odd_mixtures,
     ladder_mixture_helstrom,
+    pair_block_srm_success,
     ring_even_odd_helstrom,
     ring_mixture_helstrom,
     ring_spectrum_mpmath,
@@ -473,6 +475,45 @@ class TestSrmSymmetric:
         # not a bare math.floor error from the spectrum
         with pytest.raises(ValueError, match="finite and nonnegative"):
             bound(2, S)
+
+
+class TestPairSymmetric:
+    # hypothesis k is the mixture of the antipodal points {k, k + M}
+
+    @pytest.mark.parametrize("S", [0.3, 1.0, 4.0])
+    def test_two_pairs_are_the_even_odd_helstrom(self, S):
+        # at M = 2 the pairs {0, 2} and {1, 3} are the even and odd mixtures
+        c = make_psk(2, S)
+        want = helstrom_binary_mixed(c, *even_odd_mixtures(c)).value
+        assert pair_symmetric(2, S).value == pytest.approx(want, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("M, S", [(2, 0.3), (4, 1.0), (8, 0.5), (8, 4.0), (16, 1.0),
+                                      (16, 25.0)])
+    def test_matches_the_cat_block_oracle(self, M, S):
+        rep = pair_symmetric(M, S)
+        assert rep.kind == "error" and rep.method == "pair_spectrum"
+        assert rep.success == pytest.approx(pair_block_srm_success(M, S), rel=0, abs=1e-13)
+
+    def test_limits(self):
+        # one pair cannot be confused; the vacuum leaves a guess among M;
+        # far-separated pairs are told apart
+        assert pair_symmetric(1, 3.0).value == pytest.approx(0.0, abs=1e-15)
+        for M in (2, 8, 64):
+            assert pair_symmetric(M, 0.0).success == pytest.approx(1.0 / M, abs=1e-15)
+        assert pair_symmetric(4, 1e4).value == pytest.approx(0.0, abs=1e-12)
+
+    def test_coarser_than_the_whole_ring(self):
+        # naming the point names its pair: reading the 2M-ring's optimal
+        # measurement mod M succeeds at least as often on the pairs
+        for M in (2, 8, 64, 512):
+            for S in (0.5, 10.0, 4000.0):
+                assert pair_symmetric(M, S).success >= srm_symmetric(2 * M, S).success - 1e-12
+
+    def test_rejects_degenerate_input(self):
+        with pytest.raises(ValueError):
+            pair_symmetric(0, 1.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            pair_symmetric(4, -1.0)
 
 
 class TestUsdSymmetric:
