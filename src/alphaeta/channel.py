@@ -25,12 +25,9 @@ class MeasurementRecord:
     """A per-slot record of heterodyne outcomes, as the eavesdropper sees them."""
 
     samples: np.ndarray
-    kappa: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
-        if not 0 < self.kappa <= 1:
-            raise ValueError("kappa must be in (0, 1]")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -77,7 +74,7 @@ def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> Measure
     outside [0, 2M) or not integers raise ``ValueError``.
     """
     amps = received(config).amplitudes[_state_indices(indices, config)]
-    return MeasurementRecord(heterodyne_sample(amps, rng), config.kappa)
+    return MeasurementRecord(heterodyne_sample(amps, rng))
 
 
 def bob_receive(values, config: CipherConfig,
@@ -110,15 +107,11 @@ def bob_receive(values, config: CipherConfig,
 
 # --- record files -----------------------------------------------------------
 
-def save_record(path, record: MeasurementRecord, seed: int | None = None) -> None:
+def save_record(path, record: MeasurementRecord, kappa: float, seed: int | None = None) -> None:
     """Interleaved little-endian float64 (re, im) samples, with the mode
-    (always "heterodyne"), kappa, seed and length in a JSON sidecar at
-    ``path`` + ".json"."""
+    (always "heterodyne"), the run's loss kappa, seed and length in a JSON
+    sidecar at ``path`` + ".json"."""
     path = Path(path)
-    inter = np.empty(2 * len(record), dtype="<f8")
-    inter[0::2] = record.samples.real
-    inter[1::2] = record.samples.imag
-    inter.tofile(path)
-    meta = {"mode": "heterodyne", "kappa": record.kappa,
-            "seed": seed, "length": len(record)}
+    record.samples.astype("<c16").tofile(path)  # a complex is its (re, im) pair
+    meta = {"mode": "heterodyne", "kappa": kappa, "seed": seed, "length": len(record)}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(meta, sort_keys=True) + "\n")

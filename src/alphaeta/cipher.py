@@ -152,7 +152,7 @@ class CipherConfig:
     """
 
     M: int
-    S: float
+    S: float  # the ring's energy, or the top of an ASK ladder from ask_S_min
     key_bits: int
     seed: int
     lfsr_taps: int | None = None
@@ -160,7 +160,6 @@ class CipherConfig:
     kind: ModulationKind = ModulationKind.PSK
     kappa: float = 1.0
     ask_S_min: float | None = None
-    ask_S_max: float | None = None
 
     def __post_init__(self):
         if self.M < 1 or self.M & (self.M - 1):
@@ -191,9 +190,9 @@ class CipherConfig:
     def constellation(self) -> Constellation:
         if self.kind is ModulationKind.PSK:
             return make_psk(self.M, self.S)
-        if self.ask_S_min is None or self.ask_S_max is None:
-            raise ValueError("ASK configs need ask_S_min and ask_S_max")
-        return make_ask(self.M, self.ask_S_min, self.ask_S_max, self.kappa)
+        if self.ask_S_min is None:
+            raise ValueError("ASK configs need ask_S_min")
+        return make_ask(self.M, self.ask_S_min, self.S, self.kappa)
 
 
 def keystream(config: CipherConfig, count: int) -> np.ndarray:

@@ -44,7 +44,6 @@ _CONFIG_FIELDS = {
     "kind": (("string",), lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
     "kappa": (("number",), lambda v: 0 < v <= 1, "in (0, 1]"),
     "ask_S_min": (("number",), _finite, "finite"),
-    "ask_S_max": (("number",), _finite, "finite"),
 }
 # the choices of simulate's --plaintext and --attack, for flags and manifests alike
 _PLAINTEXTS = ("random", "zeros")
@@ -96,9 +95,8 @@ def validate_config_dict(cfg: dict) -> list[str]:
             problems.append(f"/{name}: {v!r} is not of type {', '.join(map(repr, types))}")
         elif check and not check(v):
             problems.append(f"/{name}: {v!r} is not {want}")
-    if cfg.get("kind", "psk") == "ask" and (
-            "ask_S_min" not in cfg or "ask_S_max" not in cfg):
-        problems.append("/kind: ask requires ask_S_min and ask_S_max")
+    if cfg.get("kind", "psk") == "ask" and "ask_S_min" not in cfg:
+        problems.append("/kind: ask requires ask_S_min")
     if not problems:
         try:
             _config_from_dict(cfg).constellation()
@@ -108,14 +106,11 @@ def validate_config_dict(cfg: dict) -> list[str]:
 
 
 def _config_from_dict(cfg: dict) -> cipher.CipherConfig:
+    """A validated config's keys are ``CipherConfig``'s fields; only string taps convert."""
     taps = cfg.get("lfsr_taps")
     if isinstance(taps, str):
         taps = int(taps, 0)
-    return cipher.CipherConfig(
-        M=cfg["M"], S=cfg["S"], key_bits=cfg["key_bits"], seed=cfg["seed"],
-        lfsr_taps=taps, osk=cfg.get("osk", False),
-        kind=ModulationKind(cfg.get("kind", "psk")), kappa=cfg.get("kappa", 1.0),
-        ask_S_min=cfg.get("ask_S_min"), ask_S_max=cfg.get("ask_S_max"))
+    return cipher.CipherConfig(**{**cfg, "lfsr_taps": taps})
 
 
 def _checked_config(cfg: dict) -> cipher.CipherConfig:
@@ -294,7 +289,7 @@ def cmd_simulate(args) -> int:
 
     if args.save_record:
         rec_path = outdir / "record.bin"
-        channel.save_record(rec_path, record, seed=args.seed)
+        channel.save_record(rec_path, record, config.kappa, seed=args.seed)
         outputs += [str(rec_path), str(rec_path) + ".json"]
 
     manifest = _manifest(args, cfg_dict, outputs)

@@ -35,6 +35,11 @@ class Constellation:
         return len(self.amplitudes)
 
 
+def _check_energy(S: float) -> None:
+    if not math.isfinite(S) or S < 0:
+        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
+
+
 def make_psk(M: int, S: float) -> Constellation:
     """2M phase-shift-keyed points on the circle of radius sqrt(S).
 
@@ -43,15 +48,14 @@ def make_psk(M: int, S: float) -> Constellation:
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
-    if not math.isfinite(S) or S < 0:
-        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
+    _check_energy(S)
     s = np.arange(2 * M)
     amps = math.sqrt(S) * np.exp(1j * math.pi * s / M)
     return Constellation(amps, ModulationKind.PSK)
 
 
-def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
-    """2M equally spaced real amplitudes on [sqrt(S_min), sqrt(S_max)].
+def make_ask(M: int, S_min: float, S: float, kappa: float) -> Constellation:
+    """2M equally spaced real amplitudes on [sqrt(S_min), sqrt(S)].
 
     The minimum energy must clear the attenuation floor: S_min > 1/kappa.
     """
@@ -59,13 +63,13 @@ def make_ask(M: int, S_min: float, S_max: float, kappa: float) -> Constellation:
         raise ValueError("M must be a positive integer")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must be in (0, 1]")
-    if not (math.isfinite(S_min) and math.isfinite(S_max)):
-        raise ValueError(f"the energies S_min and S_max must be finite; got {S_min}, {S_max}")
-    if S_max <= S_min:
-        raise ValueError("S_max must exceed S_min")
+    if not (math.isfinite(S_min) and math.isfinite(S)):
+        raise ValueError(f"the energies S_min and S must be finite; got {S_min}, {S}")
+    if S <= S_min:
+        raise ValueError("S must exceed S_min")
     if S_min <= 1.0 / kappa:
         raise ValueError(f"S_min={S_min} violates the minimum-energy constraint S_min > 1/kappa={1.0 / kappa}")
-    amps = np.linspace(math.sqrt(S_min), math.sqrt(S_max), 2 * M).astype(np.complex128)
+    amps = np.linspace(math.sqrt(S_min), math.sqrt(S), 2 * M).astype(np.complex128)
     return Constellation(amps, ModulationKind.ASK)
 
 
@@ -114,8 +118,7 @@ def design_neighbor_error(M: int, S: float, kind: ModulationKind = ModulationKin
     if M < 1:
         raise ValueError("M must be a positive integer")
     kind = ModulationKind(kind)
-    if not math.isfinite(S) or S < 0:
-        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
+    _check_energy(S)
     if kind is ModulationKind.PSK:
         chord = 2.0 * math.sqrt(S) * math.sin(math.pi / (2 * M))
     else:
@@ -133,8 +136,8 @@ def design_bases(target_pe: float, S: float, kind: ModulationKind = ModulationKi
 
     Neighbor error grows with M at fixed energy (points crowd together), so
     the first M = 2^j, j <= 40, that reaches the target is the answer; the
-    boundary M scales like sqrt(S).  For ASK supply S_min; S is then read as
-    S_max.  A target no M up to 2^40 reaches raises ValueError.
+    boundary M scales like sqrt(S).  For ASK supply S_min; S tops the ladder,
+    as in ``make_ask``.  A target no M up to 2^40 reaches raises ValueError.
     """
     if not 0.2 <= target_pe < 0.5:
         raise ValueError("target_pe must lie in [0.2, 0.5)")

@@ -30,7 +30,7 @@ import numpy as np
 import numpy.fft  # numpy 2 loads it on first use; load it with the module
 
 from .constellation import (COHERENT_SIGMA, HETERODYNE_SIGMA, Constellation, ModulationKind,
-                            gaussian_tail, gram_matrix)
+                            _check_energy, gaussian_tail, gram_matrix)
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,7 @@ def _ring_trace_norm(w: np.ndarray, S: float) -> float:
 def _check_ring(N: int, S: float) -> None:
     if N < 2:
         raise ValueError("need at least two states")
-    if not math.isfinite(S) or S < 0:
-        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
+    _check_energy(S)
 
 
 def _ring_log_spectrum(N: int, S: float) -> np.ndarray:

@@ -77,18 +77,18 @@ class TestCtoaData:
         q0, q1 = bit_hypotheses(cfg)
         truth = ring_mixture_helstrom((q1 - q0) / 2, kappa * 10.0)
         assert truth == pytest.approx(want, abs=1e-6)
-        rep = eve_ctoa_data(MeasurementRecord(np.zeros(1), kappa), cfg, [0])
+        rep = eve_ctoa_data(MeasurementRecord(np.zeros(1)), cfg, [0])
         assert rep.bound.value == pytest.approx(truth, abs=1e-12)
 
     def test_ladder_bound_reads_the_received_points(self):
         # the launched ladder would give 0.069784
         cfg = CipherConfig(M=4, S=30.0, key_bits=10, seed=0x111, kind="ask", kappa=0.5,
-                           ask_S_min=3.0, ask_S_max=30.0)
+                           ask_S_min=3.0)
         q0, q1 = bit_hypotheses(cfg)
         amps = math.sqrt(0.5) * np.linspace(math.sqrt(3.0), math.sqrt(30.0), 8)
         truth = ladder_mixture_helstrom(amps, (q1 - q0) / 2)
         assert truth == pytest.approx(0.101966, abs=1e-6)
-        rep = eve_ctoa_data(MeasurementRecord(np.zeros(1), 0.5), cfg, [0])
+        rep = eve_ctoa_data(MeasurementRecord(np.zeros(1)), cfg, [0])
         assert rep.bound.value == pytest.approx(truth, abs=1e-12)
 
     def test_hypothesis_ensembles_shape(self):
@@ -121,8 +121,8 @@ class TestWindowedMap:
         "psk8-high": dict(M=8, S=400.0),
         "psk64-low": dict(M=64, S=2.0),
         "psk64-high": dict(M=64, S=4000.0),
-        "ask8-low": dict(M=8, S=4.0, kind="ask", ask_S_min=2.0, ask_S_max=4.0),
-        "ask8-high": dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0),
+        "ask8-low": dict(M=8, S=4.0, kind="ask", ask_S_min=2.0),
+        "ask8-high": dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0),
     }
 
     @pytest.mark.parametrize("osk", [False, True])
@@ -150,9 +150,9 @@ class TestWindowedMap:
         assert rep.empirical.value > 0.5
 
     @staticmethod
-    def _ladder(M, S_min, S_max, kappa=1.0):
-        cfg = CipherConfig(M=M, S=S_max, key_bits=12, seed=1, kind="ask", kappa=kappa,
-                           ask_S_min=S_min, ask_S_max=S_max)
+    def _ladder(M, S_min, S, kappa=1.0):
+        cfg = CipherConfig(M=M, S=S, key_bits=12, seed=1, kind="ask", kappa=kappa,
+                           ask_S_min=S_min)
         return apply_loss(cfg.constellation().amplitudes, kappa)
 
     @staticmethod
@@ -194,8 +194,8 @@ class TestWindowedMap:
         np.testing.assert_array_equal(attacks._ladder_pair_map(y, beta), pair_sum_map(y, beta))
         # the same samples as one record, five likelihood chunks
         cfg = CipherConfig(M=4, S=3.6 ** 2, key_bits=12, seed=0x5A5, osk=True, kind="ask",
-                           ask_S_min=1.5 ** 2, ask_S_max=3.6 ** 2)
-        rec, x = MeasurementRecord(y, 1.0), np.zeros(len(y), dtype=np.int64)
+                           ask_S_min=1.5 ** 2)
+        rec, x = MeasurementRecord(y), np.zeros(len(y), dtype=np.int64)
         want = full_slab_errors(rec, cfg, "kpa_key", x)
         assert eve_key_symbol(rec, cfg, encode(x, cfg), x).empirical.value == want / len(y)
 
@@ -203,7 +203,7 @@ class TestWindowedMap:
         # the ladder 1.5 ... 6.0 (step 0.3) is symmetric about 3.75, where
         # symbol 0 = {1.5, 3.9} and symbol 7 = {3.6, 6.0} tie exactly; a scan
         # of all M symbols takes 0, a scan in run order would take 7
-        fields = dict(M=8, S=36.0, kind="ask", ask_S_min=1.5 ** 2, ask_S_max=36.0)
+        fields = dict(M=8, S=36.0, kind="ask", ask_S_min=1.5 ** 2)
         beta = self._ladder(8, 1.5 ** 2, 36.0)
         y = np.array([3.75, 3.75 + 0.5j])
         ll = -np.abs(y[:, None] - beta) ** 2
@@ -223,7 +223,7 @@ class TestCtoaDataDecisions:
     # through 0 at index steps -1/2 and M - 1/2, bit 1 beyond it; on an ASK
     # ladder Re y = (beta_0 + beta_{2M-1}) / 2 after loss, bit 1 above it.
     PSK8 = dict(M=8, S=400.0)
-    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)
+    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0)
 
     @staticmethod
     def _decide(fields, ys, osk=False):
@@ -231,7 +231,7 @@ class TestCtoaDataDecisions:
         cfg = CipherConfig(key_bits=12, seed=0x5A5, osk=osk, **fields)
         got, want = [], []
         for y in ys:
-            rec = MeasurementRecord(np.array([y]), cfg.kappa)
+            rec = MeasurementRecord(np.array([y]))
             got.append(eve_ctoa_data(rec, cfg, [0]).empirical.value)
             want.append(full_slab_errors(rec, cfg, "ctoa_data", [0]))
         return got, want
@@ -300,8 +300,8 @@ class TestCtoaDataDecisions:
         assert set(got) == {0.0, 1.0}
 
     @pytest.mark.parametrize("fields", [
-        dict(M=4, S=200.0, kind="ask", ask_S_min=2.0, ask_S_max=200.0),
-        dict(M=8, S=400.0, kind="ask", ask_S_min=4.0, ask_S_max=400.0, kappa=0.5),
+        dict(M=4, S=200.0, kind="ask", ask_S_min=2.0),
+        dict(M=8, S=400.0, kind="ask", ask_S_min=4.0, kappa=0.5),
     ], ids=["ask4", "ask8-lossy"])
     def test_ask_either_side_of_the_midpoint(self, fields):
         # across the whole ladder, and 0.01 step either side of its midpoint,
@@ -391,7 +391,7 @@ class TestKeySymbolDecisions:
     # by the attack against the sent index j and by the full slab under a
     # seed whose first running-key symbol is j.
     PSK8 = dict(M=8, S=400.0)
-    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0, ask_S_max=2000.0)
+    ASK8 = dict(M=8, S=2000.0, kind="ask", ask_S_min=2.0)
 
     @staticmethod
     def _decide(fields, ys, half=None, osk=False):
@@ -408,7 +408,7 @@ class TestKeySymbolDecisions:
         kind = "ctoa_key" if half is None else "kpa_key"
         got, want = [], []
         for y in ys:
-            rec = MeasurementRecord(np.array([y]), base.kappa)
+            rec = MeasurementRecord(np.array([y]))
             got.append([j for j, cfg in sorted(by_symbol.items())
                         if eve_key_symbol(rec, cfg, [j], x).empirical.value == 0.0])
             want.append([j for j, cfg in sorted(by_symbol.items())
@@ -449,7 +449,7 @@ class TestKeySymbolDecisions:
         # the symbol whose partner is nearer wins; only at the centre 5.5 do
         # the symbols 3 = {5, 9} and 0 = {2, 6} tie exactly, and a scan of
         # all M symbols takes the lowest
-        fields = dict(M=4, S=81.0, kind="ask", ask_S_min=4.0, ask_S_max=81.0)
+        fields = dict(M=4, S=81.0, kind="ask", ask_S_min=4.0)
         beta = CipherConfig(key_bits=12, seed=1, **fields).constellation().amplitudes
         assert np.array_equal(beta, np.arange(2.0, 10.0))
         got, want = self._decide(fields, np.arange(2.5, 9.0), half)
@@ -502,7 +502,7 @@ class TestKeySymbolDecisions:
         # reflection, so its pair sum is not the nearest point's symbol: on
         # this dense ladder the partner tips some decisions, under OSK and
         # ciphertext-only alike
-        fields = dict(M=4, S=20.0, kind="ask", ask_S_min=2.0, ask_S_max=20.0)
+        fields = dict(M=4, S=20.0, kind="ask", ask_S_min=2.0)
         beta = CipherConfig(key_bits=12, seed=1, **fields).constellation().amplitudes.real
         xs = np.linspace(beta[0] - 2, beta[-1] + 2, 61)
         nearest = np.argmin(np.abs(xs[:, None] - beta), axis=1) % 4
@@ -580,15 +580,13 @@ class TestKeySymbolAttacks:
 
     # PSK and ASK, with and without loss; ask4-dense is the M=4 ladder of
     # energies 1.5 ... 12, where the pair sum and the nearest point decide
-    # apart (ciphertext-only errors 0.6597 and 0.6765 over 2e5 slots).  A
-    # ladder reads no S: a ring bound at ask8-lossy's S = 1 would exceed
-    # the error heterodyne reaches
+    # apart (ciphertext-only errors 0.6597 and 0.6765 over 2e5 slots)
     KEY_CASES = {
         "psk2": dict(M=2, S=1.0),
         "psk16": dict(M=16, S=25.0),
         "psk8-lossy": dict(M=8, S=10.0, kappa=0.25),
-        "ask4-dense": dict(M=4, S=12.0, kind="ask", ask_S_min=1.5, ask_S_max=12.0),
-        "ask8-lossy": dict(M=8, S=1.0, kind="ask", ask_S_min=3.0, ask_S_max=2000.0, kappa=0.5),
+        "ask4-dense": dict(M=4, S=12.0, kind="ask", ask_S_min=1.5),
+        "ask8-lossy": dict(M=8, S=2000.0, kind="ask", ask_S_min=3.0, kappa=0.5),
     }
 
     @pytest.mark.parametrize("osk", [False, True])
@@ -612,17 +610,6 @@ class TestKeySymbolAttacks:
         assert (ctoa.attack_kind, kpa.attack_kind) == ("ctoa_key", "kpa_key")
         assert dataclasses.replace(kpa, attack_kind="ctoa_key") == ctoa
 
-    def test_ladder_reports_ignore_S(self):
-        # a ladder is set by ask_S_min and ask_S_max alone, so its key
-        # reports read no S
-        cfg = CipherConfig(key_bits=10, seed=0x111, **self.KEY_CASES["ask8-lossy"])
-        x, rec = _run(cfg, 2_000, np.random.default_rng(9))
-        sent = encode(x, cfg)
-        for osk in (False, True):
-            a, b = (dataclasses.replace(cfg, S=S, osk=osk) for S in (1.0, 1000.0))
-            for plaintext in (None, x):
-                assert eve_key_symbol(rec, a, sent, plaintext) == eve_key_symbol(rec, b, sent, plaintext)
-
     @pytest.mark.parametrize("case", sorted(KEY_CASES))
     def test_bounds_read_the_received_points(self, case):
         # the pairs of a ring take the pair optimum at the received energy;
@@ -632,7 +619,7 @@ class TestKeySymbolAttacks:
         pairs = pair_block_srm_success(cfg.M, cfg.kappa * cfg.S) if ring else None
         beta = received(cfg).amplitudes
         adjacent = helstrom_binary_pure(beta[0], beta[1]).value
-        rec, x = MeasurementRecord(beta[:1], cfg.kappa), np.zeros(1, dtype=np.int64)
+        rec, x = MeasurementRecord(beta[:1]), np.zeros(1, dtype=np.int64)
         for osk in (False, True):
             for plaintext in (None, x):
                 bound = eve_key_symbol(rec, dataclasses.replace(cfg, osk=osk), [0], plaintext).bound
@@ -680,7 +667,7 @@ class TestKeyPosterior:
         rec = transmit(encode(x, cfg), cfg, rng)
         hs = []
         for length in (25, 50, 100, 200):
-            sub = type(rec)(rec.samples[:length], rec.kappa)
+            sub = type(rec)(rec.samples[:length])
             hs.append(key_posterior_entropy(sub, cfg, x[:length]))
         assert all(a >= b - 1e-9 for a, b in zip(hs, hs[1:]))
 
@@ -710,7 +697,7 @@ class TestKeyPosterior:
         p = np.exp(lp)
         return float(-(p[p > 0] * lp[p > 0]).sum() / math.log(2))
 
-    LADDER = dict(kind="ask", kappa=0.7, ask_S_min=1.5, ask_S_max=4.0)
+    LADDER = dict(kind="ask", kappa=0.7, S=4.0, ask_S_min=1.5)
 
     @pytest.mark.parametrize("M, osk, fields", [
         pytest.param(4, True, {}, id="4-True"),
@@ -836,7 +823,7 @@ class TestPlaintextBits:
 
 class TestEmptyRecord:
     CFG = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x10)
-    EMPTY = MeasurementRecord(np.zeros(0), 1.0)
+    EMPTY = MeasurementRecord(np.zeros(0))
 
     def test_attacks_refuse_it(self):
         none = np.zeros(0, dtype=np.int64)
@@ -857,7 +844,7 @@ class TestEveReadsNoSecret:
     # differ only in the secret seed give the same report on the same record
     CONFIGS = {
         "psk": dict(M=8, S=10.0),
-        "ask": dict(M=8, S=2000.0, kind="ask", ask_S_min=3.0, ask_S_max=2000.0, kappa=0.5),
+        "ask": dict(M=8, S=2000.0, kind="ask", ask_S_min=3.0, kappa=0.5),
     }
 
     @pytest.mark.parametrize("osk", [False, True])

@@ -16,7 +16,7 @@ from alphaeta.channel import (
     transmit,
 )
 from alphaeta.cipher import CipherConfig, encode
-from alphaeta.constellation import gram_matrix
+from alphaeta.constellation import gram_matrix, make_ask
 from alphaeta.detection import helstrom_binary_pure, quadrature_binary
 
 from oracles import bob_nearest_bits, heterodyne_sample_sum
@@ -103,7 +103,7 @@ class TestTransmit:
         idx = encode(np.zeros(64, dtype=int), cfg)
         rec = transmit(idx, cfg, np.random.default_rng(0))
         assert len(rec) == 64
-        assert rec.kappa == 0.5
+        assert rec.samples.dtype == np.complex128
 
     def test_reproducible_across_runs(self):
         cfg = CipherConfig(M=4, S=2.0, key_bits=8, seed=0x21)
@@ -161,15 +161,14 @@ class TestBobReceive:
             assert ber >= bound - 3 * stderr
 
     def test_ask_thresholding(self):
-        cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=0x17, kind="ask",
-                           ask_S_min=4.0, ask_S_max=25.0)
+        cfg = CipherConfig(M=2, S=25.0, key_bits=8, seed=0x17, kind="ask", ask_S_min=4.0)
         x = np.random.default_rng(9).integers(0, 2, 300)
         amps = cfg.constellation().amplitudes[encode(x, cfg)]
         np.testing.assert_array_equal(bob_receive(amps, cfg), x)
 
     def test_loss_scaled_threshold(self):
-        cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=0x17, kind="ask",
-                           ask_S_min=9.0, ask_S_max=36.0, kappa=0.25)
+        cfg = CipherConfig(M=2, S=36.0, key_bits=8, seed=0x17, kind="ask",
+                           ask_S_min=9.0, kappa=0.25)
         x = np.random.default_rng(9).integers(0, 2, 300)
         amps = apply_loss(cfg.constellation().amplitudes[encode(x, cfg)], cfg.kappa)
         np.testing.assert_array_equal(bob_receive(amps, cfg), x)
@@ -179,7 +178,7 @@ class TestBobReceive:
     @pytest.mark.parametrize("osk", [False, True])
     @pytest.mark.parametrize("fields", [
         dict(M=8, S=1.0),
-        dict(M=4, S=1.0, kind="ask", ask_S_min=2.5, ask_S_max=16.0),
+        dict(M=4, S=16.0, kind="ask", ask_S_min=2.5),
     ], ids=["psk", "ask"])
     def test_matches_nearest_point_oracle(self, fields, osk, kappa):
         # noiseless points decode to the plaintext, and noisy outcomes to the
@@ -211,7 +210,7 @@ class TestBobReceive:
 class TestReceived:
     @pytest.mark.parametrize("fields", [
         dict(M=8, S=4.0),
-        dict(M=4, S=1.0, kind="ask", ask_S_min=2.5, ask_S_max=16.0),
+        dict(M=4, S=16.0, kind="ask", ask_S_min=2.5),
     ], ids=["psk", "ask"])
     def test_launched_points_after_loss(self, fields):
         cfg = CipherConfig(key_bits=10, seed=1, kappa=0.5, **fields)
@@ -220,27 +219,32 @@ class TestReceived:
         np.testing.assert_array_equal(
             c.amplitudes, cfg.constellation().amplitudes * math.sqrt(0.5))
 
+    @pytest.mark.parametrize("kappa", [1.0, 0.5])
+    def test_ladder_tops_out_at_S(self, kappa):
+        # S is the ladder's top energy, the reading design_neighbor_error
+        # and design_bases give it, and ask_S_min its bottom
+        cfg = CipherConfig(M=8, S=2000.0, key_bits=10, seed=1, kind="ask", kappa=kappa,
+                           ask_S_min=3.0)
+        want = apply_loss(make_ask(8, 3.0, 2000.0, kappa).amplitudes, kappa)
+        np.testing.assert_array_equal(received(cfg).amplitudes, want)
+        assert abs(want[-1]) ** 2 == pytest.approx(kappa * 2000.0, rel=1e-12)
+
 
 class TestRecordFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        rec = MeasurementRecord(rng.normal(size=50) + 1j * rng.normal(size=50), 0.8)
+        rec = MeasurementRecord(rng.normal(size=50) + 1j * rng.normal(size=50))
         path = tmp_path / "rec.bin"
-        save_record(path, rec, seed=123)
+        save_record(path, rec, 0.8, seed=123)
         inter = np.fromfile(path, dtype="<f8")
         np.testing.assert_array_equal(inter[0::2] + 1j * inter[1::2], rec.samples)
         meta = json.loads((tmp_path / "rec.bin.json").read_text())
         assert meta["mode"] == "heterodyne"
-        assert meta["kappa"] == rec.kappa
+        assert meta["kappa"] == 0.8
 
     def test_sidecar_metadata(self, tmp_path):
-        rec = MeasurementRecord(np.array([1 + 2j]), 1.0)
+        rec = MeasurementRecord(np.array([1 + 2j]))
         path = tmp_path / "r.bin"
-        save_record(path, rec, seed=7)
+        save_record(path, rec, 1.0, seed=7)
         meta = json.loads((tmp_path / "r.bin.json").read_text())
         assert meta == {"mode": "heterodyne", "kappa": 1.0, "seed": 7, "length": 1}
-
-    def test_record_validation(self):
-        for kappa in (0.0, 1.5):
-            with pytest.raises(ValueError):
-                MeasurementRecord(np.array([1.0]), kappa)

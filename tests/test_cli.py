@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from alphaeta.channel import MeasurementRecord
 from alphaeta.cipher import CipherConfig
+from alphaeta import cli
 from alphaeta.cli import load_config, validate_config_dict
 from alphaeta.detection import helstrom_binary_pure
 
@@ -181,10 +183,10 @@ class TestSimulate:
         ({**GOOD_CONFIG, "key_bits": 24}, "no shipped maximal-length taps"),
         ({**GOOD_CONFIG, "lfsr_taps": "zz"}, "invalid literal for int()"),
         ({**GOOD_CONFIG, "lfsr_taps": 0}, "zero feedback polynomial"),
-        ({**GOOD_CONFIG, "kind": "ask", "ask_S_min": 0.5, "ask_S_max": 9.0},
+        ({**GOOD_CONFIG, "kind": "ask", "S": 9.0, "ask_S_min": 0.5},
          "minimum-energy constraint"),
-        ({**GOOD_CONFIG, "kind": "ask", "ask_S_min": 9.0, "ask_S_max": 4.0},
-         "S_max must exceed S_min"),
+        ({**GOOD_CONFIG, "kind": "ask", "S": 4.0, "ask_S_min": 9.0},
+         "/: S must exceed S_min"),
     ], ids=["seed-wider-than-key", "no-shipped-taps", "taps-not-a-number", "taps-zero",
             "ask-below-energy-floor", "ask-range-reversed"])
     def test_unbuildable_config_exits_2(self, tmp_path, config, message):
@@ -200,10 +202,10 @@ class TestSimulate:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("field, value", [("S", math.inf), ("S", math.nan),
-                                              ("ask_S_min", math.nan), ("ask_S_max", math.inf)])
+                                              ("ask_S_min", math.nan), ("ask_S_min", math.inf)])
     def test_non_finite_energy_exits_2(self, tmp_path, field, value):
         # json writes these as the Infinity and NaN literals, which json reads back
-        ask = {"kind": "ask", "ask_S_min": 4.0, "ask_S_max": 9.0} if field != "S" else {}
+        ask = {"kind": "ask", "ask_S_min": 4.0} if field != "S" else {}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**GOOD_CONFIG, **ask, field: value}))
         out = tmp_path / "o"
@@ -297,15 +299,15 @@ class TestSimulate:
         return json.loads((out / "report_bob.json").read_text())["bound"]
 
     def test_bob_bound_reads_the_ladder(self, tmp_path):
-        # make_ask ignores S: the same ladder at S=1 and S=1000 gives one
-        # bound, that of the pair {0, M} Bob tells apart
-        ladder = {"M": 4, "key_bits": 12, "seed": 1445, "kind": "ask",
-                  "ask_S_min": 2.0, "ask_S_max": 200.0}
+        # S tops the ladder from ask_S_min, and the bound is that of the
+        # pair {0, M} Bob tells apart on it
+        ladder = {"M": 4, "key_bits": 12, "seed": 1445, "kind": "ask", "ask_S_min": 2.0}
         low, high = (self._bob_bound(tmp_path, name, {**ladder, "S": s})
-                     for name, s in (("low", 1.0), ("high", 1000.0)))
-        assert low == high
-        beta = CipherConfig(S=1.0, **ladder).constellation().amplitudes
-        assert low["value"] == helstrom_binary_pure(beta[0], beta[4]).value > 0
+                     for name, s in (("low", 20.0), ("high", 200.0)))
+        for bound, s in ((low, 20.0), (high, 200.0)):
+            beta = CipherConfig(S=s, **ladder).constellation().amplitudes
+            assert bound["value"] == helstrom_binary_pure(beta[0], beta[4]).value > 0
+        assert low["value"] > high["value"]
 
     def test_bob_bound_reads_the_lossy_ring(self, tmp_path):
         # S = 4 at kappa = 1/4 leaves the antipodal pair +-1 after loss
@@ -345,7 +347,7 @@ class TestSimulate:
         # ladder; its reports carry no more fields than any other key report,
         # rerun byte for byte, and count a full scan's errors
         config = {"M": 64, "S": 2000.0, "key_bits": 12, "seed": 1445, "osk": True,
-                  "kind": "ask", "kappa": 0.8, "ask_S_min": 2.0, "ask_S_max": 2000.0}
+                  "kind": "ask", "kappa": 0.8, "ask_S_min": 2.0}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         out1 = tmp_path / "run1"
@@ -359,7 +361,7 @@ class TestSimulate:
                                "--out", str(out2))
         assert code == 0, err
         interleaved = np.fromfile(out1 / "record.bin", dtype="<f8")
-        record = MeasurementRecord(interleaved[0::2] + 1j * interleaved[1::2], 0.8)
+        record = MeasurementRecord(interleaved[0::2] + 1j * interleaved[1::2])
         x = np.zeros(5000, dtype=np.int64)
         for kind in ("kpa_key", "ctoa_key"):
             name = f"report_{kind}.json"
@@ -397,7 +399,7 @@ class TestDesign:
         code, out, _ = run_cli("design", "--target-pe", "0.3", "--s", "100", *flags)
         assert code == 0
         row = next(csv.DictReader(out.splitlines()))
-        ask = dict(kind="ask", ask_S_min=2.0, ask_S_max=100.0) if flags else {}
+        ask = dict(kind="ask", ask_S_min=2.0) if flags else {}
         cfg = CipherConfig(M=int(row["bases"]), S=100.0, key_bits=12, seed=1, **ask)
         assert float(row["neighbor_error"]) == pytest.approx(
             neighbor_confusion(cfg.constellation()), rel=1e-12)
@@ -438,6 +440,32 @@ class TestValidation:
         problems = validate_config_dict({**GOOD_CONFIG, "bogus": 1})
         assert problems
 
+    def test_fields_are_the_config_fields(self):
+        # _config_from_dict passes the validated keys straight to CipherConfig
+        fields = dataclasses.fields(CipherConfig)
+        assert set(cli._CONFIG_FIELDS) == {f.name for f in fields}
+        assert set(cli._REQUIRED) == {f.name for f in fields
+                                      if f.default is dataclasses.MISSING}
+
+    @pytest.mark.parametrize("via", ["config", "manifest"])
+    def test_ask_S_max_exits_2_before_output(self, tmp_path, via):
+        # S is the top of an ASK ladder; configs that still name ask_S_max
+        # are refused, from a --config file and a manifest alike
+        old = {**GOOD_CONFIG, "S": 1.0, "kind": "ask", "ask_S_min": 2.0, "ask_S_max": 2000.0}
+        path = tmp_path / "in.json"
+        if via == "config":
+            path.write_text(json.dumps(old))
+            source = ["--config", str(path), "--seed", "5", "--bits", "100"]
+        else:
+            path.write_text(json.dumps({**GOOD_MANIFEST, "config": old}))
+            source = ["--from-manifest", str(path)]
+        out = tmp_path / "o"
+        code, stdout, err = run_cli("simulate", *source, "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "  /: unexpected properties 'ask_S_max'" in err.splitlines()
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 # the JSON Schema the validator replaced, kept as the oracle of its verdicts
 OLD_CONFIG_SCHEMA = {
@@ -454,7 +482,6 @@ OLD_CONFIG_SCHEMA = {
         "kind": {"enum": ["psk", "ask"]},
         "kappa": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "ask_S_min": {"type": "number"},
-        "ask_S_max": {"type": "number"},
     },
 }
 
@@ -486,7 +513,7 @@ SCHEMA_CASES = {
     "S-nan": ({**GOOD_CONFIG, "S": math.nan}, ["/S"]),
     "S-beyond-doubles": ({**GOOD_CONFIG, "S": 10 ** 400}, ["/S"]),
     "ask-min-nan": ({**GOOD_CONFIG, "ask_S_min": math.nan}, ["/ask_S_min"]),
-    "ask-max-infinity": ({**GOOD_CONFIG, "ask_S_max": math.inf}, ["/ask_S_max"]),
+    "ask-max-infinity": ({**GOOD_CONFIG, "kind": "ask", "ask_S_min": 2.0, "S": math.inf}, ["/S"]),
     "M-float": ({**GOOD_CONFIG, "M": 64.0}, ["/M"]),
     "key_bits-float": ({**GOOD_CONFIG, "key_bits": 12.0}, ["/key_bits"]),
     "seed-float": ({**GOOD_CONFIG, "seed": 1445.0}, ["/seed"]),
