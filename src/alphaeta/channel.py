@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cipher import CipherConfig, _state_indices, keystream
+from .cipher import CipherConfig, _check_field, _state_indices, keystream
 from .constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, Constellation
 
 
@@ -36,10 +36,10 @@ class MeasurementRecord:
 def apply_loss(amplitudes, kappa: float) -> np.ndarray:
     """Energy loss keeps coherent states coherent: alpha -> sqrt(kappa) alpha.
 
-    No excess noise is added, so losses compose multiplicatively.
+    No excess noise is added, so losses compose multiplicatively.  kappa
+    obeys the config's rule (``cipher.FIELD_RULES``).
     """
-    if not 0 < kappa <= 1:
-        raise ValueError("kappa must be in (0, 1]")
+    _check_field("kappa", kappa)
     return np.asarray(amplitudes, dtype=np.complex128) * np.sqrt(kappa)
 
 

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, ModulationKind, make_ask, make_psk
+from .constellation import (Constellation, ModulationKind, _check_ladder, _energy_ok, _finite,
+                            make_ask, make_psk)
 
 # Feedback masks of primitive polynomials, keyed by register length.  The mask
 # holds the coefficients of x^0..x^(n-1); bit j set means the recurrence
@@ -35,12 +36,9 @@ PRIMITIVE_TAPS = {
 
 
 def default_taps(key_bits: int) -> int:
-    try:
-        return PRIMITIVE_TAPS[key_bits]
-    except KeyError:
-        raise ValueError(
-            f"no shipped maximal-length taps for |K|={key_bits}; supply lfsr_taps"
-        ) from None
+    if key_bits not in PRIMITIVE_TAPS:
+        raise ValueError(f"no shipped maximal-length taps for |K|={key_bits}; supply lfsr_taps")
+    return PRIMITIVE_TAPS[key_bits]
 
 
 def reciprocal_taps(taps: int, key_bits: int) -> int:
@@ -142,13 +140,31 @@ def lfsr_period(taps: int, key_bits: int) -> int:
     return period
 
 
+# field: (test of its value, what it must be), each single-field rule once:
+# CipherConfig enforces it, cli.validate_config_dict reports it per field
+FIELD_RULES = {
+    "M": (lambda v: v >= 1 and not v & (v - 1), "a power of two"),  # log2(M)-bit key symbols
+    "S": (_energy_ok, "finite and >= 0"),
+    "key_bits": (lambda v: v >= 4, ">= 4"),
+    "seed": (lambda v: v >= 1, ">= 1"),
+    "kind": (lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
+    "kappa": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "ask_S_min": (lambda v: v is None or _finite(v), "finite"),
+}
+
+
+def _check_field(name: str, value) -> None:
+    if not FIELD_RULES[name][0](value):
+        raise ValueError(f"{name} must be {FIELD_RULES[name][1]}; got {value!r}")
+
+
 @dataclass(frozen=True)
 class CipherConfig:
     """All protocol parameters plus the shared secret register state.
 
-    ``M`` must be a power of two for encoding (running-key symbols are unbiased
-    log2(M)-bit blocks); detection-side bound computations accept arbitrary
-    state counts and do not go through this type.
+    A config that builds is valid: construction checks ``FIELD_RULES``, then
+    the seed's width, the taps, ``ask_S_min`` (set exactly for ASK) and the
+    ladder (``_check_ladder``), and builds no point.
     """
 
     M: int
@@ -162,17 +178,18 @@ class CipherConfig:
     ask_S_min: float | None = None
 
     def __post_init__(self):
-        if self.M < 1 or self.M & (self.M - 1):
-            raise ValueError("M must be a power of two")
-        if self.key_bits < 4:
-            raise ValueError("|K| must be at least 4")
-        if not 0 < self.seed < (1 << self.key_bits):
+        for name in FIELD_RULES:
+            _check_field(name, getattr(self, name))
+        if self.seed >= 1 << self.key_bits:
             raise ValueError("seed must be a nonzero |K|-bit value")
-        if not 0 < self.kappa <= 1:
-            raise ValueError("kappa must be in (0, 1]")
         if self.taps == 0:
             raise ValueError("taps define the zero feedback polynomial")
         object.__setattr__(self, "kind", ModulationKind(self.kind))
+        ask = self.kind is ModulationKind.ASK
+        if ask != (self.ask_S_min is not None):
+            raise ValueError(f"kind {self.kind.value!r} {'requires' if ask else 'takes no'} ask_S_min")
+        if ask:
+            _check_ladder(self.ask_S_min, self.S, self.kappa)
 
     @property
     def taps(self) -> int:
@@ -190,8 +207,6 @@ class CipherConfig:
     def constellation(self) -> Constellation:
         if self.kind is ModulationKind.PSK:
             return make_psk(self.M, self.S)
-        if self.ask_S_min is None:
-            raise ValueError("ASK configs need ask_S_min")
         return make_ask(self.M, self.ask_S_min, self.S, self.kappa)
 
 

@@ -20,31 +20,17 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the module
 
 from . import __version__, attacks, channel, cipher, detection, reproduce
-from .constellation import ModulationKind, design_bases, design_neighbor_error
+from .constellation import ModulationKind, _energy_ok, design_bases, design_neighbor_error
 
 # exact Python types of each parsed JSON type: neither True nor 4.0 is an integer
 _JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,)}
 _REQUIRED = ("M", "S", "key_bits", "seed")
 
 
-def _finite(v) -> bool:
-    """A JSON number that is a finite double: neither NaN nor +-Infinity, and
-    no integer beyond the double range."""
-    return abs(v) <= sys.float_info.max
-
-
-# field: (accepted JSON types, test of a value of those types, what it must be)
-_CONFIG_FIELDS = {
-    "M": (("integer",), lambda v: v >= 1 and not v & (v - 1), "a power of two"),
-    "S": (("number",), lambda v: _finite(v) and v >= 0, "finite and >= 0"),
-    "key_bits": (("integer",), lambda v: v >= 4, ">= 4"),
-    "seed": (("integer",), lambda v: v >= 1, ">= 1"),
-    "lfsr_taps": (("integer", "string"), None, None),
-    "osk": (("boolean",), None, None),
-    "kind": (("string",), lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
-    "kappa": (("number",), lambda v: 0 < v <= 1, "in (0, 1]"),
-    "ask_S_min": (("number",), _finite, "finite"),
-}
+# field: the JSON types it accepts; the value rules are cipher.FIELD_RULES
+_CONFIG_FIELDS = {"M": ("integer",), "S": ("number",), "key_bits": ("integer",),
+                  "seed": ("integer",), "lfsr_taps": ("integer", "string"), "osk": ("boolean",),
+                  "kind": ("string",), "kappa": ("number",), "ask_S_min": ("number",)}
 # the choices of simulate's --plaintext and --attack, for flags and manifests alike
 _PLAINTEXTS = ("random", "zeros")
 _ATTACKS = ("bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy")
@@ -76,11 +62,10 @@ def _fmt(x) -> str:
 def validate_config_dict(cfg: dict) -> list[str]:
     """Config violations as '/json/pointer: message' strings; empty when valid.
 
-    Each field has a JSON type, a range or an enumeration; the four
-    _REQUIRED fields must be present and no other field may be.  A config
-    that passes the table is then built with its constellation, and a
-    ValueError there (a seed wider than the key, no shipped taps, an ASK
-    energy range) is reported at '/'.
+    Each field has a JSON type and most a value rule (``cipher.FIELD_RULES``);
+    the four _REQUIRED fields must be present and no other field may be.  A
+    config that passes is then built, and ``CipherConfig``'s ValueError (a
+    rule across fields: seed width, taps, ``ask_S_min``, ladder) goes at '/'.
     """
     if type(cfg) is not dict:
         return [f"/: {cfg!r} is not of type 'object'"]
@@ -89,17 +74,14 @@ def validate_config_dict(cfg: dict) -> list[str]:
     if extra:
         problems.append(f"/: unexpected properties {', '.join(map(repr, extra))}")
     for name in sorted(set(cfg) & set(_CONFIG_FIELDS)):
-        types, check, want = _CONFIG_FIELDS[name]
-        v = cfg[name]
+        types, v = _CONFIG_FIELDS[name], cfg[name]
         if not any(type(v) in _JSON_TYPES[t] for t in types):
             problems.append(f"/{name}: {v!r} is not of type {', '.join(map(repr, types))}")
-        elif check and not check(v):
-            problems.append(f"/{name}: {v!r} is not {want}")
-    if cfg.get("kind", "psk") == "ask" and "ask_S_min" not in cfg:
-        problems.append("/kind: ask requires ask_S_min")
+        elif name in cipher.FIELD_RULES and not cipher.FIELD_RULES[name][0](v):
+            problems.append(f"/{name}: {v!r} is not {cipher.FIELD_RULES[name][1]}")
     if not problems:
         try:
-            _config_from_dict(cfg).constellation()
+            _config_from_dict(cfg)
         except ValueError as exc:
             problems.append(f"/: {exc}")
     return problems
@@ -108,18 +90,14 @@ def validate_config_dict(cfg: dict) -> list[str]:
 def _config_from_dict(cfg: dict) -> cipher.CipherConfig:
     """A validated config's keys are ``CipherConfig``'s fields; only string taps convert."""
     taps = cfg.get("lfsr_taps")
-    if isinstance(taps, str):
-        taps = int(taps, 0)
-    return cipher.CipherConfig(**{**cfg, "lfsr_taps": taps})
+    return cipher.CipherConfig(**{**cfg, "lfsr_taps": int(taps, 0) if isinstance(taps, str) else taps})
 
 
 def _checked_config(cfg: dict) -> cipher.CipherConfig:
     """The config built from ``cfg``, or exit 2 with every violation on stderr."""
     problems = validate_config_dict(cfg)
     if problems:
-        print("invalid config:", file=sys.stderr)
-        for p in problems:
-            print("  " + p, file=sys.stderr)
+        print("invalid config:", *("  " + p for p in problems), sep="\n", file=sys.stderr)
         raise SystemExit(2)
     return _config_from_dict(cfg)
 
@@ -171,13 +149,12 @@ def _bound_row(n: int, s: float, kind: str) -> dict:
 
 
 def cmd_bounds(args) -> int:
-    ns = args.n
-    ss = args.s
+    ns, ss = args.n, args.s
     if not ns or not ss:
         print("error: empty grid", file=sys.stderr)
         return 2
     grid = [(n, s) for n in ns for s in ss]
-    if any(n < 2 for n, _ in grid) or not all(_finite(s) and s >= 0 for _, s in grid):
+    if any(n < 2 for n, _ in grid) or not all(map(_energy_ok, ss)):
         print("error: invalid grid (need n >= 2, finite s >= 0)", file=sys.stderr)
         return 2
     if args.kind in _BINARY_KINDS and set(ns) != {2}:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,19 +36,37 @@ class Constellation:
         return len(self.amplitudes)
 
 
+def _finite(v) -> bool:
+    """Neither NaN nor +-inf, and no integer beyond the double range."""
+    return abs(v) <= sys.float_info.max
+
+
+def _energy_ok(S) -> bool:
+    return _finite(S) and S >= 0
+
+
 def _check_energy(S: float) -> None:
-    if not math.isfinite(S) or S < 0:
+    if not _energy_ok(S):
         raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
+
+
+def _check_ladder(S_min: float, S: float, kappa: float) -> None:
+    """The one energy rule of an ASK ladder from S_min to S through loss kappa:
+    finite energies, S > S_min, and S_min above the floor 1/kappa (no kappa <= 0)."""
+    if S_min is None or not (_finite(S_min) and _finite(S)):
+        raise ValueError(f"the energies S_min and S must be finite; got {S_min}, {S}")
+    if S <= S_min:
+        raise ValueError("S must exceed S_min")
+    if S_min * kappa <= 1:
+        raise ValueError(f"S_min={S_min} violates the minimum-energy constraint S_min > 1/kappa at kappa={kappa}")
 
 
 def make_psk(M: int, S: float) -> Constellation:
     """2M phase-shift-keyed points on the circle of radius sqrt(S).
 
     Point s = sqrt(S) * exp(i*pi*s/M); neighbors are separated by
-    2*pi*|alpha|/(2M) of arc.
+    2*pi*|alpha|/(2M) of arc.  ``Constellation`` refuses M < 1 (no points).
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
     _check_energy(S)
     s = np.arange(2 * M)
     amps = math.sqrt(S) * np.exp(1j * math.pi * s / M)
@@ -57,18 +76,9 @@ def make_psk(M: int, S: float) -> Constellation:
 def make_ask(M: int, S_min: float, S: float, kappa: float) -> Constellation:
     """2M equally spaced real amplitudes on [sqrt(S_min), sqrt(S)].
 
-    The minimum energy must clear the attenuation floor: S_min > 1/kappa.
+    S > S_min > 1/kappa (``_check_ladder``), for kappa in (0, 1] (``cipher.FIELD_RULES``).
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    if not 0 < kappa <= 1:
-        raise ValueError("kappa must be in (0, 1]")
-    if not (math.isfinite(S_min) and math.isfinite(S)):
-        raise ValueError(f"the energies S_min and S must be finite; got {S_min}, {S}")
-    if S <= S_min:
-        raise ValueError("S must exceed S_min")
-    if S_min <= 1.0 / kappa:
-        raise ValueError(f"S_min={S_min} violates the minimum-energy constraint S_min > 1/kappa={1.0 / kappa}")
+    _check_ladder(S_min, S, kappa)
     amps = np.linspace(math.sqrt(S_min), math.sqrt(S), 2 * M).astype(np.complex128)
     return Constellation(amps, ModulationKind.ASK)
 
@@ -112,8 +122,8 @@ def design_neighbor_error(M: int, S: float, kind: ModulationKind = ModulationKin
     built: 2 sqrt(S) sin(pi/2M) on a PSK ring of energy S, and
     (sqrt(S) - sqrt(S_min))/(2M - 1) on a lossless ASK ladder from S_min to S.
     The chord, not the arc: the noise lives in the plane, and at practical
-    parameters the two agree to < 0.1%.  Refuses the base counts and energies
-    ``make_psk`` and ``make_ask`` (at kappa = 1) refuse.
+    parameters the two agree to < 0.1%.  Refuses M < 1 and the energies
+    ``make_psk`` and ``make_ask`` refuse (``_check_ladder`` at kappa = 1).
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
@@ -122,9 +132,7 @@ def design_neighbor_error(M: int, S: float, kind: ModulationKind = ModulationKin
     if kind is ModulationKind.PSK:
         chord = 2.0 * math.sqrt(S) * math.sin(math.pi / (2 * M))
     else:
-        if S_min is None or not 1.0 < S_min < S:  # NaN fails every comparison
-            raise ValueError(f"ASK design needs a finite S_min with 1 = 1/kappa < S_min < S; "
-                             f"got S_min={S_min}, S={S}")
+        _check_ladder(S_min, S, 1.0)
         chord = (math.sqrt(S) - math.sqrt(S_min)) / (2 * M - 1)
     return gaussian_tail(chord / (2.0 * COHERENT_SIGMA))
 

@@ -346,9 +346,39 @@ class TestConfig:
             CipherConfig(M=2, S=1.0, key_bits=8, seed=1, kappa=0.0)
 
     def test_ask_needs_bounds(self):
-        cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=1, kind="ask")
-        with pytest.raises(ValueError):
-            cfg.constellation()
+        # refused at construction, not at the first constellation() call
+        with pytest.raises(ValueError, match="ask_S_min"):
+            CipherConfig(M=2, S=1.0, key_bits=8, seed=1, kind="ask")
+
+    def test_psk_refuses_ask_S_min(self):
+        # a ring reads no S_min, so a PSK config may not name one
+        with pytest.raises(ValueError, match="ask_S_min"):
+            CipherConfig(M=2, S=40.0, key_bits=8, seed=1, ask_S_min=2.0)
+
+    @pytest.mark.parametrize("S", [math.nan, math.inf, -1.0, 10 ** 400],
+                             ids=["nan", "inf", "negative", "beyond-doubles"])
+    def test_energy_checked_at_construction(self, S):
+        # 10**400 is refused as not finite, not by an OverflowError
+        with pytest.raises(ValueError, match="S must be finite and >= 0"):
+            CipherConfig(M=2, S=S, key_bits=8, seed=1)
+
+    @pytest.mark.parametrize("S, S_min, kappa, message", [
+        (4.0, 9.0, 1.0, "S must exceed S_min"),
+        (9.0, 9.0, 1.0, "S must exceed S_min"),
+        (9.0, 2.0, 0.5, "minimum-energy constraint"),
+        (9.0, 1.0, 1.0, "minimum-energy constraint"),
+    ], ids=["reversed", "equal", "at-floor-lossy", "at-floor"])
+    def test_ladder_checked_at_construction(self, S, S_min, kappa, message):
+        with pytest.raises(ValueError, match=message):
+            CipherConfig(M=2, S=S, key_bits=8, seed=1, kind="ask", ask_S_min=S_min,
+                         kappa=kappa)
+        CipherConfig(M=2, S=S + 10.0, key_bits=8, seed=1, kind="ask", ask_S_min=S_min + 0.1,
+                     kappa=kappa)
+
+    def test_huge_M_builds_no_points(self):
+        # the ring's 2^41 points are built only by constellation()
+        cfg = CipherConfig(M=2 ** 40, S=1.0, key_bits=8, seed=1)
+        assert cfg.bits_per_symbol == 40
 
 
 class TestPeriods:

@@ -2,15 +2,17 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alphaeta.channel import MeasurementRecord
 from alphaeta.cipher import CipherConfig
-from alphaeta import cli
+from alphaeta import cipher, cli
 from alphaeta.cli import load_config, validate_config_dict
 from alphaeta.detection import helstrom_binary_pure
 
@@ -28,6 +30,19 @@ def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "alphaeta", *argv],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def simulate_config(tmp_path, via, config):
+    """``simulate`` on ``config`` from a --config file or a manifest, writing
+    to tmp_path/o."""
+    path = tmp_path / "in.json"
+    if via == "config":
+        path.write_text(json.dumps(config))
+        source = ["--config", str(path), "--seed", "5", "--bits", "100"]
+    else:
+        path.write_text(json.dumps({**GOOD_MANIFEST, "config": config}))
+        source = ["--from-manifest", str(path)]
+    return run_cli("simulate", *source, "--out", str(tmp_path / "o"))
 
 
 class TestBounds:
@@ -448,19 +463,23 @@ class TestValidation:
                                       if f.default is dataclasses.MISSING}
 
     @pytest.mark.parametrize("via", ["config", "manifest"])
+    def test_psk_ask_S_min_exits_2_before_output(self, tmp_path, via):
+        # CipherConfig refuses it at construction; the CLI reports that at '/'
+        out = tmp_path / "o"
+        code, stdout, err = simulate_config(tmp_path, via, {**GOOD_CONFIG, "ask_S_min": 2.0})
+        assert code == 2 and stdout == ""
+        lines = [ln for ln in err.splitlines() if ln.startswith("  /")]
+        assert len(lines) == 1 and lines[0].startswith("  /: ") and "ask_S_min" in lines[0]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["config", "manifest"])
     def test_ask_S_max_exits_2_before_output(self, tmp_path, via):
         # S is the top of an ASK ladder; configs that still name ask_S_max
         # are refused, from a --config file and a manifest alike
         old = {**GOOD_CONFIG, "S": 1.0, "kind": "ask", "ask_S_min": 2.0, "ask_S_max": 2000.0}
-        path = tmp_path / "in.json"
-        if via == "config":
-            path.write_text(json.dumps(old))
-            source = ["--config", str(path), "--seed", "5", "--bits", "100"]
-        else:
-            path.write_text(json.dumps({**GOOD_MANIFEST, "config": old}))
-            source = ["--from-manifest", str(path)]
         out = tmp_path / "o"
-        code, stdout, err = run_cli("simulate", *source, "--out", str(out))
+        code, stdout, err = simulate_config(tmp_path, via, old)
         assert code == 2 and stdout == ""
         assert "  /: unexpected properties 'ask_S_max'" in err.splitlines()
         assert "Traceback" not in err
@@ -517,6 +536,8 @@ SCHEMA_CASES = {
     "M-float": ({**GOOD_CONFIG, "M": 64.0}, ["/M"]),
     "key_bits-float": ({**GOOD_CONFIG, "key_bits": 12.0}, ["/key_bits"]),
     "seed-float": ({**GOOD_CONFIG, "seed": 1445.0}, ["/seed"]),
+    # a ring reads no S_min: CipherConfig refuses it, which the schema cannot say
+    "psk-ask_S_min": ({**GOOD_CONFIG, "ask_S_min": 2.0}, ["/"]),
 }
 
 
@@ -530,6 +551,58 @@ class TestValidatorMatchesSchema:
         want = ["/" + "/".join(map(str, e.absolute_path)) for e in oracle.iter_errors(cfg)]
         got = [p.split(": ", 1)[0] for p in validate_config_dict(cfg)]
         assert sorted(got) == sorted(want + added)
+
+
+# one value per case, set on a config that is valid otherwise: every field
+# with a rule in cipher.FIELD_RULES, ask_S_min on an ASK ladder
+DRIFT_BASE = {"M": 4, "S": 1.0, "key_bits": 4, "seed": 1}
+DRIFT_GRID = ([("M", v) for v in (0, 1, 3, 4)]
+              + [("S", v) for v in (-1, 0, math.inf, math.nan, 10 ** 400)]
+              + [("key_bits", v) for v in (3, 4)] + [("seed", v) for v in (0, 1)]
+              + [("kind", v) for v in ("psk", "qam")]
+              + [("kappa", v) for v in (0, 1, 1.5)]
+              + [("ask_S_min", v) for v in (math.nan, math.inf, 2.0)])
+
+
+class TestOneRuleTable:
+    def test_grid_covers_every_rule(self):
+        assert {field for field, _ in DRIFT_GRID} == set(cipher.FIELD_RULES)
+
+    @pytest.mark.parametrize("field, value", DRIFT_GRID,
+                             ids=[f"{f}={'10**400' if v == 10 ** 400 else repr(v)}"
+                                  for f, v in DRIFT_GRID])
+    def test_validator_flags_what_the_config_refuses(self, field, value):
+        # the table's two readers cannot drift: the CLI flags the field's
+        # pointer exactly when CipherConfig refuses the value
+        base = {**DRIFT_BASE, "S": 100.0, "kind": "ask"} if field == "ask_S_min" else DRIFT_BASE
+        cfg = {**base, field: value}
+        flagged = any(p.startswith(f"/{field}:") for p in validate_config_dict(cfg))
+        try:
+            CipherConfig(**cfg)
+        except ValueError:
+            refused = True
+        else:
+            refused = False
+        assert flagged == refused
+
+
+def readme_configs() -> dict[str, str]:
+    """File name -> body of every ``cat > NAME.json <<'EOF'`` block in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return dict(re.findall(r"^cat > (\S+\.json) <<'EOF'\n(.*?)^EOF$", text, re.M | re.S))
+
+
+class TestReadmeConfigs:
+    def test_blocks_found(self):
+        # the PSK and the ASK quick-start configs
+        assert {"cfg.json", "ask.json"} <= set(readme_configs())
+
+    @pytest.mark.parametrize("name", sorted(readme_configs()))
+    def test_config_validates_and_builds(self, name):
+        cfg = json.loads(readme_configs()[name])
+        assert validate_config_dict(cfg) == []
+        config = cli._config_from_dict(cfg)
+        assert len(config.constellation()) == 2 * config.M
 
 
 class TestRuntimeImports:

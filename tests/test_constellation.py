@@ -170,6 +170,9 @@ class TestMakeAsk:
         with pytest.raises(ValueError):
             make_ask(2, 0.5, 4.0, 0.5)  # 0.5 <= 1/0.5
         make_ask(2, 2.01, 4.0, 0.5)  # just above the floor is fine
+        for kappa in (0.0, -0.5):  # no floor at all: refused, not a ZeroDivisionError
+            with pytest.raises(ValueError):
+                make_ask(2, 2.0, 4.0, kappa)
 
     @pytest.mark.parametrize("S_min, S_max", [(math.nan, 4.0), (2.0, math.nan),
                                               (2.0, math.inf), (math.inf, math.inf)])
