@@ -54,6 +54,13 @@ class AttackReport:
     bound: BoundReport
 
 
+def _per_slot(record: MeasurementRecord, values: np.ndarray, what: str = "plaintext") -> np.ndarray:
+    """``values``, one per slot of ``record``; the one length rule of every attack."""
+    if len(values) != len(record):
+        raise ValueError(f"record and {what} lengths differ")
+    return values
+
+
 def _rate(errors: int, n: int) -> EmpiricalRate:
     if n == 0:
         raise ValueError("the record holds no slots")
@@ -146,9 +153,7 @@ def eve_ctoa_data(record: MeasurementRecord, config: CipherConfig, truth) -> Att
     reported bound is the mixed-state Helstrom value for the same two
     hypotheses over the same received points.
     """
-    truth = _bits(truth)
-    if len(truth) != len(record):
-        raise ValueError("record and plaintext lengths differ")
+    truth = _per_slot(record, _bits(truth))
     q = bit_hypotheses(config)
     c = received(config)
     c0, c1 = (row @ c.amplitudes for row in q)  # one call per row: equal rows, equal centroids
@@ -188,13 +193,9 @@ def eve_key_symbol(record: MeasurementRecord, config: CipherConfig, truth,
     """
     beta = received(config).amplitudes
     M, n = config.M, len(record)
-    truth = _state_indices(truth, config)
-    if len(truth) != n:
-        raise ValueError("record and sent indices lengths differ")
+    truth = _per_slot(record, _state_indices(truth, config), "sent indices")
     known = plaintext is not None
-    x = _bits(plaintext) if known else None
-    if known and len(x) != n:
-        raise ValueError("record and plaintext lengths differ")
+    x = _per_slot(record, _bits(plaintext)) if known else None
     pair = not known or config.osk
     ring = config.kind is ModulationKind.PSK
 
@@ -251,6 +252,12 @@ def _seed_masks(taps: int, k: int, count: int) -> np.ndarray:
     return _lfsr_extend(1 << np.arange(k, dtype=np.int64), taps, k, count)
 
 
+def _check_posterior_size(config: CipherConfig) -> None:
+    """The posterior enumerates registers of at most _POSTERIOR_MAX_KEY_BITS bits."""
+    if config.key_bits > _POSTERIOR_MAX_KEY_BITS:
+        raise ValueError(f"exhaustive posterior is limited to |K| <= {_POSTERIOR_MAX_KEY_BITS}")
+
+
 def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
                           plaintext) -> float:
     """Shannon entropy (bits) of the exact key posterior given Eve's record.
@@ -278,13 +285,10 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     (slots log2 2M) and two chunk * 2M block tables, the masks and the
     weights f, written in place.
     """
+    _check_posterior_size(config)
     k = config.key_bits
-    if k > _POSTERIOR_MAX_KEY_BITS:
-        raise ValueError(f"exhaustive posterior is limited to |K| <= {_POSTERIOR_MAX_KEY_BITS}")
-    x = _bits(plaintext)
+    x = _per_slot(record, _bits(plaintext))
     slots = len(record)
-    if len(x) != slots:
-        raise ValueError("record and plaintext lengths differ")
     M, bps = config.M, config.bits_per_symbol
     zbits = bps + config.osk
     beta = received(config).amplitudes

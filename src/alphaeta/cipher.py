@@ -105,6 +105,15 @@ def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndar
     return out[:count]
 
 
+def _check_register(seed: int, taps: int, key_bits: int) -> None:
+    """The register rules of ``lfsr_stream`` and ``CipherConfig`` alike: the
+    taps, already masked to |K| bits, feed back, and the seed is a nonzero state."""
+    if taps == 0:
+        raise ValueError("taps define the zero feedback polynomial")
+    if not 0 < seed < 1 << key_bits:
+        raise ValueError(f"seed must be a nonzero {key_bits}-bit register state; got {seed}")
+
+
 def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
     """Fibonacci LFSR output bits, one per shift, deterministic in (seed, taps).
 
@@ -113,12 +122,8 @@ def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
     (it generates the degenerate all-zero stream).  Any nonzero taps and any
     register length: the seed's bits are jumped ahead by ``_lfsr_extend``.
     """
-    mask = (1 << key_bits) - 1
-    taps &= mask
-    if taps == 0:
-        raise ValueError("taps define the zero feedback polynomial")
-    if not 0 < seed <= mask:
-        raise ValueError("seed must be a nonzero state of the register")
+    taps &= (1 << key_bits) - 1
+    _check_register(seed, taps, key_bits)
     if count < 0:
         raise ValueError("count must be nonnegative")
     head = np.array([seed >> i & 1 for i in range(key_bits)], dtype=np.uint8)
@@ -180,10 +185,7 @@ class CipherConfig:
     def __post_init__(self):
         for name in FIELD_RULES:
             _check_field(name, getattr(self, name))
-        if self.seed >= 1 << self.key_bits:
-            raise ValueError("seed must be a nonzero |K|-bit value")
-        if self.taps == 0:
-            raise ValueError("taps define the zero feedback polynomial")
+        _check_register(self.seed, self.taps, self.key_bits)
         object.__setattr__(self, "kind", ModulationKind(self.kind))
         ask = self.kind is ModulationKind.ASK
         if ask != (self.ask_S_min is not None):

@@ -94,11 +94,10 @@ def _config_from_dict(cfg: dict) -> cipher.CipherConfig:
 
 
 def _checked_config(cfg: dict) -> cipher.CipherConfig:
-    """The config built from ``cfg``, or exit 2 with every violation on stderr."""
+    """The config built from ``cfg``, or a ValueError that lists every violation."""
     problems = validate_config_dict(cfg)
     if problems:
-        print("invalid config:", *("  " + p for p in problems), sep="\n", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("\n".join(["invalid config:", *("  " + p for p in problems)]))
     return _config_from_dict(cfg)
 
 
@@ -151,15 +150,12 @@ def _bound_row(n: int, s: float, kind: str) -> dict:
 def cmd_bounds(args) -> int:
     ns, ss = args.n, args.s
     if not ns or not ss:
-        print("error: empty grid", file=sys.stderr)
-        return 2
+        raise ValueError("empty grid")
     grid = [(n, s) for n in ns for s in ss]
     if any(n < 2 for n, _ in grid) or not all(map(_energy_ok, ss)):
-        print("error: invalid grid (need n >= 2, finite s >= 0)", file=sys.stderr)
-        return 2
+        raise ValueError("invalid grid (need n >= 2, finite s >= 0)")
     if args.kind in _BINARY_KINDS and set(ns) != {2}:
-        print(f"error: --kind {args.kind} is a two-state bound; --n must be 2", file=sys.stderr)
-        return 2
+        raise ValueError(f"--kind {args.kind} is a two-state bound; --n must be 2")
     _emit([_bound_row(n, s, args.kind) for n, s in grid], args, f"bounds_{args.kind}")
     return 0
 
@@ -186,33 +182,25 @@ def cmd_simulate(args) -> int:
         bad = [k for k, ok in _MANIFEST_CHECKS.items()
                if type(manifest) is not dict or k not in manifest or not ok(manifest[k])]
         if bad:
-            print(f"error: manifest {', '.join(bad)}: missing, or not what the flag accepts",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"manifest {', '.join(bad)}: missing, or not what the flag accepts")
         args = argparse.Namespace(**{**vars(args), "seed": manifest["seed"],
                                      "bits": manifest["bits"], "plaintext": manifest["plaintext"],
                                      "attack": manifest["attacks"]})
         cfg_dict = manifest["config"]
     elif args.config is None:
-        print("error: --config or --from-manifest is required", file=sys.stderr)
-        return 2
+        raise ValueError("--config or --from-manifest is required")
     else:
         cfg_dict = json.loads(Path(args.config).read_text())
     if args.seed is None:
-        print("error: --seed is required (no silent nondeterminism)", file=sys.stderr)
-        return 2
+        raise ValueError("--seed is required (no silent nondeterminism)")
     if not _seed_ok(args.seed):
-        print("error: --seed must be a non-negative integer", file=sys.stderr)
-        return 2
+        raise ValueError("--seed must be a non-negative integer")
     if args.bits < 1:
-        print("error: --bits must be at least 1", file=sys.stderr)
-        return 2
+        raise ValueError("--bits must be at least 1")
 
     config = _checked_config(cfg_dict)
-    limit = attacks._POSTERIOR_MAX_KEY_BITS
-    if "key-entropy" in args.attack and config.key_bits > limit:
-        print(f"error: exhaustive posterior is limited to |K| <= {limit}", file=sys.stderr)
-        return 2
+    if "key-entropy" in args.attack:  # before any report is written
+        attacks._check_posterior_size(config)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -279,11 +267,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_design(args) -> int:
     kind = ModulationKind(args.kind)
-    try:
-        m = design_bases(args.target_pe, args.s, kind, S_min=args.s_min)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ask = kind is ModulationKind.ASK
+    if ask != (args.s_min is not None):  # as a config's ask_S_min
+        raise ValueError(f"--kind {kind.value} {'requires' if ask else 'takes no'} --s-min")
+    m = design_bases(args.target_pe, args.s, kind, S_min=args.s_min)
     rows = [{
         "target_pe": args.target_pe, "s": args.s, "kind": kind.value,
         "bases": m,
@@ -369,8 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; every refusal exits 2 with one ``error:`` line."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:  # a rule the input broke (bad JSON too), or a file
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -100,12 +100,17 @@ class TestCtoaData:
         cfg_osk = CipherConfig(M=8, S=1.0, key_bits=8, seed=0x3C, osk=True)
         np.testing.assert_array_equal(bit_hypotheses(cfg_osk), np.full((2, 16), 1 / 16))
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("attack", [
+        lambda rec, cfg, x, sent: eve_ctoa_data(rec, cfg, x),
+        lambda rec, cfg, x, sent: eve_key_symbol(rec, cfg, sent, x),
+        lambda rec, cfg, x, sent: key_posterior_entropy(rec, cfg, x),
+    ], ids=["ctoa-data", "key-symbol", "key-posterior"])
+    def test_length_mismatch(self, attack):
+        # one plaintext bit short of the record: the same refusal from every attack
         cfg = CipherConfig(M=2, S=1.0, key_bits=8, seed=0x55)
-        rng = np.random.default_rng(0)
-        _, rec = _run(cfg, 10, rng)
-        with pytest.raises(ValueError):
-            eve_ctoa_data(rec, cfg, np.zeros(9, dtype=int))
+        x, rec = _run(cfg, 10, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^record and plaintext lengths differ$"):
+            attack(rec, cfg, x[:9], encode(x, cfg))
 
 
 class TestWindowedMap:

@@ -116,6 +116,19 @@ class TestLfsr:
         with pytest.raises(ValueError):
             lfsr_stream(1, 0, 10, 4)
 
+    @pytest.mark.parametrize("seed, taps, message", [
+        (0, 0b0011, "seed must be a nonzero 4-bit register state; got 0"),
+        (16, 0b0011, "seed must be a nonzero 4-bit register state; got 16"),
+        (1, 0b10000, "taps define the zero feedback polynomial"),
+    ], ids=["zero-seed", "seed-too-wide", "taps-above-register"])
+    def test_register_rule_shared_with_config(self, seed, taps, message):
+        # one message per condition, from the stream and a config alike
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lfsr_stream(seed, taps, 10, 4)
+        if seed:  # a zero seed breaks the config's field rule first
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                CipherConfig(M=2, S=1.0, key_bits=4, seed=seed, lfsr_taps=taps)
+
     @given(st.integers(1, (1 << 12) - 1), st.integers(0, 300))
     def test_deterministic(self, seed, count):
         taps = PRIMITIVE_TAPS[12]

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -30,6 +31,14 @@ def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "alphaeta", *argv],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def assert_refused(code, out, err, outdir=None):
+    """A refusal: exit 2 with one ``error:`` report first on stderr, no
+    traceback, nothing on stdout, and no ``--out`` made."""
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert outdir is None or not outdir.exists()
 
 
 def simulate_config(tmp_path, via, config):
@@ -83,8 +92,8 @@ class TestBounds:
         assert rows[0]["method"] == "srm_spectrum"
 
     def test_invalid_grid_exits_nonzero(self):
-        code, _, err = run_cli("bounds", "--n", "1", "--s", "1", "--kind", "srm")
-        assert code == 2
+        code, out, err = run_cli("bounds", "--n", "1", "--s", "1", "--kind", "srm")
+        assert_refused(code, out, err)
         assert "invalid grid" in err
 
     @pytest.mark.parametrize("kind", ["srm", "helstrom"])
@@ -92,17 +101,16 @@ class TestBounds:
     def test_non_finite_energy_exits_2(self, tmp_path, kind, s):
         code, out, err = run_cli("bounds", "--n", "2", "--s", f"1,{s}", "--kind", kind,
                                  "--out", str(tmp_path / "o"))
-        assert code == 2 and out == ""
-        assert err.startswith("error: invalid grid") and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        assert_refused(code, out, err, tmp_path / "o")
+        assert err.startswith("error: invalid grid")
 
     @pytest.mark.parametrize("kind", ["helstrom", "quadrature-homodyne",
                                       "quadrature-heterodyne"])
     def test_binary_kinds_take_only_two_states(self, kind):
         # a row labelled n=2047 would hold the two-state value
         code, out, err = run_cli("bounds", "--n", "2,2047", "--s", "1", "--kind", kind)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "--n must be 2" in err
+        assert_refused(code, out, err)
+        assert "--n must be 2" in err
         code, out, _ = run_cli("bounds", "--n", "2", "--s", "1", "--kind", kind)
         assert code == 0
         assert [r["n"] for r in csv.DictReader(out.splitlines())] == ["2"]
@@ -117,28 +125,31 @@ class TestSimulate:
     def test_requires_seed(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(GOOD_CONFIG))
-        code, _, err = run_cli("simulate", "--config", str(cfg),
-                               "--out", str(tmp_path / "o"))
-        assert code == 2
+        code, out, err = run_cli("simulate", "--config", str(cfg),
+                                 "--out", str(tmp_path / "o"))
+        assert_refused(code, out, err, tmp_path / "o")
         assert "--seed" in err
 
     def test_schema_violations_use_pointers(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 3, "S": -1, "key_bits": 12, "seed": 9}))
-        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
-                               "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert "/S:" in err and "/M:" in err
+        code, out, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                                 "--out", str(tmp_path / "o"))
+        assert_refused(code, out, err, tmp_path / "o")
+        # one error line heads the report, one pointer line per violation
+        assert err.splitlines()[0] == "error: invalid config:"
+        assert "  /S: -1 is not finite and >= 0" in err.splitlines()
+        assert "/M:" in err
 
     @pytest.mark.parametrize("field", ["M", "key_bits", "seed"])
     def test_integral_float_in_integer_field_exits_2(self, tmp_path, field):
         # 4.0 passes a JSON Schema "integer" but is a float to CipherConfig
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**GOOD_CONFIG, field: float(GOOD_CONFIG[field])}))
-        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
-                               "--bits", "100", "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert f"/{field}:" in err and "Traceback" not in err
+        code, out, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                                 "--bits", "100", "--out", str(tmp_path / "o"))
+        assert_refused(code, out, err, tmp_path / "o")
+        assert f"/{field}:" in err
 
     def test_invalid_manifest_config_exits_like_config(self, tmp_path):
         bad = {"M": 3, "S": -1, "key_bits": 12, "seed": 9}
@@ -151,7 +162,8 @@ class TestSimulate:
                              "--out", str(tmp_path / "a"))
         via_manifest = run_cli("simulate", "--from-manifest", str(manifest),
                                "--out", str(tmp_path / "b"))
-        assert via_manifest[0] == via_config[0] == 2
+        assert_refused(*via_config, tmp_path / "a")
+        assert_refused(*via_manifest, tmp_path / "b")
         assert via_manifest[2] == via_config[2]
         assert "/M:" in via_manifest[2]
 
@@ -170,10 +182,8 @@ class TestSimulate:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         out = tmp_path / "o"
-        code, _, err = run_cli("simulate", "--from-manifest", str(path), "--out", str(out))
-        assert code == 2
-        assert "error:" in err and "Traceback" not in err
-        assert not out.exists() or not any(out.iterdir())
+        code, stdout, err = run_cli("simulate", "--from-manifest", str(path), "--out", str(out))
+        assert_refused(code, stdout, err, out)
 
     @pytest.mark.parametrize("via", ["flag", "manifest"])
     def test_negative_seed_exits_2_before_output(self, tmp_path, via):
@@ -188,13 +198,12 @@ class TestSimulate:
             path = tmp_path / "manifest.json"
             path.write_text(json.dumps({**GOOD_MANIFEST, "seed": -1}))
             source = ["--from-manifest", str(path)]
-        code, _, err = run_cli("simulate", *source, "--out", str(out))
-        assert code == 2
-        assert "error:" in err and "seed" in err and "Traceback" not in err
-        assert not out.exists()
+        code, stdout, err = run_cli("simulate", *source, "--out", str(out))
+        assert_refused(code, stdout, err, out)
+        assert "seed" in err
 
     @pytest.mark.parametrize("config, message", [
-        ({**GOOD_CONFIG, "seed": 5000}, "seed must be a nonzero |K|-bit value"),
+        ({**GOOD_CONFIG, "seed": 5000}, "seed must be a nonzero 12-bit register state; got 5000"),
         ({**GOOD_CONFIG, "key_bits": 24}, "no shipped maximal-length taps"),
         ({**GOOD_CONFIG, "lfsr_taps": "zz"}, "invalid literal for int()"),
         ({**GOOD_CONFIG, "lfsr_taps": 0}, "zero feedback polynomial"),
@@ -208,13 +217,12 @@ class TestSimulate:
         # each passes the field table but cannot be built into a cipher
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
-                               "--bits", "100", "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert message in err and "Traceback" not in err
-        with pytest.raises(SystemExit) as exc:
+        code, out, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                                 "--bits", "100", "--out", str(tmp_path / "o"))
+        assert_refused(code, out, err, tmp_path / "o")
+        assert message in err
+        with pytest.raises(ValueError, match=re.escape(message)):
             load_config(cfg)
-        assert exc.value.code == 2
 
     @pytest.mark.parametrize("field, value", [("S", math.inf), ("S", math.nan),
                                               ("ask_S_min", math.nan), ("ask_S_min", math.inf)])
@@ -224,33 +232,30 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**GOOD_CONFIG, **ask, field: value}))
         out = tmp_path / "o"
-        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
-                               "--bits", "100", "--out", str(out))
-        assert code == 2
-        assert f"/{field}:" in err and "finite" in err and "Traceback" not in err
-        assert not out.exists()
+        code, stdout, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                                    "--bits", "100", "--out", str(out))
+        assert_refused(code, stdout, err, out)
+        assert f"/{field}:" in err and "finite" in err
 
     def test_key_entropy_beyond_posterior_limit_exits_2(self, tmp_path):
         # the limit is checked before any attack runs: no partial reports
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**GOOD_CONFIG, "key_bits": 24, "lfsr_taps": "0xC20001"}))
         out = tmp_path / "o"
-        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
-                               "--bits", "100", "--attack", "bob", "key-entropy",
-                               "--out", str(out))
-        assert code == 2
-        assert "error: exhaustive posterior is limited to |K| <= 22" in err
-        assert "Traceback" not in err
-        assert not (out / "report_bob.json").exists()
+        code, stdout, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                                    "--bits", "100", "--attack", "bob", "key-entropy",
+                                    "--out", str(out))
+        assert_refused(code, stdout, err, out)
+        assert err == "error: exhaustive posterior is limited to |K| <= 22\n"
 
     @pytest.mark.parametrize("bits", ["0", "-5"])
     def test_bits_below_one_exits_2(self, tmp_path, bits):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(GOOD_CONFIG))
-        code, _, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
-                               "--bits", bits, "--out", str(tmp_path / "o"))
-        assert code == 2
-        assert "error: --bits must be at least 1" in err and "Traceback" not in err
+        code, out, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
+                                 "--bits", bits, "--out", str(tmp_path / "o"))
+        assert_refused(code, out, err, tmp_path / "o")
+        assert "error: --bits must be at least 1" in err
 
     def test_key_entropy_non_maximal_taps(self, tmp_path):
         # x^12 + x^11 + x^5 + x^3 + 1 is not maximal: the posterior scores
@@ -423,9 +428,8 @@ class TestDesign:
         # no ring is built: the 2^40 scan ends at once with an error line
         code, out, err = run_cli("design", "--target-pe", "0.3", "--s", "1e300",
                                  "--out", str(tmp_path / "o"))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "unreachable" in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        assert_refused(code, out, err, tmp_path / "o")
+        assert "unreachable" in err
 
     @pytest.mark.parametrize("flags", [("--s", "nan"), ("--s", "inf"),
                                        ("--kind", "ask", "--s-min", "nan", "--s", "100"),
@@ -434,9 +438,44 @@ class TestDesign:
     def test_non_finite_energy_exits_2(self, tmp_path, flags):
         code, out, err = run_cli("design", "--target-pe", "0.3", *flags,
                                  "--out", str(tmp_path / "o"))
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and "finite" in err and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        assert_refused(code, out, err, tmp_path / "o")
+        assert "finite" in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--kind", "ask"), "error: --kind ask requires --s-min"),
+        (("--s-min", "2"), "error: --kind psk takes no --s-min"),
+    ], ids=["ask-without-s-min", "psk-with-s-min"])
+    def test_s_min_pairs_with_ask(self, tmp_path, flags, message):
+        # a ladder needs its bottom energy, and a ring has none to ignore
+        code, out, err = run_cli("design", "--target-pe", "0.3", "--s", "100", *flags,
+                                 "--out", str(tmp_path / "o"))
+        assert_refused(code, out, err, tmp_path / "o")
+        assert err == message + "\n"
+
+
+# argv before --out of a run whose input cannot be read or whose --out cannot
+# be made: bad.json is malformed JSON, and --out sits under a plain file
+UNREADABLE_CASES = {
+    "missing-config": ["simulate", "--config", "none.json", "--seed", "5"],
+    "malformed-config": ["simulate", "--config", "bad.json", "--seed", "5"],
+    "malformed-manifest": ["simulate", "--from-manifest", "bad.json"],
+    "simulate-out-under-file": ["simulate", "--config", "cfg.json", "--seed", "5",
+                                "--bits", "100"],
+    "bounds-out-under-file": ["bounds", "--n", "4", "--s", "1"],
+}
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("case", sorted(UNREADABLE_CASES))
+    def test_exits_2_with_one_error_line(self, tmp_path, case):
+        (tmp_path / "cfg.json").write_text(json.dumps(GOOD_CONFIG))
+        (tmp_path / "bad.json").write_text('{"M": 64,')
+        (tmp_path / "file").write_text("")
+        out = tmp_path / ("file/o" if case.endswith("under-file") else "o")
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in UNREADABLE_CASES[case]]
+        code, stdout, err = run_cli(*argv, "--out", str(out))
+        assert_refused(code, stdout, err, out)
+        assert len(err.splitlines()) == 1
 
 
 class TestValidation:
@@ -467,11 +506,9 @@ class TestValidation:
         # CipherConfig refuses it at construction; the CLI reports that at '/'
         out = tmp_path / "o"
         code, stdout, err = simulate_config(tmp_path, via, {**GOOD_CONFIG, "ask_S_min": 2.0})
-        assert code == 2 and stdout == ""
+        assert_refused(code, stdout, err, out)
         lines = [ln for ln in err.splitlines() if ln.startswith("  /")]
         assert len(lines) == 1 and lines[0].startswith("  /: ") and "ask_S_min" in lines[0]
-        assert "Traceback" not in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("via", ["config", "manifest"])
     def test_ask_S_max_exits_2_before_output(self, tmp_path, via):
@@ -480,10 +517,8 @@ class TestValidation:
         old = {**GOOD_CONFIG, "S": 1.0, "kind": "ask", "ask_S_min": 2.0, "ask_S_max": 2000.0}
         out = tmp_path / "o"
         code, stdout, err = simulate_config(tmp_path, via, old)
-        assert code == 2 and stdout == ""
+        assert_refused(code, stdout, err, out)
         assert "  /: unexpected properties 'ask_S_max'" in err.splitlines()
-        assert "Traceback" not in err
-        assert not out.exists()
 
 
 # the JSON Schema the validator replaced, kept as the oracle of its verdicts
@@ -603,6 +638,28 @@ class TestReadmeConfigs:
         assert validate_config_dict(cfg) == []
         config = cli._config_from_dict(cfg)
         assert len(config.constellation()) == 2 * config.M
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``alphaeta`` line of README.md's sh blocks, with
+    the backslash continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```$", text, re.M | re.S)).replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in blocks.splitlines()
+            if line.startswith("alphaeta ")]
+
+
+class TestReadmeCommands:
+    def test_every_subcommand_shown(self):
+        assert {argv[0] for argv in readme_commands()} == {"bounds", "simulate", "design",
+                                                            "reproduce"}
+
+    @pytest.mark.parametrize("argv", readme_commands(),
+                             ids=[f"{i}-{argv[0]}" for i, argv in enumerate(readme_commands())])
+    def test_command_parses(self, argv, capsys):
+        args = cli.build_parser().parse_args(argv)  # a flag it refuses exits here
+        if args.cmd == "design":  # the --s-min pairing is checked past the parser
+            assert cli.main(argv) == 0, capsys.readouterr().err
 
 
 class TestRuntimeImports:
