@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import MeasurementRecord, received
-from .cipher import CipherConfig, _bits, _lfsr_extend, _state_indices
+from .cipher import CipherConfig, _bits, _index_masks, _state_indices
 from .constellation import ModulationKind
 from .detection import (
     BoundReport,
@@ -245,13 +245,6 @@ def _hadamard(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _seed_masks(taps: int, k: int, count: int) -> np.ndarray:
-    """Output bit j < count of the register started at seed s is
-    parity(mask_j & s), for any taps and every seed: by linearity mask_j
-    holds bit j of each unit seed's stream, the recurrence run on 1 << b."""
-    return _lfsr_extend(1 << np.arange(k, dtype=np.int64), taps, k, count)
-
-
 def _check_posterior_size(config: CipherConfig) -> None:
     """The posterior enumerates registers of at most _POSTERIOR_MAX_KEY_BITS bits."""
     if config.key_bits > _POSTERIOR_MAX_KEY_BITS:
@@ -266,11 +259,11 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     this is the brute-force key-security oracle, for any taps and |K| <= 22
     (_POSTERIOR_MAX_KEY_BITS; over 682 slots at M=64, S=0.005 under OSK, a
     warm call takes 0.03-0.07 s and a 17.4 MiB tracemalloc peak at |K| = 20,
-    0.14-0.38 s and 65.4 MiB at |K| = 22, on 2 cores).  Every keyed bit is
-    parity(mask & s) for a seed mask (``_seed_masks``), so slot t's
-    log-likelihood is a table f_t(z) over its key index z = r_t M + k_t
-    (``keystream``: the symbol bits, plus the polarity bit under OSK), and
-    each Walsh character u of f_t is the character of one seed mask v_t(u).
+    0.14-0.38 s and 65.4 MiB at |K| = 22, on 2 cores).  Every bit of slot
+    t's key index z = r_t M + k_t (``keystream``) is parity(mask & s) for
+    its seed mask from ``_index_masks``, so slot t's log-likelihood is a
+    table f_t(z), and each Walsh character u of f_t is the character of one
+    seed mask v_t(u), the XOR of the masks of u's bits.
     With the known bit x_t, z selects the point j = (z + x_t M) mod 2M, and
     f_t(z) = -|y_t|^2 + Re y_t 2 Re b_j + Im y_t 2 Im b_j - |b_j|^2
     is linear in y_t.  So the characters R_x, I_x, E_x of 2 Re b_j,
@@ -289,17 +282,12 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     k = config.key_bits
     x = _per_slot(record, _bits(plaintext))
     slots = len(record)
-    M, bps = config.M, config.bits_per_symbol
-    zbits = bps + config.osk
+    M, zbits = config.M, config.bits_per_symbol + config.osk
     beta = received(config).amplitudes
     # row x: point sym + (x xor polarity) M, i.e. (z + x M) mod 2M
     pts = beta[(np.arange(1 << zbits) + M * np.arange(2)[:, None]) % (2 * M)]
     R, I, E = _hadamard(np.stack([2 * pts.real, 2 * pts.imag, -np.abs(pts) ** 2])) / (1 << zbits)
-    # slot t's z bit i < bps is stream bit t*bps + bps-1-i (the symbol is
-    # big-endian); bit bps is its polarity bit
-    bit_masks = _seed_masks(config.taps, k, slots * bps).reshape(slots, bps)[:, ::-1]
-    if config.osk:
-        bit_masks = np.column_stack([bit_masks, _seed_masks(config.osk_taps, k, slots)])
+    bit_masks = _index_masks(config, slots)[..., 0].view(np.int64)  # |K| <= 22: one word
     coeff = np.zeros(1 << k)
     block = (min(slots, _CHUNK), 1 << zbits)
     masks, table = np.empty(block, dtype=np.int64), np.empty(block)

@@ -78,9 +78,9 @@ def _mod(r: int, poly: int, nbits: int) -> int:
 def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndarray:
     """The first ``count`` terms of s[t+nbits] = XOR_{j in taps} s[t+j] from its
     first ``nbits`` terms ``head``: stream bits (uint8), by linearity the
-    seed masks of the unit seeds (int64), or the packed per-slot key words
-    of ``keystream`` (int64).  Only the recurrence's coefficients are used,
-    so p need not be primitive, irreducible or have an x^0 term.
+    seed masks of the unit seeds (uint64 rows), or the packed per-slot key
+    words of ``keystream`` (int64).  Only the recurrence's coefficients are
+    used, so p need not be primitive, irreducible or have an x^0 term.
 
     Jump-ahead by doubling: with L terms known, s[t+L] is the XOR of s[t+b]
     over the set bits b of x^L mod p, p = x^nbits + taps, which gives terms
@@ -88,7 +88,7 @@ def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndar
     stage's x^L and x^(2^i) are made only if it runs.
     """
     poly = taps | 1 << nbits
-    out = np.zeros(max(count, nbits), dtype=head.dtype)
+    out = np.zeros((max(count, nbits),) + head.shape[1:], dtype=head.dtype)
     out[:nbits] = head
     known, jump, x_pow2 = nbits, taps, _mod(2, poly, nbits)  # x^known, x^(2^i) mod p
     while known < count:
@@ -221,10 +221,10 @@ def keystream(config: CipherConfig, count: int) -> np.ndarray:
     unbroken stream; they are not realigned at the register period, so the
     symbol sequence period is (2^|K|-1)/gcd(log2 M, 2^|K|-1) blocks.
 
-    Built as int64 words, never bit by bit: ``_slot_recurrence`` gives the
-    first words and the linear recurrence the rest follow, which
-    ``_lfsr_extend`` runs.  A negative or non-integer ``count`` raises
-    ``ValueError``.
+    Built as int64 words, never bit by bit, from the seed masks of
+    ``_index_masks``: ``_slot_recurrence`` gives the first words and the
+    linear recurrence the rest follow, which ``_lfsr_extend`` runs.  A
+    negative or non-integer ``count`` raises ``ValueError``.
     """
     if not isinstance(count, (int, np.integer)) or count < 0:
         raise ValueError("count must be a nonnegative integer")
@@ -232,45 +232,54 @@ def keystream(config: CipherConfig, count: int) -> np.ndarray:
     return _lfsr_extend(head, coeffs, len(head), count)
 
 
+def _seed_masks(taps: int, k: int, count: int) -> np.ndarray:
+    """Output bit j < count of the register at seed s is parity(mask_j & s),
+    for any taps and every seed: by linearity mask_j holds bit j of each unit
+    seed's stream.  A mask is a row of ceil(k/64) uint64 words, seed bit i at
+    bit i % 64 of word i // 64, so any register length fits."""
+    i = np.arange(k)
+    unit = np.zeros((k, -(-k // 64)), dtype=np.uint64)
+    unit[i, i // 64] = 1 << (i % 64).astype(np.uint64)
+    return _lfsr_extend(unit, taps, k, count)
+
+
+def _index_masks(config: CipherConfig, count: int) -> np.ndarray:
+    """masks[t, i]: the seed mask (``_seed_masks``) of bit i of slot t's key
+    index p_t, t < count.  Bits i < b = log2 M are the symbol k_t, stream
+    bits t b, ..., t b + b - 1 with the first the most significant; under
+    OSK bit b is the polarity r_t, bit t of the reciprocal register."""
+    b, k = config.bits_per_symbol, config.key_bits
+    stream = _seed_masks(config.taps, k, count * b)
+    masks = stream.reshape(count, b, stream.shape[1])[:, ::-1]
+    if config.osk:
+        masks = np.concatenate([masks, _seed_masks(config.osk_taps, k, count)[:, None]], axis=1)
+    return masks
+
+
 def _slot_recurrence(config: CipherConfig) -> tuple[np.ndarray, int]:
     """The key indices p_0, ..., p_{r-1} and the mask of the c_j in
     p_{t+r} = XOR_{j<r} c_j p_{t+j}.
 
-    With b = log2 M, let sigma_t be the register state at stream bit t b and
-    rho_t the reciprocal register's state at its bit t (under OSK).  Slot
-    t + 1's state is a fixed GF(2)-linear map of slot t's, sigma -> A^b sigma
-    and rho -> B rho for the two shift maps, and p_t is GF(2)-linear in it.
-    So the first dependency between slot states, XOR_{j<r} c_j
-    (sigma_j, rho_j) = (sigma_r, rho_r), carries over to every later slot and
-    to its index.  Elimination finds it at some r <= w, the state width |K|
-    (2|K| under OSK), from the first w b + |K| stream bits and w + |K|
-    polarity bits; a register state is |K| stream bits, the first lowest.
+    Row t of ``_index_masks`` is L T^t: slot t + 1's masks are slot t's
+    times the seed's slot step T (A^b on the symbol bits, B on the polarity,
+    for b = log2 M and the shift maps A, B of the two registers).  So the
+    first dependency XOR_{j<r} c_j row_j = row_r, times T, holds at every
+    later slot, and so between the indices.  By Cayley-Hamilton on A^b and
+    B, elimination finds it at r <= |K| (2|K| under OSK); r = 0 when p_t
+    carries no key bit (M = 1 without OSK).  The head is parity(row_t & seed).
     """
-    n, b = config.key_bits, config.bits_per_symbol
-    width = n << config.osk
-    key = _as_int(lfsr_stream(config.seed, config.taps, width * b + n, n))
-    polarity = _as_int(lfsr_stream(config.seed, config.osk_taps, width + n, n)) if config.osk else 0
-    mask = (1 << n) - 1
-    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (state, mask of the slots XORed in)
-    for r in range(width + 1):
-        state, used = (key >> r * b & mask) | (polarity >> r & mask) << n, 1 << r
-        while state and state.bit_length() - 1 in basis:
-            reduced, slots = basis[state.bit_length() - 1]
-            state ^= reduced
-            used ^= slots
+    masks = _index_masks(config, (config.key_bits << config.osk) + 1)
+    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (row, mask of the slots XORed in)
+    for r, row in enumerate(masks):
+        state, used = int.from_bytes(row.tobytes(), "little"), 1 << r
+        while state and (lead := state.bit_length() - 1) in basis:
+            state, used = state ^ basis[lead][0], used ^ basis[lead][1]
         if not state:
             break
         basis[state.bit_length() - 1] = (state, used)
-    # symbol t is stream bits t b, ..., t b + b - 1, the first the most
-    # significant; the polarity bit sits above it
-    head = [int(f"{key >> t * b & ((1 << b) - 1):0{b}b}"[::-1], 2) | (polarity >> t & 1) << b
-            for t in range(r)]
-    return np.array(head, dtype=np.int64), used ^ (1 << r)
-
-
-def _as_int(bits: np.ndarray) -> int:
-    """The bit array as one integer, bit i at position i."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+    seed = np.frombuffer(config.seed.to_bytes(8 * masks.shape[2], "little"), "<u8")
+    bits = np.unpackbits((masks[:r] & seed).view(np.uint8), axis=-1).sum(axis=-1) & 1
+    return (bits.astype(np.int64) << np.arange(bits.shape[1])).sum(axis=1), used ^ (1 << r)
 
 
 def slots_per_period(config: CipherConfig) -> int:

@@ -313,9 +313,14 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a refused command line, reported by ``main``
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="alphaeta",
-                                description="Y-00 (alpha-eta) stream-cipher simulator and security-bound toolkit")
+    p = _Parser(prog="alphaeta",
+                description="Y-00 (alpha-eta) stream-cipher simulator and security-bound toolkit")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -357,13 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; every refusal exits 2 with one ``error:`` line."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:  # a rule the input broke (bad JSON too), or a file
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alphaeta import attacks
+from alphaeta import attacks, cipher
 from alphaeta.attacks import (
     bit_hypotheses,
     collective_usd_bound,
@@ -869,6 +869,8 @@ class TestEveReadsNoSecret:
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert "keystream" not in imported
+        # the key index's layout is cipher's (_index_masks): no stream or mask builder here
+        assert not imported & {"_lfsr_extend", "lfsr_stream", "_seed_masks"}
         assert not [node.lineno for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute) and node.attr == "seed"]
 
@@ -883,9 +885,13 @@ class TestPosteriorCallsNoBlas:
 
     BLAS = {"dot", "matmul", "einsum", "tensordot", "linalg"}
 
-    @pytest.mark.parametrize("name", ["_hadamard", "key_posterior_entropy", "_seed_masks"])
+    MODULES = {"_hadamard": attacks, "key_posterior_entropy": attacks,
+               "_index_masks": cipher, "_seed_masks": cipher}
+
+    @pytest.mark.parametrize("name", sorted(MODULES))
     def test_no_blas(self, name):
-        tree = ast.parse(textwrap.dedent(inspect.getsource(getattr(attacks, name))))
+        source = inspect.getsource(getattr(self.MODULES[name], name))
+        tree = ast.parse(textwrap.dedent(source))
         assert not [node for node in ast.walk(tree) if isinstance(node, ast.MatMult)]
         named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         named |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alphaeta.attacks import _seed_masks
 from alphaeta.cipher import (
     PRIMITIVE_TAPS,
     CipherConfig,
+    _index_masks,
+    _seed_masks,
     _slot_recurrence,
     decode,
     default_taps,
@@ -23,6 +24,21 @@ from alphaeta.cipher import (
 )
 
 from oracles import keystream_bits
+
+# maximal-length taps beyond the shipped table, for the multi-word seed masks
+WIDE_TAPS = {
+    64: 0b11011,  # x^64 + x^4 + x^3 + x + 1
+    127: 0b11,  # x^127 + x + 1
+    128: 0x87,  # x^128 + x^7 + x^2 + x + 1
+}
+
+
+def parity_words(masks: np.ndarray, seed: int) -> np.ndarray:
+    """parity(mask & seed) for masks given as rows of uint64 words along the
+    last axis, seed bit i at bit i % 64 of word i // 64."""
+    words = np.array([seed >> 64 * w & (1 << 64) - 1 for w in range(masks.shape[-1])],
+                     dtype=np.uint64)
+    return (np.bitwise_count(masks & words).sum(axis=-1) & 1).astype(np.int64)
 
 
 def lfsr_reference(seed: int, taps: int, nbits: int, count: int) -> list[int]:
@@ -94,19 +110,21 @@ class TestLfsr:
         assert got.shape == (count,)
         assert got.tolist() == lfsr_reference(seed, taps, nbits, count)
 
-    @pytest.mark.parametrize("nbits", [4, 12, 20])
+    @pytest.mark.parametrize("nbits", [4, 12, 20, 64, 127, 128])
     @pytest.mark.parametrize("reciprocal", [False, True])
     def test_seed_masks_give_every_seeds_stream(self, nbits, reciprocal):
-        # output bit j of seed s is parity(mask_j & s), for every seed
-        taps = PRIMITIVE_TAPS[nbits]
+        # output bit j of seed s is parity(mask_j & s), for every seed, the
+        # parity taken over all ceil(|K|/64) words of the mask
+        taps = PRIMITIVE_TAPS.get(nbits) or WIDE_TAPS[nbits]
         if reciprocal:
             taps = reciprocal_taps(taps, nbits)
         count = 3 * (1 << nbits) + 5 if nbits < 20 else 5000
         masks = _seed_masks(taps, nbits, count)
-        rng = np.random.default_rng(nbits)
-        for seed in rng.integers(1, 1 << nbits, size=5):
-            parity = np.bitwise_count(masks & seed) & 1
-            np.testing.assert_array_equal(parity, lfsr_stream(int(seed), taps, count, nbits))
+        assert masks.dtype == np.uint64 and masks.shape == (count, -(-nbits // 64))
+        seeds = np.random.default_rng(nbits).integers(1, 1 << min(nbits, 63), size=5).tolist()
+        for seed in seeds + [(1 << nbits) - 1, 1 << nbits - 1]:  # all bits, the top bit alone
+            np.testing.assert_array_equal(parity_words(masks, seed),
+                                          lfsr_stream(seed, taps, count, nbits))
 
     def test_zero_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -237,12 +255,36 @@ class TestRunningKey:
                 cfg = CipherConfig(M=M, S=1.0, key_bits=key_bits, seed=seed, lfsr_taps=taps,
                                    osk=osk)
                 r = len(_slot_recurrence(cfg)[0])
-                assert 1 <= r <= key_bits << osk
-                for count in sorted({0, 1, r - 1, r, r + 1, 10_000}):
+                # r = 0 at M = 1 without OSK: the index carries no key bit
+                assert 0 <= r <= key_bits << osk
+                for count in sorted({0, 1, max(r - 1, 0), r, r + 1, 10_000}):
                     got = keystream(cfg, count)
                     assert got.dtype == np.int64 and len(got) == count
                     np.testing.assert_array_equal(got, keystream_bits(cfg, count),
                                                   err_msg=f"taps={taps:#x} osk={osk} count={count}")
+
+    @pytest.mark.parametrize("osk", [False, True], ids=["plain", "osk"])
+    @pytest.mark.parametrize("M", [1, 2, 512, 1 << 40], ids=["M1", "M2", "M512", "M2^40"])
+    @pytest.mark.parametrize("key_bits", [4, 16, 22, 64, 128])
+    def test_index_masks_give_every_seeds_words(self, key_bits, M, osk):
+        # p_t = sum_i parity(masks[t, i] & seed) 2^i for every seed: the words
+        # rebuilt from the masks are keystream's, past its head length r, and
+        # the per-bit packing's, which reads no mask
+        count = 2 * (key_bits << osk) + 40
+        rng = random.Random(key_bits * M + osk)
+        for taps in [WIDE_TAPS.get(key_bits), *self._tap_sets(key_bits)]:
+            if taps is None:
+                continue
+            cfg = CipherConfig(M=M, S=1.0, key_bits=key_bits, seed=1, lfsr_taps=taps, osk=osk)
+            masks = _index_masks(cfg, count)
+            bps = cfg.bits_per_symbol
+            assert masks.shape == (count, bps + osk, -(-key_bits // 64))
+            for seed in [rng.randrange(1, 1 << key_bits) for _ in range(3)]:
+                words = (parity_words(masks, seed) << np.arange(bps + osk)).sum(axis=1)
+                seeded = dataclasses.replace(cfg, seed=seed)
+                for want in (keystream(seeded, count), keystream_bits(seeded, count)):
+                    np.testing.assert_array_equal(words, want,
+                                                  err_msg=f"taps={taps:#x} seed={seed:#x}")
 
 
 class TestEncodeDecode:

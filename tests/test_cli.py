@@ -478,6 +478,31 @@ class TestUnreadableInputs:
         assert len(err.splitlines()) == 1
 
 
+# command lines the parser itself refuses, and a word of the reason
+PARSER_REFUSALS = {
+    "seed-not-int": (["simulate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+    "unknown-flag": (["bounds", "--s", "1", "--frob"], "unrecognized arguments: --frob"),
+    "s-not-float": (["bounds", "--s", "1,x"], "argument --s:"),
+    "no-subcommand": ([], "required: cmd"),
+}
+
+
+class TestParserRefusals:
+    @pytest.mark.parametrize("case", sorted(PARSER_REFUSALS))
+    def test_exits_2_with_one_error_line(self, case, capsys):
+        argv, reason = PARSER_REFUSALS[case]
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert_refused(code, out, err)
+        assert len(err.splitlines()) == 1 and reason in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([flag])
+        assert exc.value.code == 0 and capsys.readouterr().out
+
+
 class TestValidation:
     def test_valid_config_passes(self):
         assert validate_config_dict(GOOD_CONFIG) == []
@@ -657,7 +682,7 @@ class TestReadmeCommands:
     @pytest.mark.parametrize("argv", readme_commands(),
                              ids=[f"{i}-{argv[0]}" for i, argv in enumerate(readme_commands())])
     def test_command_parses(self, argv, capsys):
-        args = cli.build_parser().parse_args(argv)  # a flag it refuses exits here
+        args = cli.build_parser().parse_args(argv)  # a flag it refuses raises ValueError
         if args.cmd == "design":  # the --s-min pairing is checked past the parser
             assert cli.main(argv) == 0, capsys.readouterr().err
 
