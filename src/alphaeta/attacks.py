@@ -35,7 +35,7 @@ from .detection import (
 )
 
 _CHUNK = 4096  # slots per likelihood block
-_POSTERIOR_MAX_KEY_BITS = 22  # largest register the key posterior enumerates
+_POSTERIOR_MAX_BITS = 22  # log2 of the posterior's largest table: seeds, or a block's entries
 
 
 @dataclass(frozen=True)
@@ -246,9 +246,12 @@ def _hadamard(a: np.ndarray) -> np.ndarray:
 
 
 def _check_posterior_size(config: CipherConfig) -> None:
-    """The posterior enumerates registers of at most _POSTERIOR_MAX_KEY_BITS bits."""
-    if config.key_bits > _POSTERIOR_MAX_KEY_BITS:
-        raise ValueError(f"exhaustive posterior is limited to |K| <= {_POSTERIOR_MAX_KEY_BITS}")
+    """The 2^|K| seeds, and one slot's key indices, fit the posterior's tables."""
+    if config.key_bits > _POSTERIOR_MAX_BITS:
+        raise ValueError(f"exhaustive posterior is limited to |K| <= {_POSTERIOR_MAX_BITS}")
+    if config.bits_per_symbol + config.osk > _POSTERIOR_MAX_BITS:
+        raise ValueError("exhaustive posterior is limited to "
+                         f"2^{_POSTERIOR_MAX_BITS} key indices per slot (M, 2M under OSK)")
 
 
 def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
@@ -257,7 +260,7 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
 
     Scores all 2^|K|-1 seeds against the Gaussian record and normalizes;
     this is the brute-force key-security oracle, for any taps and |K| <= 22
-    (_POSTERIOR_MAX_KEY_BITS; over 682 slots at M=64, S=0.005 under OSK, a
+    (_POSTERIOR_MAX_BITS; over 682 slots at M=64, S=0.005 under OSK, a
     warm call takes 0.03-0.07 s and a 17.4 MiB tracemalloc peak at |K| = 20,
     0.14-0.38 s and 65.4 MiB at |K| = 22, on 2 cores).  Every bit of slot
     t's key index z = r_t M + k_t (``keystream``) is parity(mask & s) for
@@ -275,8 +278,9 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     seed's log-likelihood: O(slots * 2M + |K| 2^|K|) time with no per-slot
     transform and no BLAS call.  Memory: 2 * 2^|K| floats for the transform
     (the table and ``_hadamard``'s buffer), the record's seed masks
-    (slots log2 2M) and two chunk * 2M block tables, the masks and the
-    weights f, written in place.
+    (slots log2 2M) and two block tables, the masks and the weights f,
+    written in place: min(4096, 2^22 / 2M) slots of 2M key indices (M
+    without OSK), so 64 MiB at most whatever M; a wider slot is refused.
     """
     _check_posterior_size(config)
     k = config.key_bits
@@ -289,10 +293,11 @@ def key_posterior_entropy(record: MeasurementRecord, config: CipherConfig,
     R, I, E = _hadamard(np.stack([2 * pts.real, 2 * pts.imag, -np.abs(pts) ** 2])) / (1 << zbits)
     bit_masks = _index_masks(config, slots)[..., 0].view(np.int64)  # |K| <= 22: one word
     coeff = np.zeros(1 << k)
-    block = (min(slots, _CHUNK), 1 << zbits)
+    rows = min(_CHUNK, 1 << (_POSTERIOR_MAX_BITS - zbits))  # >= 1: checked above
+    block = (min(slots, rows), 1 << zbits)
     masks, table = np.empty(block, dtype=np.int64), np.empty(block)
-    for lo in range(0, slots, _CHUNK):
-        t = slice(lo, lo + _CHUNK)
+    for lo in range(0, slots, rows):
+        t = slice(lo, lo + rows)
         y, xt = record.samples[t, None], x[t]
         v, f = masks[:len(xt)], table[:len(xt)]
         scratch = v.view(np.float64)  # free until the masks are built

@@ -36,20 +36,17 @@ _PLAINTEXTS = ("random", "zeros")
 _ATTACKS = ("bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy")
 # bounds kinds of the two states +-sqrt(S), so --n must be 2
 _BINARY_KINDS = ("helstrom", "quadrature-homodyne", "quadrature-heterodyne")
-
-
-def _seed_ok(v) -> bool:
-    """A master seed simulate accepts, from --seed or a manifest alike."""
-    return type(v) is int and v >= 0
-
-
-# manifest key: the check of the flag it stands for (bits >= 1 is checked for both)
-_MANIFEST_CHECKS = {
-    "config": lambda v: True,  # validated as a --config file is
-    "seed": _seed_ok,
-    "bits": lambda v: type(v) is int,
-    "plaintext": lambda v: v in _PLAINTEXTS,
-    "attacks": lambda v: type(v) is list and v != [] and all(a in _ATTACKS for a in v),
+# simulate's run, by manifest key: the flag (--name, parsed to args.name), its
+# parser keywords, its default (None: it must be given), what its rule asks,
+# and the rule, which a value from the flag or from a manifest must pass
+_RUN = {
+    "seed": ("seed", {"type": int}, None, "an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "bits": ("bits", {"type": int}, 10000, "an integer >= 1", lambda v: type(v) is int and v >= 1),
+    "plaintext": ("plaintext", {}, "random", f"one of {', '.join(_PLAINTEXTS)}",
+                  lambda v: v in _PLAINTEXTS),
+    "attacks": ("attack", {"nargs": "+"}, ["bob"], f"one or more of {', '.join(_ATTACKS)}, none twice",
+                lambda v: type(v) is list and v != [] and all(a in _ATTACKS for a in v)
+                and len(set(v)) == len(v)),
 }
 
 
@@ -162,42 +159,35 @@ def cmd_bounds(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
-def _manifest(args, config_dict: dict, outputs: list[str]) -> dict:
-    return {
-        "command": "simulate",
-        "config": config_dict,
-        "seed": args.seed,
-        "bits": args.bits,
-        "plaintext": args.plaintext,
-        "attacks": args.attack,
-        "version": __version__,
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "outputs": outputs,
-    }
+def _checked_run(args) -> tuple[dict, object]:
+    """The run (manifest key: value) and config of a simulate command line,
+    from --config and the flags or from a manifest alone, each value checked."""
+    if args.from_manifest:
+        manifest = json.loads(Path(args.from_manifest).read_text())
+        if type(manifest) is not dict:
+            raise ValueError(f"manifest: {manifest!r} is not an object")
+        for name, *_ in _RUN.values():
+            if getattr(args, name) is not None:
+                raise ValueError(f"--{name} cannot be given with --from-manifest, "
+                                 "which reruns the manifest's run")
+        run, cfg = {key: manifest.get(key) for key in _RUN}, manifest.get("config")
+    else:
+        run = {key: default if getattr(args, name) is None else getattr(args, name)
+               for key, (name, _, default, *_) in _RUN.items()}
+        cfg = json.loads(Path(args.config).read_text())
+    for key, (name, _, _, must, ok) in _RUN.items():
+        where = f"manifest {key!r}" if args.from_manifest else f"--{name}"
+        if run[key] is None:
+            raise ValueError(f"{where} is required (no silent nondeterminism)")
+        if not ok(run[key]):
+            raise ValueError(f"{where} must be {must}; got {run[key]!r}")
+    return run, cfg
 
 
 def cmd_simulate(args) -> int:
-    if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text())
-        bad = [k for k, ok in _MANIFEST_CHECKS.items()
-               if type(manifest) is not dict or k not in manifest or not ok(manifest[k])]
-        if bad:
-            raise ValueError(f"manifest {', '.join(bad)}: missing, or not what the flag accepts")
-        args = argparse.Namespace(**{**vars(args), "seed": manifest["seed"],
-                                     "bits": manifest["bits"], "plaintext": manifest["plaintext"],
-                                     "attack": manifest["attacks"]})
-        cfg_dict = manifest["config"]
-    elif args.config is None:
-        raise ValueError("--config or --from-manifest is required")
-    else:
-        cfg_dict = json.loads(Path(args.config).read_text())
-    if args.seed is None:
-        raise ValueError("--seed is required (no silent nondeterminism)")
-    if not _seed_ok(args.seed):
-        raise ValueError("--seed must be a non-negative integer")
-    if args.bits < 1:
-        raise ValueError("--bits must be at least 1")
-
+    run, cfg_dict = _checked_run(args)
+    for key, (name, *_) in _RUN.items():
+        setattr(args, name, run[key])
     config = _checked_config(cfg_dict)
     if "key-entropy" in args.attack:  # before any report is written
         attacks._check_posterior_size(config)
@@ -257,7 +247,9 @@ def cmd_simulate(args) -> int:
         channel.save_record(rec_path, record, config.kappa, seed=args.seed)
         outputs += [str(rec_path), str(rec_path) + ".json"]
 
-    manifest = _manifest(args, cfg_dict, outputs)
+    manifest = {"command": "simulate", "config": cfg_dict, **run, "version": __version__,
+                "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                "outputs": outputs}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(outputs)} report(s) and manifest to {outdir}")
     return 0
@@ -305,12 +297,14 @@ def cmd_reproduce(args) -> int:
 
 # --- entry point --------------------------------------------------------------
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+def _numbers(kind):
+    """A parser type: comma-separated ``kind`` values, the text quoted when refused."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(v) for v in text.split(",") if v]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -325,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="cmd", required=True)
 
     b = sub.add_parser("bounds", help="tabulate discrimination bounds over an (N, S) grid")
-    b.add_argument("--n", type=_int_list, default=[2], help="comma-separated state counts")
-    b.add_argument("--s", type=_float_list, required=True, help="comma-separated photon numbers")
+    b.add_argument("--n", type=_numbers(int), default=[2], help="comma-separated state counts")
+    b.add_argument("--s", type=_numbers(float), required=True, help="comma-separated photon numbers")
     b.add_argument("--kind", default="srm",
                    choices=[*_BINARY_KINDS, "srm", "usd"])
     b.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -334,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.set_defaults(fn=cmd_bounds)
 
     s = sub.add_parser("simulate", help="encrypt, transmit, and run receiver/attack reports")
-    s.add_argument("--config", default=None, help="JSON protocol config")
-    s.add_argument("--from-manifest", default=None, help="rerun a previous manifest")
-    s.add_argument("--seed", type=int, default=None, help="master RNG seed (required)")
-    s.add_argument("--bits", type=int, default=10000)
-    s.add_argument("--plaintext", default="random", choices=_PLAINTEXTS)
-    s.add_argument("--attack", nargs="+", default=["bob"], choices=_ATTACKS)
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON protocol config")
+    source.add_argument("--from-manifest", help="rerun a previous manifest, alone")
+    for name, keywords, default, must, _ in _RUN.values():
+        s.add_argument(f"--{name}", **keywords,
+                       help=f"{must} ({'required' if default is None else f'default {default}'})")
     s.add_argument("--out", default="runs")
     s.add_argument("--save-record", action="store_true")
     s.set_defaults(fn=cmd_simulate)

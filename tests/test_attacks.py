@@ -725,6 +725,8 @@ class TestKeyPosterior:
         pytest.param(4, True, dict(S=0.001, slots=attacks._CHUNK + 37), id="blocks-4-True"),
         pytest.param(4, False, dict(S=0.001, slots=attacks._CHUNK + 37), id="blocks-4-False"),
         pytest.param(4, True, dict(S=0.001, slots=attacks._CHUNK + 37, fill=1), id="blocks-4-True-ones"),
+        # 2^12 key indices per slot: blocks of 2^22 / 2^12 = 1024 slots
+        pytest.param(2048, True, dict(slots=1024 + 37), id="blocks-2048-True"),
     ])
     def test_matches_per_seed_loop(self, M, osk, fields):
         # the Walsh-Hadamard fold over seed masks must agree with a plain
@@ -774,6 +776,31 @@ class TestKeyPosterior:
             tracemalloc.stop()
         assert math.isfinite(h) and 0.0 <= h <= key_bits
         assert peak < limit_mb * 2**20
+
+    def test_block_memory_does_not_grow_with_M(self):
+        # the blocks hold at most 2^22 (slot, key index) entries whatever M;
+        # only the 2^zbits constellation characters and the per-bit masks
+        # grow, by some 0.3 MiB from M=512 to M=2048, where 4096-slot blocks
+        # would peak at 257 MiB
+        peaks = {}
+        for M in (512, 2048):
+            cfg = CipherConfig(M=M, S=0.5, key_bits=10, seed=0x2A5, osk=True)
+            x, rec = _run(cfg, 4096, np.random.default_rng(9))
+            tracemalloc.start()
+            try:
+                key_posterior_entropy(rec, cfg, x)
+                peaks[M] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2048] <= peaks[512] + 2**20
+
+    def test_slot_table_size_cap(self):
+        # under OSK, M = 2^22 gives each slot 2^23 key indices: one slot
+        # would not fit a block
+        cfg = CipherConfig(M=1 << 22, S=1.0, key_bits=12, seed=1, osk=True)
+        rec = MeasurementRecord(np.zeros(4, dtype=complex))
+        with pytest.raises(ValueError, match=r"2\^22 key indices per slot"):
+            key_posterior_entropy(rec, cfg, np.zeros(4, dtype=int))
 
     @pytest.mark.parametrize("osk", [False, True])
     def test_walsh_transforms_only_the_tables_and_the_seed_space(self, osk, monkeypatch):

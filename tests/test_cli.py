@@ -255,7 +255,7 @@ class TestSimulate:
         code, out, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
                                  "--bits", bits, "--out", str(tmp_path / "o"))
         assert_refused(code, out, err, tmp_path / "o")
-        assert "error: --bits must be at least 1" in err
+        assert f"error: --bits must be an integer >= 1; got {bits}" in err
 
     def test_key_entropy_non_maximal_taps(self, tmp_path):
         # x^12 + x^11 + x^5 + x^3 + 1 is not maximal: the posterior scores
@@ -289,7 +289,7 @@ class TestSimulate:
         # rerun from the manifest: byte-identical report bodies
         out2 = tmp_path / "run2"
         code, _, _ = run_cli("simulate", "--from-manifest", str(out1 / "manifest.json"),
-                             "--seed", "17", "--out", str(out2))
+                             "--out", str(out2))
         assert code == 0
         for name in ("report_bob.json", "report_ctoa_data.json",
                      "report_kpa_key.json", "report_key_entropy.json"):
@@ -482,7 +482,10 @@ class TestUnreadableInputs:
 PARSER_REFUSALS = {
     "seed-not-int": (["simulate", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
     "unknown-flag": (["bounds", "--s", "1", "--frob"], "unrecognized arguments: --frob"),
-    "s-not-float": (["bounds", "--s", "1,x"], "argument --s:"),
+    "s-not-float": (["bounds", "--s", "1,x"],
+                    "argument --s: expected comma-separated numbers, got '1,x'"),
+    "n-not-int": (["bounds", "--s", "1", "--n", "2,x"],
+                  "argument --n: expected comma-separated numbers, got '2,x'"),
     "no-subcommand": ([], "required: cmd"),
 }
 
@@ -501,6 +504,53 @@ class TestParserRefusals:
         with pytest.raises(SystemExit) as exc:
             cli.main([flag])
         assert exc.value.code == 0 and capsys.readouterr().out
+
+
+# simulate runs the run table refuses: the manifest fields over GOOD_MANIFEST
+# in m.json, the argv before --out (none.json does not exist), and the flag or
+# manifest key the error names
+RUN_REFUSALS = {
+    "config-and-manifest": ({}, ["--from-manifest", "m.json", "--config", "none.json",
+                                 "--seed", "99", "--bits", "5"], "--config"),
+    "seed-with-manifest": ({}, ["--from-manifest", "m.json", "--seed", "99"], "--seed"),
+    "bits-with-manifest": ({}, ["--from-manifest", "m.json", "--bits", "5"], "--bits"),
+    "plaintext-with-manifest": ({}, ["--from-manifest", "m.json", "--plaintext", "zeros"],
+                                "--plaintext"),
+    "attack-with-manifest": ({}, ["--from-manifest", "m.json", "--attack", "kpa"], "--attack"),
+    "duplicate-attack-flag": ({}, ["--config", "cfg.json", "--seed", "5", "--attack", "bob",
+                                   "bob"], "--attack"),
+    "duplicate-attack-manifest": ({"attacks": ["bob", "bob"]}, ["--from-manifest", "m.json"],
+                                  "manifest 'attacks'"),
+    "seed-true-manifest": ({"seed": True}, ["--from-manifest", "m.json"], "manifest 'seed'"),
+    "seed-string-manifest": ({"seed": "7"}, ["--from-manifest", "m.json"], "manifest 'seed'"),
+}
+
+
+class TestRunTable:
+    @pytest.mark.parametrize("case", sorted(RUN_REFUSALS))
+    def test_refusal_exits_2_with_one_error_line(self, tmp_path, case, capsys):
+        fields, argv, subject = RUN_REFUSALS[case]
+        (tmp_path / "cfg.json").write_text(json.dumps(GOOD_CONFIG))
+        (tmp_path / "m.json").write_text(json.dumps({**GOOD_MANIFEST, **fields}))
+        out = tmp_path / "o"
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        code = cli.main(["simulate", *argv, "--out", str(out)])
+        stdout, err = capsys.readouterr()
+        assert_refused(code, stdout, err, out)
+        assert len(err.splitlines()) == 1 and subject in err
+
+    def test_flags_are_simulate_destinations(self):
+        args = cli.build_parser().parse_args(["simulate", "--config", "cfg.json"])
+        assert {name for name, *_ in cli._RUN.values()} <= set(vars(args))
+
+    def test_manifest_keys_are_the_table_and_the_record(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(GOOD_CONFIG))
+        assert cli.main(["simulate", "--config", str(cfg), "--seed", "5", "--bits", "100",
+                         "--out", str(tmp_path / "o")]) == 0
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert set(manifest) == {*cli._RUN, "command", "config", "version", "created_utc",
+                                 "outputs"}
 
 
 class TestValidation:
