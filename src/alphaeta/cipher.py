@@ -6,8 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import (Constellation, ModulationKind, _check_ladder, _energy_ok, _finite,
-                            make_ask, make_psk)
+from .constellation import Constellation, ModulationKind, _check_ladder, _real, make_ask, make_psk
 
 # Feedback masks of primitive polynomials, keyed by register length.  The mask
 # holds the coefficients of x^0..x^(n-1); bit j set means the recurrence
@@ -145,16 +144,18 @@ def lfsr_period(taps: int, key_bits: int) -> int:
     return period
 
 
-# field: (test of its value, what it must be), each single-field rule once:
-# CipherConfig enforces it, cli.validate_config_dict reports it per field
+# field: (test of its value and type, what it must be), one rule per field
+# of CipherConfig: the config enforces it, cli.validate_config_dict reports it
 FIELD_RULES = {
-    "M": (lambda v: v >= 1 and not v & (v - 1), "a power of two"),  # log2(M)-bit key symbols
-    "S": (_energy_ok, "finite and >= 0"),
-    "key_bits": (lambda v: v >= 4, ">= 4"),
-    "seed": (lambda v: v >= 1, ">= 1"),
+    "M": (lambda v: type(v) is int and v >= 1 and not v & (v - 1), "an integer power of two"),
+    "S": (lambda v: _real(v) and v >= 0, "finite and >= 0"),
+    "key_bits": (lambda v: type(v) is int and v >= 4, "an integer >= 4"),
+    "seed": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "lfsr_taps": (lambda v: v is None or type(v) is int, "an integer or None"),
+    "osk": (lambda v: type(v) is bool, "true or false"),
     "kind": (lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
-    "kappa": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "ask_S_min": (lambda v: v is None or _finite(v), "finite"),
+    "kappa": (lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "ask_S_min": (lambda v: v is None or _real(v), "a finite number or None"),
 }
 
 
@@ -167,9 +168,9 @@ def _check_field(name: str, value) -> None:
 class CipherConfig:
     """All protocol parameters plus the shared secret register state.
 
-    A config that builds is valid: construction checks ``FIELD_RULES``, then
-    the seed's width, the taps, ``ask_S_min`` (set exactly for ASK) and the
-    ladder (``_check_ladder``), and builds no point.
+    A config that builds is valid: construction checks ``FIELD_RULES``, each
+    field's type and value, then the seed's width, the taps, ``ask_S_min``
+    (set exactly for ASK) and the ladder (``_check_ladder``); no point built.
     """
 
     M: int

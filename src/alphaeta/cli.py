@@ -22,23 +22,14 @@ import numpy.random  # numpy 2 loads it on first use; load it with the module
 from . import __version__, attacks, channel, cipher, detection, reproduce
 from .constellation import ModulationKind, _energy_ok, design_bases, design_neighbor_error
 
-# exact Python types of each parsed JSON type: neither True nor 4.0 is an integer
-_JSON_TYPES = {"integer": (int,), "number": (int, float), "string": (str,), "boolean": (bool,)}
-_REQUIRED = ("M", "S", "key_bits", "seed")
-
-
-# field: the JSON types it accepts; the value rules are cipher.FIELD_RULES
-_CONFIG_FIELDS = {"M": ("integer",), "S": ("number",), "key_bits": ("integer",),
-                  "seed": ("integer",), "lfsr_taps": ("integer", "string"), "osk": ("boolean",),
-                  "kind": ("string",), "kappa": ("number",), "ask_S_min": ("number",)}
 # the choices of simulate's --plaintext and --attack, for flags and manifests alike
 _PLAINTEXTS = ("random", "zeros")
 _ATTACKS = ("bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy")
 # bounds kinds of the two states +-sqrt(S), so --n must be 2
 _BINARY_KINDS = ("helstrom", "quadrature-homodyne", "quadrature-heterodyne")
-# simulate's run, by manifest key: the flag (--name, parsed to args.name), its
-# parser keywords, its default (None: it must be given), what its rule asks,
-# and the rule, which a value from the flag or from a manifest must pass
+# simulate's run, by manifest key: the flag (--name, "_" written "-", parsed to
+# args.name), its parser keywords, its default (None: it must be given), what
+# its rule asks, and the rule, which a value from the flag or a manifest must pass
 _RUN = {
     "seed": ("seed", {"type": int}, None, "an integer >= 0", lambda v: type(v) is int and v >= 0),
     "bits": ("bits", {"type": int}, 10000, "an integer >= 1", lambda v: type(v) is int and v >= 1),
@@ -47,6 +38,8 @@ _RUN = {
     "attacks": ("attack", {"nargs": "+"}, ["bob"], f"one or more of {', '.join(_ATTACKS)}, none twice",
                 lambda v: type(v) is list and v != [] and all(a in _ATTACKS for a in v)
                 and len(set(v)) == len(v)),
+    "save_record": ("save_record", {"action": "store_true", "default": None}, False,
+                    "true or false", lambda v: type(v) is bool),
 }
 
 
@@ -59,43 +52,46 @@ def _fmt(x) -> str:
 def validate_config_dict(cfg: dict) -> list[str]:
     """Config violations as '/json/pointer: message' strings; empty when valid.
 
-    Each field has a JSON type and most a value rule (``cipher.FIELD_RULES``);
-    the four _REQUIRED fields must be present and no other field may be.  A
-    config that passes is then built, and ``CipherConfig``'s ValueError (a
+    The fields are ``CipherConfig``'s, those without a default required, and
+    each passes its ``cipher.FIELD_RULES`` test (taps may be a string: "0x829").
+    A config that passes is then built, and ``CipherConfig``'s ValueError (a
     rule across fields: seed width, taps, ``ask_S_min``, ladder) goes at '/'.
     """
+    return _built(cfg)[1]
+
+
+def _built(cfg: dict) -> tuple[cipher.CipherConfig | None, list[str]]:
+    """The config built from ``cfg`` and no violation, or None and every violation."""
     if type(cfg) is not dict:
-        return [f"/: {cfg!r} is not of type 'object'"]
-    problems = [f"/: {name!r} is a required property" for name in _REQUIRED if name not in cfg]
-    extra = sorted(set(cfg) - set(_CONFIG_FIELDS))
+        return None, [f"/: {cfg!r} is not of type 'object'"]
+    defaults = {f.name: f.default for f in dataclasses.fields(cipher.CipherConfig)}
+    problems = [f"/: {name!r} is a required property" for name, default in defaults.items()
+                if default is dataclasses.MISSING and name not in cfg]
+    extra = sorted(set(cfg) - set(defaults))
     if extra:
         problems.append(f"/: unexpected properties {', '.join(map(repr, extra))}")
-    for name in sorted(set(cfg) & set(_CONFIG_FIELDS)):
-        types, v = _CONFIG_FIELDS[name], cfg[name]
-        if not any(type(v) in _JSON_TYPES[t] for t in types):
-            problems.append(f"/{name}: {v!r} is not of type {', '.join(map(repr, types))}")
-        elif name in cipher.FIELD_RULES and not cipher.FIELD_RULES[name][0](v):
-            problems.append(f"/{name}: {v!r} is not {cipher.FIELD_RULES[name][1]}")
-    if not problems:
-        try:
-            _config_from_dict(cfg)
-        except ValueError as exc:
-            problems.append(f"/: {exc}")
-    return problems
-
-
-def _config_from_dict(cfg: dict) -> cipher.CipherConfig:
-    """A validated config's keys are ``CipherConfig``'s fields; only string taps convert."""
-    taps = cfg.get("lfsr_taps")
-    return cipher.CipherConfig(**{**cfg, "lfsr_taps": int(taps, 0) if isinstance(taps, str) else taps})
+    values = dict(cfg)
+    try:  # taps given as a string, such as "0x829", are the integer it spells
+        values["lfsr_taps"] = int(cfg["lfsr_taps"], 0)
+    except (KeyError, TypeError, ValueError):  # no taps, not a string, or no integer
+        pass
+    for name in sorted(set(cfg) & set(defaults)):
+        if not cipher.FIELD_RULES[name][0](values[name]):
+            problems.append(f"/{name}: {cfg[name]!r} is not {cipher.FIELD_RULES[name][1]}")
+    if problems:
+        return None, problems
+    try:
+        return cipher.CipherConfig(**values), []
+    except ValueError as exc:
+        return None, [f"/: {exc}"]
 
 
 def _checked_config(cfg: dict) -> cipher.CipherConfig:
     """The config built from ``cfg``, or a ValueError that lists every violation."""
-    problems = validate_config_dict(cfg)
+    config, problems = _built(cfg)
     if problems:
         raise ValueError("\n".join(["invalid config:", *("  " + p for p in problems)]))
-    return _config_from_dict(cfg)
+    return config
 
 
 def load_config(path) -> cipher.CipherConfig:
@@ -116,14 +112,15 @@ def _write_rows(rows: list[dict], out, fmt: str) -> None:
 
 
 def _emit(rows: list[dict], args, name: str) -> None:
-    """Write the table to ``args.out``/name.format, or to stdout without --out."""
+    """Write the --format table (csv by default) to ``args.out``/name.format, or to stdout."""
+    fmt = args.format or "csv"
     if args.out is None:
-        _write_rows(rows, sys.stdout, args.format)
+        _write_rows(rows, sys.stdout, fmt)
         return
-    path = Path(args.out) / f"{name}.{args.format}"
+    path = Path(args.out) / f"{name}.{fmt}"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as out:
-        _write_rows(rows, out, args.format)
+        _write_rows(rows, out, fmt)
     print(f"wrote {path}")
 
 
@@ -159,16 +156,16 @@ def cmd_bounds(args) -> int:
 
 # --- simulate ----------------------------------------------------------------
 
-def _checked_run(args) -> tuple[dict, object]:
-    """The run (manifest key: value) and config of a simulate command line,
-    from --config and the flags or from a manifest alone, each value checked."""
+def _checked_run(args) -> tuple[dict, object, cipher.CipherConfig]:
+    """The run (manifest key: value), each value checked and set on ``args``, the config
+    and the config built, from --config and the flags or from a manifest alone."""
     if args.from_manifest:
         manifest = json.loads(Path(args.from_manifest).read_text())
         if type(manifest) is not dict:
             raise ValueError(f"manifest: {manifest!r} is not an object")
         for name, *_ in _RUN.values():
             if getattr(args, name) is not None:
-                raise ValueError(f"--{name} cannot be given with --from-manifest, "
+                raise ValueError(f"--{name.replace('_', '-')} cannot be given with --from-manifest, "
                                  "which reruns the manifest's run")
         run, cfg = {key: manifest.get(key) for key in _RUN}, manifest.get("config")
     else:
@@ -176,19 +173,17 @@ def _checked_run(args) -> tuple[dict, object]:
                for key, (name, _, default, *_) in _RUN.items()}
         cfg = json.loads(Path(args.config).read_text())
     for key, (name, _, _, must, ok) in _RUN.items():
-        where = f"manifest {key!r}" if args.from_manifest else f"--{name}"
+        where = f"manifest {key!r}" if args.from_manifest else f"--{name.replace('_', '-')}"
         if run[key] is None:
             raise ValueError(f"{where} is required (no silent nondeterminism)")
         if not ok(run[key]):
             raise ValueError(f"{where} must be {must}; got {run[key]!r}")
-    return run, cfg
+        setattr(args, name, run[key])
+    return run, cfg, _checked_config(cfg)
 
 
 def cmd_simulate(args) -> int:
-    run, cfg_dict = _checked_run(args)
-    for key, (name, *_) in _RUN.items():
-        setattr(args, name, run[key])
-    config = _checked_config(cfg_dict)
+    run, cfg_dict, config = _checked_run(args)
     if "key-entropy" in args.attack:  # before any report is written
         attacks._check_posterior_size(config)
 
@@ -275,6 +270,8 @@ def cmd_design(args) -> int:
 # --- reproduce ---------------------------------------------------------------
 
 def cmd_reproduce(args) -> int:
+    if args.format is not None and args.out is None:
+        raise ValueError("--format is the format of the --out table; give --out or drop --format")
     results = reproduce.run_all()
     rows = []
     for r in results:
@@ -323,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--s", type=_numbers(float), required=True, help="comma-separated photon numbers")
     b.add_argument("--kind", default="srm",
                    choices=[*_BINARY_KINDS, "srm", "usd"])
-    b.add_argument("--format", default="csv", choices=["csv", "json"])
-    b.add_argument("--out", default=None, help="output directory (default: stdout)")
     b.set_defaults(fn=cmd_bounds)
 
     s = sub.add_parser("simulate", help="encrypt, transmit, and run receiver/attack reports")
@@ -332,10 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", help="JSON protocol config")
     source.add_argument("--from-manifest", help="rerun a previous manifest, alone")
     for name, keywords, default, must, _ in _RUN.values():
-        s.add_argument(f"--{name}", **keywords,
+        s.add_argument(f"--{name.replace('_', '-')}", **keywords,
                        help=f"{must} ({'required' if default is None else f'default {default}'})")
     s.add_argument("--out", default="runs")
-    s.add_argument("--save-record", action="store_true")
     s.set_defaults(fn=cmd_simulate)
 
     d = sub.add_parser("design", help="pick the base count for a target neighbor confusion")
@@ -343,14 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--s", type=float, required=True)
     d.add_argument("--kind", default="psk", choices=["psk", "ask"])
     d.add_argument("--s-min", type=float, default=None)
-    d.add_argument("--format", default="csv", choices=["csv", "json"])
-    d.add_argument("--out", default=None)
     d.set_defaults(fn=cmd_design)
 
     r = sub.add_parser("reproduce", help="recompute every reference figure and report pass/fail")
-    r.add_argument("--out", default=None)
-    r.add_argument("--format", default="csv", choices=["csv", "json"])
     r.set_defaults(fn=cmd_reproduce)
+    for table in (b, d, r):  # one table each, which reproduce writes only to --out
+        table.add_argument("--format", choices=["csv", "json"], help="table format (default csv)")
+        table.add_argument("--out", help="table directory (default: stdout; reproduce: no table)")
     return p
 
 

@@ -41,6 +41,11 @@ def _finite(v) -> bool:
     return abs(v) <= sys.float_info.max
 
 
+def _real(v) -> bool:
+    """A finite int or float, numpy's float64 among them, and not a bool."""
+    return isinstance(v, (int, float)) and type(v) is not bool and _finite(v)
+
+
 def _energy_ok(S) -> bool:
     return _finite(S) and S >= 0
 

@@ -24,7 +24,7 @@ GOOD_CONFIG = {
     "osk": True, "kind": "psk", "kappa": 1.0,
 }
 GOOD_MANIFEST = {"seed": 5, "bits": 100, "plaintext": "random", "attacks": ["bob"],
-                 "config": GOOD_CONFIG}
+                 "save_record": False, "config": GOOD_CONFIG}
 
 
 def run_cli(*argv):
@@ -157,7 +157,8 @@ class TestSimulate:
         cfg.write_text(json.dumps(bad))
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"seed": 5, "bits": 100, "plaintext": "random",
-                                        "attacks": ["bob"], "config": bad}))
+                                        "attacks": ["bob"], "save_record": False,
+                                        "config": bad}))
         via_config = run_cli("simulate", "--config", str(cfg), "--seed", "5",
                              "--out", str(tmp_path / "a"))
         via_manifest = run_cli("simulate", "--from-manifest", str(manifest),
@@ -170,12 +171,13 @@ class TestSimulate:
     @pytest.mark.parametrize("manifest", [
         {**GOOD_MANIFEST, "attacks": ["bob", "bogus"]},
         {k: v for k, v in GOOD_MANIFEST.items() if k != "bits"},
+        {k: v for k, v in GOOD_MANIFEST.items() if k != "save_record"},
         {**GOOD_MANIFEST, "bits": "100"},
         {**GOOD_MANIFEST, "bits": 0},
         {**GOOD_MANIFEST, "plaintext": "ones"},
         5,
-    ], ids=["unknown-attack", "no-bits", "bits-string", "bits-zero", "unknown-plaintext",
-            "not-an-object"])
+    ], ids=["unknown-attack", "no-bits", "no-save-record", "bits-string", "bits-zero",
+            "unknown-plaintext", "not-an-object"])
     def test_bad_manifest_exits_2_before_output(self, tmp_path, manifest):
         # manifest values get the checks of the flags they stand for, before
         # --out is created
@@ -205,7 +207,7 @@ class TestSimulate:
     @pytest.mark.parametrize("config, message", [
         ({**GOOD_CONFIG, "seed": 5000}, "seed must be a nonzero 12-bit register state; got 5000"),
         ({**GOOD_CONFIG, "key_bits": 24}, "no shipped maximal-length taps"),
-        ({**GOOD_CONFIG, "lfsr_taps": "zz"}, "invalid literal for int()"),
+        ({**GOOD_CONFIG, "lfsr_taps": "zz"}, "/lfsr_taps: 'zz' is not an integer"),
         ({**GOOD_CONFIG, "lfsr_taps": 0}, "zero feedback polynomial"),
         ({**GOOD_CONFIG, "kind": "ask", "S": 9.0, "ask_S_min": 0.5},
          "minimum-energy constraint"),
@@ -214,7 +216,8 @@ class TestSimulate:
     ], ids=["seed-wider-than-key", "no-shipped-taps", "taps-not-a-number", "taps-zero",
             "ask-below-energy-floor", "ask-range-reversed"])
     def test_unbuildable_config_exits_2(self, tmp_path, config, message):
-        # each passes the field table but cannot be built into a cipher
+        # each is refused before a cipher is built: taps that spell no
+        # integer by their field's rule, the rest by a rule across fields
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli("simulate", "--config", str(cfg), "--seed", "5",
@@ -380,6 +383,8 @@ class TestSimulate:
         code, _, err = run_cli("simulate", "--from-manifest", str(out1 / "manifest.json"),
                                "--out", str(out2))
         assert code == 0, err
+        for name in ("record.bin", "record.bin.json"):  # the manifest saves the record too
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         interleaved = np.fromfile(out1 / "record.bin", dtype="<f8")
         record = MeasurementRecord(interleaved[0::2] + 1j * interleaved[1::2])
         x = np.zeros(5000, dtype=np.int64)
@@ -523,6 +528,10 @@ RUN_REFUSALS = {
                                   "manifest 'attacks'"),
     "seed-true-manifest": ({"seed": True}, ["--from-manifest", "m.json"], "manifest 'seed'"),
     "seed-string-manifest": ({"seed": "7"}, ["--from-manifest", "m.json"], "manifest 'seed'"),
+    "save-record-with-manifest": ({}, ["--from-manifest", "m.json", "--save-record"],
+                                  "--save-record"),
+    "save-record-null-manifest": ({"save_record": None}, ["--from-manifest", "m.json"],
+                                  "manifest 'save_record'"),
 }
 
 
@@ -570,11 +579,9 @@ class TestValidation:
         assert problems
 
     def test_fields_are_the_config_fields(self):
-        # _config_from_dict passes the validated keys straight to CipherConfig
-        fields = dataclasses.fields(CipherConfig)
-        assert set(cli._CONFIG_FIELDS) == {f.name for f in fields}
-        assert set(cli._REQUIRED) == {f.name for f in fields
-                                      if f.default is dataclasses.MISSING}
+        # every field has a rule, so none ships unchecked and the validator
+        # finds a rule for each field it reads
+        assert set(cipher.FIELD_RULES) == {f.name for f in dataclasses.fields(CipherConfig)}
 
     @pytest.mark.parametrize("via", ["config", "manifest"])
     def test_psk_ask_S_min_exits_2_before_output(self, tmp_path, via):
@@ -664,14 +671,18 @@ class TestValidatorMatchesSchema:
 
 
 # one value per case, set on a config that is valid otherwise: every field
-# with a rule in cipher.FIELD_RULES, ask_S_min on an ASK ladder
+# of cipher.FIELD_RULES, values of the wrong type among them, ask_S_min on an
+# ASK ladder
 DRIFT_BASE = {"M": 4, "S": 1.0, "key_bits": 4, "seed": 1}
-DRIFT_GRID = ([("M", v) for v in (0, 1, 3, 4)]
-              + [("S", v) for v in (-1, 0, math.inf, math.nan, 10 ** 400)]
-              + [("key_bits", v) for v in (3, 4)] + [("seed", v) for v in (0, 1)]
+DRIFT_GRID = ([("M", v) for v in (0, 1, 3, 4, 4.0, True, np.int64(4))]
+              + [("S", v) for v in (-1, 0, math.inf, math.nan, 10 ** 400, "10")]
+              + [("key_bits", v) for v in (3, 4, 8.0)]
+              + [("seed", v) for v in (0, 1, np.int64(5), True)]
+              + [("lfsr_taps", v) for v in (None, 3, 3.5)]
+              + [("osk", v) for v in (False, True, 2, "yes", None)]
               + [("kind", v) for v in ("psk", "qam")]
-              + [("kappa", v) for v in (0, 1, 1.5)]
-              + [("ask_S_min", v) for v in (math.nan, math.inf, 2.0)])
+              + [("kappa", v) for v in (0, 1, 1.5, "1")]
+              + [("ask_S_min", v) for v in (math.nan, math.inf, 2.0, True)])
 
 
 class TestOneRuleTable:
@@ -683,17 +694,27 @@ class TestOneRuleTable:
                                   for f, v in DRIFT_GRID])
     def test_validator_flags_what_the_config_refuses(self, field, value):
         # the table's two readers cannot drift: the CLI flags the field's
-        # pointer exactly when CipherConfig refuses the value
+        # pointer exactly when CipherConfig refuses the value, and a value
+        # of the wrong type is refused there, with ValueError, not at the
+        # first use of the config as TypeError or AttributeError
         base = {**DRIFT_BASE, "S": 100.0, "kind": "ask"} if field == "ask_S_min" else DRIFT_BASE
         cfg = {**base, field: value}
         flagged = any(p.startswith(f"/{field}:") for p in validate_config_dict(cfg))
         try:
-            CipherConfig(**cfg)
+            cipher.encode(np.zeros(1, dtype=np.int64), CipherConfig(**cfg))
         except ValueError:
             refused = True
         else:
             refused = False
         assert flagged == refused
+
+    @pytest.mark.parametrize("field, value", [("S", np.float64(1.0)), ("lfsr_taps", None),
+                                              ("ask_S_min", None)])
+    def test_builds_as_the_plain_value(self, field, value):
+        # numpy's float64 is a float, and null (JSON) or None is the
+        # default of the taps and of ask_S_min
+        assert validate_config_dict({**DRIFT_BASE, field: value}) == []
+        assert CipherConfig(**{**DRIFT_BASE, field: value}) == CipherConfig(**DRIFT_BASE)
 
 
 def readme_configs() -> dict[str, str]:
@@ -711,7 +732,7 @@ class TestReadmeConfigs:
     def test_config_validates_and_builds(self, name):
         cfg = json.loads(readme_configs()[name])
         assert validate_config_dict(cfg) == []
-        config = cli._config_from_dict(cfg)
+        config = cli._checked_config(cfg)
         assert len(config.constellation()) == 2 * config.M
 
 
@@ -770,3 +791,10 @@ class TestReproduceCommand:
         failing = {r["claim"] for r in rows if not r["passed"]}
         assert failing == set(RED_CLAIMS)
         assert "PASS" in out and "FAIL" in out
+
+    def test_format_without_out_exits_2(self, capsys):
+        # the claims print as text lines: a --format with no table is refused
+        code = cli.main(["reproduce", "--format", "json"])
+        out, err = capsys.readouterr()
+        assert_refused(code, out, err)
+        assert len(err.splitlines()) == 1 and "--format" in err
