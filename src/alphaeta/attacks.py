@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import MeasurementRecord, received
 from .cipher import CipherConfig, _bits, _index_masks, _state_indices
-from .constellation import ModulationKind
+from .constellation import RULES, ModulationKind, _check
 from .detection import (
     BoundReport,
     helstrom_binary_mixed,
@@ -337,6 +337,7 @@ def collective_usd_bound(N: int, S: float, key_bits: int) -> tuple[float, bool]:
     itself underflows at once for realistic L, and compared against the
     2^-|K| pure-guessing line.
     """
+    _check("key_bits", key_bits, RULES["register"])
     pd = usd_symmetric(N, S).value
     L = max(1, int(key_bits / math.log2(N)))
     log2_pd = L * math.log2(pd) if pd > 0 else -math.inf

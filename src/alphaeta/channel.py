@@ -16,18 +16,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .cipher import CipherConfig, _check_field, _state_indices, keystream
-from .constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, Constellation
+from .cipher import CipherConfig, _state_indices, keystream
+from .constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, Constellation, _check
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """A per-slot record of heterodyne outcomes, as the eavesdropper sees them."""
+    """One heterodyne outcome per slot, as the eavesdropper sees them: a 1-d ``samples``."""
 
     samples: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.complex128))
+        if self.samples.ndim != 1:
+            raise ValueError(f"samples must be one-dimensional; got shape {self.samples.shape}")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -37,9 +39,9 @@ def apply_loss(amplitudes, kappa: float) -> np.ndarray:
     """Energy loss keeps coherent states coherent: alpha -> sqrt(kappa) alpha.
 
     No excess noise is added, so losses compose multiplicatively.  kappa
-    obeys the config's rule (``cipher.FIELD_RULES``).
+    obeys ``constellation.RULES["kappa"]``, as a config's does.
     """
-    _check_field("kappa", kappa)
+    _check("kappa", kappa)
     return np.asarray(amplitudes, dtype=np.complex128) * np.sqrt(kappa)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation, ModulationKind, _check_ladder, _real, make_ask, make_psk
+from .constellation import RULES, Constellation, ModulationKind, _check, _check_energies, make_ask, make_psk
 
 # Feedback masks of primitive polynomials, keyed by register length.  The mask
 # holds the coefficients of x^0..x^(n-1); bit j set means the recurrence
@@ -121,10 +121,10 @@ def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
     (it generates the degenerate all-zero stream).  Any nonzero taps and any
     register length: the seed's bits are jumped ahead by ``_lfsr_extend``.
     """
+    _check("count", count)
+    _check("key_bits", key_bits, RULES["register"])
     taps &= (1 << key_bits) - 1
     _check_register(seed, taps, key_bits)
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     head = np.array([seed >> i & 1 for i in range(key_bits)], dtype=np.uint8)
     return _lfsr_extend(head, taps, key_bits, count)
 
@@ -144,24 +144,19 @@ def lfsr_period(taps: int, key_bits: int) -> int:
     return period
 
 
-# field: (test of its value and type, what it must be), one rule per field
-# of CipherConfig: the config enforces it, cli.validate_config_dict reports it
+# field: (test of its value and type, what it must be), one rule per CipherConfig field, the
+# numbers' from ``RULES``; the config enforces it, cli.validate_config_dict reports it
 FIELD_RULES = {
-    "M": (lambda v: type(v) is int and v >= 1 and not v & (v - 1), "an integer power of two"),
-    "S": (lambda v: _real(v) and v >= 0, "finite and >= 0"),
+    "M": RULES["M"],
+    "S": RULES["S"],
     "key_bits": (lambda v: type(v) is int and v >= 4, "an integer >= 4"),
     "seed": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "lfsr_taps": (lambda v: v is None or type(v) is int, "an integer or None"),
     "osk": (lambda v: type(v) is bool, "true or false"),
     "kind": (lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
-    "kappa": (lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "ask_S_min": (lambda v: v is None or _real(v), "a finite number or None"),
+    "kappa": RULES["kappa"],
+    "ask_S_min": RULES["ask_S_min"],
 }
-
-
-def _check_field(name: str, value) -> None:
-    if not FIELD_RULES[name][0](value):
-        raise ValueError(f"{name} must be {FIELD_RULES[name][1]}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +165,7 @@ class CipherConfig:
 
     A config that builds is valid: construction checks ``FIELD_RULES``, each
     field's type and value, then the seed's width, the taps, ``ask_S_min``
-    (set exactly for ASK) and the ladder (``_check_ladder``); no point built.
+    (set exactly for ASK) and the ladder (``_check_energies``); no point built.
     """
 
     M: int
@@ -184,15 +179,11 @@ class CipherConfig:
     ask_S_min: float | None = None
 
     def __post_init__(self):
-        for name in FIELD_RULES:
-            _check_field(name, getattr(self, name))
+        for name, rule in FIELD_RULES.items():
+            _check(name, getattr(self, name), rule)
         _check_register(self.seed, self.taps, self.key_bits)
-        object.__setattr__(self, "kind", ModulationKind(self.kind))
-        ask = self.kind is ModulationKind.ASK
-        if ask != (self.ask_S_min is not None):
-            raise ValueError(f"kind {self.kind.value!r} {'requires' if ask else 'takes no'} ask_S_min")
-        if ask:
-            _check_ladder(self.ask_S_min, self.S, self.kappa)
+        kind = _check_energies(self.kind, self.ask_S_min, self.S, self.kappa, "ask_S_min")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def taps(self) -> int:
@@ -224,11 +215,10 @@ def keystream(config: CipherConfig, count: int) -> np.ndarray:
 
     Built as int64 words, never bit by bit, from the seed masks of
     ``_index_masks``: ``_slot_recurrence`` gives the first words and the
-    linear recurrence the rest follow, which ``_lfsr_extend`` runs.  A
-    negative or non-integer ``count`` raises ``ValueError``.
+    linear recurrence the rest follow, which ``_lfsr_extend`` runs.
+    ``count`` obeys ``RULES["count"]``.
     """
-    if not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError("count must be a nonnegative integer")
+    _check("count", count)
     head, coeffs = _slot_recurrence(config)
     return _lfsr_extend(head, coeffs, len(head), count)
 

@@ -20,7 +20,7 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the module
 
 from . import __version__, attacks, channel, cipher, detection, reproduce
-from .constellation import ModulationKind, _energy_ok, design_bases, design_neighbor_error
+from .constellation import RULES, _check, design_bases, design_neighbor_error
 
 # the choices of simulate's --plaintext and --attack, for flags and manifests alike
 _PLAINTEXTS = ("random", "zeros")
@@ -146,8 +146,9 @@ def cmd_bounds(args) -> int:
     if not ns or not ss:
         raise ValueError("empty grid")
     grid = [(n, s) for n in ns for s in ss]
-    if any(n < 2 for n, _ in grid) or not all(map(_energy_ok, ss)):
-        raise ValueError("invalid grid (need n >= 2, finite s >= 0)")
+    for n, s in grid:  # before any row: the binary kinds take sqrt(s)
+        _check("--n", n, RULES["N"])
+        _check("--s", s, RULES["S"])
     if args.kind in _BINARY_KINDS and set(ns) != {2}:
         raise ValueError(f"--kind {args.kind} is a two-state bound; --n must be 2")
     _emit([_bound_row(n, s, args.kind) for n, s in grid], args, f"bounds_{args.kind}")
@@ -176,8 +177,7 @@ def _checked_run(args) -> tuple[dict, object, cipher.CipherConfig]:
         where = f"manifest {key!r}" if args.from_manifest else f"--{name.replace('_', '-')}"
         if run[key] is None:
             raise ValueError(f"{where} is required (no silent nondeterminism)")
-        if not ok(run[key]):
-            raise ValueError(f"{where} must be {must}; got {run[key]!r}")
+        _check(where, run[key], (ok, must))
         setattr(args, name, run[key])
     return run, cfg, _checked_config(cfg)
 
@@ -253,15 +253,11 @@ def cmd_simulate(args) -> int:
 # --- design ------------------------------------------------------------------
 
 def cmd_design(args) -> int:
-    kind = ModulationKind(args.kind)
-    ask = kind is ModulationKind.ASK
-    if ask != (args.s_min is not None):  # as a config's ask_S_min
-        raise ValueError(f"--kind {kind.value} {'requires' if ask else 'takes no'} --s-min")
-    m = design_bases(args.target_pe, args.s, kind, S_min=args.s_min)
+    m = design_bases(args.target_pe, args.s, args.kind, S_min=args.s_min)
     rows = [{
-        "target_pe": args.target_pe, "s": args.s, "kind": kind.value,
+        "target_pe": args.target_pe, "s": args.s, "kind": args.kind,
         "bases": m,
-        "neighbor_error": design_neighbor_error(m, args.s, kind, args.s_min),
+        "neighbor_error": design_neighbor_error(m, args.s, args.kind, args.s_min),
     }]
     _emit(rows, args, "design")
     return 0

@@ -36,43 +36,62 @@ class Constellation:
         return len(self.amplitudes)
 
 
-def _finite(v) -> bool:
-    """Neither NaN nor +-inf, and no integer beyond the double range."""
-    return abs(v) <= sys.float_info.max
-
-
 def _real(v) -> bool:
     """A finite int or float, numpy's float64 among them, and not a bool."""
-    return isinstance(v, (int, float)) and type(v) is not bool and _finite(v)
+    return isinstance(v, (int, float)) and type(v) is not bool and abs(v) <= sys.float_info.max
 
 
-def _energy_ok(S) -> bool:
-    return _finite(S) and S >= 0
+# quantity: (test of its value and type, what it must be), one rule per number that
+# ``_check`` applies to a config's fields (cipher.FIELD_RULES takes these rows) and the
+# library's bare arguments alike: an integer is an int, not a bool, float or numpy integer
+RULES = {
+    "M": (lambda v: type(v) is int and v >= 1 and not v & (v - 1), "an integer power of two"),
+    "S": (lambda v: _real(v) and v >= 0, "finite and >= 0"),
+    "kappa": (lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "ask_S_min": (lambda v: v is None or _real(v), "a finite number or None"),
+    "N": (lambda v: type(v) is int and v >= 2, "an integer >= 2"),  # a ring's points
+    "bases": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "count": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),  # of samples
+    "register": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),  # its length |K|
+}
 
 
-def _check_energy(S: float) -> None:
-    if not _energy_ok(S):
-        raise ValueError(f"the energy S must be finite and nonnegative; got {S}")
+def _check(name: str, value, rule: tuple | None = None) -> None:
+    """Refuse ``value`` with a ValueError naming ``name`` unless it passes
+    ``rule``, a (test, wording) row, by default ``RULES[name]``."""
+    test, wording = rule or RULES[name]
+    if not test(value):
+        raise ValueError(f"{name} must be {wording}; got {value!r}")
 
 
-def _check_ladder(S_min: float, S: float, kappa: float) -> None:
-    """The one energy rule of an ASK ladder from S_min to S through loss kappa:
-    finite energies, S > S_min, and S_min above the floor 1/kappa (no kappa <= 0)."""
-    if S_min is None or not (_finite(S_min) and _finite(S)):
-        raise ValueError(f"the energies S_min and S must be finite; got {S_min}, {S}")
-    if S <= S_min:
-        raise ValueError("S must exceed S_min")
-    if S_min * kappa <= 1:
-        raise ValueError(f"S_min={S_min} violates the minimum-energy constraint S_min > 1/kappa at kappa={kappa}")
+def _check_energies(kind, S_min, S: float, kappa: float, name: str = "S_min") -> ModulationKind:
+    """``kind`` as a ModulationKind, and the one energy rule of its points:
+    S and kappa obey ``RULES``, a bottom energy S_min (called ``name``) is
+    given exactly for ASK, and the ladder from S_min to S through loss kappa
+    has S > S_min > 1/kappa."""
+    _check("S", S)
+    _check("kappa", kappa)
+    kind = ModulationKind(kind)
+    ask = kind is ModulationKind.ASK
+    if ask != (S_min is not None):
+        raise ValueError(f"kind {kind.value!r} {'requires' if ask else 'takes no'} {name}")
+    if ask:
+        _check("S_min", S_min, RULES["S"])
+        if S <= S_min:
+            raise ValueError("S must exceed S_min")
+        if S_min * kappa <= 1:
+            raise ValueError(f"S_min={S_min} violates the minimum-energy constraint S_min > 1/kappa at kappa={kappa}")
+    return kind
 
 
 def make_psk(M: int, S: float) -> Constellation:
     """2M phase-shift-keyed points on the circle of radius sqrt(S).
 
     Point s = sqrt(S) * exp(i*pi*s/M); neighbors are separated by
-    2*pi*|alpha|/(2M) of arc.  ``Constellation`` refuses M < 1 (no points).
+    2*pi*|alpha|/(2M) of arc.  M and S obey ``RULES`` ("bases", "S").
     """
-    _check_energy(S)
+    _check("M", M, RULES["bases"])
+    _check("S", S)
     s = np.arange(2 * M)
     amps = math.sqrt(S) * np.exp(1j * math.pi * s / M)
     return Constellation(amps, ModulationKind.PSK)
@@ -81,9 +100,10 @@ def make_psk(M: int, S: float) -> Constellation:
 def make_ask(M: int, S_min: float, S: float, kappa: float) -> Constellation:
     """2M equally spaced real amplitudes on [sqrt(S_min), sqrt(S)].
 
-    S > S_min > 1/kappa (``_check_ladder``), for kappa in (0, 1] (``cipher.FIELD_RULES``).
+    M obeys ``RULES["bases"]``, and S > S_min > 1/kappa (``_check_energies``).
     """
-    _check_ladder(S_min, S, kappa)
+    _check("M", M, RULES["bases"])
+    _check_energies(ModulationKind.ASK, S_min, S, kappa)
     amps = np.linspace(math.sqrt(S_min), math.sqrt(S), 2 * M).astype(np.complex128)
     return Constellation(amps, ModulationKind.ASK)
 
@@ -127,17 +147,13 @@ def design_neighbor_error(M: int, S: float, kind: ModulationKind = ModulationKin
     built: 2 sqrt(S) sin(pi/2M) on a PSK ring of energy S, and
     (sqrt(S) - sqrt(S_min))/(2M - 1) on a lossless ASK ladder from S_min to S.
     The chord, not the arc: the noise lives in the plane, and at practical
-    parameters the two agree to < 0.1%.  Refuses M < 1 and the energies
-    ``make_psk`` and ``make_ask`` refuse (``_check_ladder`` at kappa = 1).
+    parameters the two agree to < 0.1%.  Refuses what ``make_psk`` and
+    ``make_ask`` refuse, and S_min on a ring (``_check_energies`` at kappa = 1).
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
-    kind = ModulationKind(kind)
-    _check_energy(S)
-    if kind is ModulationKind.PSK:
+    _check("M", M, RULES["bases"])
+    if _check_energies(kind, S_min, S, 1.0) is ModulationKind.PSK:
         chord = 2.0 * math.sqrt(S) * math.sin(math.pi / (2 * M))
     else:
-        _check_ladder(S_min, S, 1.0)
         chord = (math.sqrt(S) - math.sqrt(S_min)) / (2 * M - 1)
     return gaussian_tail(chord / (2.0 * COHERENT_SIGMA))
 

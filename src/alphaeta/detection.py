@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.fft  # numpy 2 loads it on first use; load it with the module
 
-from .constellation import (COHERENT_SIGMA, HETERODYNE_SIGMA, Constellation, ModulationKind,
-                            _check_energy, gaussian_tail, gram_matrix)
+from .constellation import (COHERENT_SIGMA, HETERODYNE_SIGMA, RULES, Constellation, ModulationKind,
+                            _check, gaussian_tail, gram_matrix)
 
 
 @dataclass(frozen=True)
@@ -199,12 +199,6 @@ def _ring_trace_norm(w: np.ndarray, S: float) -> float:
     return float(np.abs(np.linalg.eigvalsh(delta)).sum()) / N
 
 
-def _check_ring(N: int, S: float) -> None:
-    if N < 2:
-        raise ValueError("need at least two states")
-    _check_energy(S)
-
-
 def _ring_log_spectrum(N: int, S: float) -> np.ndarray:
     """log lambda_k of the circulant Gram matrix of N symmetric coherent states.
 
@@ -221,8 +215,11 @@ def _ring_log_spectrum(N: int, S: float) -> np.ndarray:
     (N <= 4096, S <= 3e4) log lambda_k is within 1.2e-12 wherever lambda_k
     lies in the double range (a relative error of lambda_k), and within
     4e-15 |log lambda_k| below it, where every caller reads exactly 0;
-    S = 0 gives exactly -inf off k = 0.
+    S = 0 gives exactly -inf off k = 0.  N and S obey ``RULES``, for every
+    public figure that reads the spectrum.
     """
+    _check("N", N)
+    _check("S", S)
     c = math.floor(S)
     w = math.ceil(12.0 * (math.sqrt(S) + 1.0))
     lo = max(0, c - N - w) // N * N
@@ -261,7 +258,6 @@ def srm_symmetric(N: int, S: float) -> BoundReport:
     is at most 1; it equals 1, so the Holevo-Yuen conditions hold with
     equality for every ring.
     """
-    _check_ring(N, S)
     success = float((np.exp(0.5 * _ring_log_spectrum(N, S)).sum() / N) ** 2)
     return BoundReport(_clip01(1.0 - success), "error", "srm_spectrum")
 
@@ -280,7 +276,7 @@ def pair_symmetric(M: int, S: float) -> BoundReport:
     P_s = [(sum_{k even} sqrt(lambda_k))^2 + (sum_{k odd} sqrt(lambda_k))^2] / (2 M^2),
     within 1.2e-12 relative.
     """
-    _check_ring(2 * M, S)
+    _check("M", M, RULES["bases"])
     root = np.exp(0.5 * _ring_log_spectrum(2 * M, S))
     success = float((root[0::2].sum() ** 2 + root[1::2].sum() ** 2) / (2 * M * M))
     return BoundReport(_clip01(1.0 - success), "error", "pair_spectrum")
@@ -295,6 +291,5 @@ def usd_symmetric(N: int, S: float) -> BoundReport:
     so P_D is the smallest eigenvalue of the log-domain spectrum, to 1.2e-12
     relative; values below the double range are exactly 0.
     """
-    _check_ring(N, S)
     p_d = math.exp(float(_ring_log_spectrum(N, S).min()))
     return BoundReport(_clip01(p_d), "success", "usd_spectrum")

@@ -231,6 +231,13 @@ class TestReceived:
 
 
 class TestRecordFiles:
+    @pytest.mark.parametrize("samples", [np.zeros((3, 2)), np.complex128(1)], ids=["2-d", "0-d"])
+    def test_record_is_one_sample_per_slot(self, samples):
+        # not a length of 3 that the attacks then broadcast against, nor a
+        # TypeError from len()
+        with pytest.raises(ValueError, match="one-dimensional"):
+            MeasurementRecord(samples)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         rec = MeasurementRecord(rng.normal(size=50) + 1j * rng.normal(size=50))

@@ -94,7 +94,7 @@ class TestBounds:
     def test_invalid_grid_exits_nonzero(self):
         code, out, err = run_cli("bounds", "--n", "1", "--s", "1", "--kind", "srm")
         assert_refused(code, out, err)
-        assert "invalid grid" in err
+        assert "--n must be an integer >= 2" in err
 
     @pytest.mark.parametrize("kind", ["srm", "helstrom"])
     @pytest.mark.parametrize("s", ["nan", "inf"])
@@ -102,7 +102,7 @@ class TestBounds:
         code, out, err = run_cli("bounds", "--n", "2", "--s", f"1,{s}", "--kind", kind,
                                  "--out", str(tmp_path / "o"))
         assert_refused(code, out, err, tmp_path / "o")
-        assert err.startswith("error: invalid grid")
+        assert err.startswith("error: --s must be finite and >= 0")
 
     @pytest.mark.parametrize("kind", ["helstrom", "quadrature-homodyne",
                                       "quadrature-heterodyne"])
@@ -447,8 +447,8 @@ class TestDesign:
         assert "finite" in err
 
     @pytest.mark.parametrize("flags, message", [
-        (("--kind", "ask"), "error: --kind ask requires --s-min"),
-        (("--s-min", "2"), "error: --kind psk takes no --s-min"),
+        (("--kind", "ask"), "error: kind 'ask' requires S_min"),
+        (("--s-min", "2"), "error: kind 'psk' takes no S_min"),
     ], ids=["ask-without-s-min", "psk-with-s-min"])
     def test_s_min_pairs_with_ask(self, tmp_path, flags, message):
         # a ladder needs its bottom energy, and a ring has none to ignore

@@ -132,7 +132,7 @@ class TestMakePsk:
 
     @pytest.mark.parametrize("S", [math.nan, math.inf])
     def test_rejects_non_finite_energy(self, S):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="S must be finite and >= 0"):
             make_psk(4, S)
 
     def test_neighbor_chord_matches_design_spacing(self):
@@ -204,8 +204,19 @@ class TestNeighborError:
     def test_needs_one_basis(self, M, kind):
         # as make_psk and make_ask refuse it, not a ZeroDivisionError or an
         # error probability of 1
-        with pytest.raises(ValueError, match="positive integer"):
+        with pytest.raises(ValueError, match="M must be an integer >= 1"):
             design_neighbor_error(M, 100.0, kind, 2.0)
+
+    @pytest.mark.parametrize("kind, S_min, message", [("psk", 2.0, "kind 'psk' takes no S_min"),
+                                                       ("ask", None, "kind 'ask' requires S_min")],
+                             ids=["psk-with-S_min", "ask-without"])
+    @pytest.mark.parametrize("figure", [lambda *a: design_neighbor_error(4, *a),
+                                        lambda *a: design_bases(0.3, *a)],
+                             ids=["neighbor_error", "bases"])
+    def test_S_min_pairs_with_ask(self, figure, kind, S_min, message):
+        # a ring has no bottom energy to ignore, as a config's ask_S_min
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            figure(10.0, kind, S_min)
 
     def test_needs_two_points(self):
         # a constellation holds 2M >= 2 points, so every one has a neighbor

@@ -473,7 +473,7 @@ class TestSrmSymmetric:
     @pytest.mark.parametrize("S", [math.nan, math.inf])
     def test_rejects_non_finite_energy(self, bound, S):
         # not a bare math.floor error from the spectrum
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="S must be finite and >= 0"):
             bound(2, S)
 
 
@@ -512,7 +512,7 @@ class TestPairSymmetric:
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             pair_symmetric(0, 1.0)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match="S must be finite and >= 0"):
             pair_symmetric(4, -1.0)
 
 
