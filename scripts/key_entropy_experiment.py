@@ -4,7 +4,8 @@
 For one full register period of known-plaintext slots, enumerate every seed,
 score it against the heterodyne record, and print the posterior entropy.
 Shows the collapse from a near-flat posterior (tiny S) to full key recovery
-(large S) at desk-scale key sizes.
+(large S) at desk-scale key sizes.  Each row is ``reproduce.period_entropy``,
+the pipeline of claims 5a and 5b.
 
 Usage: python scripts/key_entropy_experiment.py [--key-bits 12] [--m 64]
 """
@@ -12,9 +13,8 @@ import argparse
 
 import numpy as np
 
-from alphaeta.attacks import key_posterior_entropy
-from alphaeta.channel import transmit
-from alphaeta.cipher import CipherConfig, encode, slots_per_period
+from alphaeta.cipher import CipherConfig
+from alphaeta.reproduce import period_entropy
 
 
 def main() -> int:
@@ -33,12 +33,8 @@ def main() -> int:
     print(f"M={args.m}  |K|={args.key_bits}  one period, all-zero plaintext")
     print(f"{'S':>10}  {'slots':>6}  {'posterior entropy (bits)':>25}")
     for s in args.s:
-        cfg = CipherConfig(M=args.m, S=s, key_bits=args.key_bits,
-                           seed=seed, osk=True)
-        slots = slots_per_period(cfg)
-        x = np.zeros(slots, dtype=np.int64)
-        rec = transmit(encode(x, cfg), cfg, np.random.default_rng(args.record_seed))
-        h = key_posterior_entropy(rec, cfg, x)
+        cfg = CipherConfig(M=args.m, S=s, key_bits=args.key_bits, seed=seed, osk=True)
+        h, slots = period_entropy(cfg, args.record_seed)
         print(f"{s:>10g}  {slots:>6}  {h:>25.4f}")
     print(f"(flat posterior would be {np.log2(2 ** args.key_bits - 1):.4f} bits)")
     return 0

@@ -47,7 +47,7 @@ def reciprocal_taps(taps: int, key_bits: int) -> int:
     distinct; it drives the overlap-selection-keying stream so that the two
     keyed streams decorrelate while staying derivable from one seed.
     """
-    poly = taps | (1 << key_bits)  # x^n and x^0 coefficients both present
+    poly = _register_taps(taps, key_bits) | (1 << key_bits)  # x^n and x^0 both present
     rev = 0
     for j in range(key_bits + 1):
         if poly >> j & 1:
@@ -104,13 +104,20 @@ def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndar
     return out[:count]
 
 
+def _register_taps(taps: int, key_bits: int) -> int:
+    """Bare ``taps``, an int, masked to ``key_bits``, which obeys ``RULES["register"]``."""
+    _check("key_bits", key_bits, RULES["register"])
+    _check("taps", taps, (lambda v: type(v) is int, "an integer"))
+    return taps & ((1 << key_bits) - 1)
+
+
 def _check_register(seed: int, taps: int, key_bits: int) -> None:
-    """The register rules of ``lfsr_stream`` and ``CipherConfig`` alike: the
-    taps, already masked to |K| bits, feed back, and the seed is a nonzero state."""
+    """The register rules of ``lfsr_stream`` and ``CipherConfig`` alike: the taps,
+    masked to |K| bits, feed back; the seed passes ``FIELD_RULES["seed"]`` and fits |K|."""
     if taps == 0:
         raise ValueError("taps define the zero feedback polynomial")
-    if not 0 < seed < 1 << key_bits:
-        raise ValueError(f"seed must be a nonzero {key_bits}-bit register state; got {seed}")
+    _check("seed", seed, (lambda v: FIELD_RULES["seed"][0](v) and v < 1 << key_bits,
+                          f"a nonzero {key_bits}-bit register state"))
 
 
 def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
@@ -122,8 +129,7 @@ def lfsr_stream(seed: int, taps: int, count: int, key_bits: int) -> np.ndarray:
     register length: the seed's bits are jumped ahead by ``_lfsr_extend``.
     """
     _check("count", count)
-    _check("key_bits", key_bits, RULES["register"])
-    taps &= (1 << key_bits) - 1
+    taps = _register_taps(taps, key_bits)
     _check_register(seed, taps, key_bits)
     head = np.array([seed >> i & 1 for i in range(key_bits)], dtype=np.uint8)
     return _lfsr_extend(head, taps, key_bits, count)
@@ -134,7 +140,7 @@ def lfsr_period(taps: int, key_bits: int) -> int:
 
     A plain walk of the register.  Needs the x^0 tap, which makes the state
     map invertible, so the orbit of state 1 closes on itself."""
-    taps &= (1 << key_bits) - 1
+    taps = _register_taps(taps, key_bits)
     if not taps & 1:
         raise ValueError("taps without the x^0 coefficient have no cycle through state 1")
     state, period = 1, 0

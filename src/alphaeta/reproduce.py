@@ -52,28 +52,13 @@ def _claim(claim_id: str, description: str):
     return wrap
 
 
-def _ls_slope(x: np.ndarray, y: np.ndarray) -> float:
-    a = np.vstack([x, np.ones_like(x)]).T
-    return float(np.linalg.lstsq(a, y, rcond=None)[0][0])
+def _srm_error(S: float, reference: float) -> tuple:
+    pe = detection.srm_symmetric(2047, S).value
+    return pe, f"{reference} +/- 0.02", abs(pe - reference) <= 0.02
 
 
-def _exponent_without_prefactor(s: np.ndarray, log_pe: np.ndarray) -> float:
-    """Coefficient on S after absorbing the Gaussian tail's algebraic prefactor
-    (an extra log-S regressor); exact for pure exponential laws."""
-    a = np.vstack([s, np.log(s), np.ones_like(s)]).T
-    return float(np.linalg.lstsq(a, log_pe, rcond=None)[0][0])
-
-
-@_claim("1a", "minimum-error reproduction (N=2047, S=100)")
-def _claim_srm_low():
-    rep = detection.srm_symmetric(2047, 100.0)
-    return rep.value, "0.975 +/- 0.02", abs(rep.value - 0.975) <= 0.02
-
-
-@_claim("1b", "minimum-error reproduction (N=2047, S=1e4)")
-def _claim_srm_high():
-    rep = detection.srm_symmetric(2047, 1e4)
-    return rep.value, "0.755 +/- 0.02", abs(rep.value - 0.755) <= 0.02
+_claim("1a", "minimum-error reproduction (N=2047, S=100)")(lambda: _srm_error(100.0, 0.975))
+_claim("1b", "minimum-error reproduction (N=2047, S=1e4)")(lambda: _srm_error(1e4, 0.755))
 
 
 @_claim("2a", "unambiguous-discrimination reproduction (N=2000, S=1e4)")
@@ -109,11 +94,18 @@ def _claim_srm_success_band():
 _SLOPE_GRID = np.arange(2.0, 5.01, 0.5)
 
 
+def _slope(log_pe: np.ndarray, *regressors: np.ndarray) -> float:
+    """Least-squares coefficient on S of ``log_pe`` over ``_SLOPE_GRID``, fitted
+    with an intercept and any further ``regressors``."""
+    a = np.vstack([_SLOPE_GRID, *regressors, np.ones_like(_SLOPE_GRID)]).T
+    return float(np.linalg.lstsq(a, log_pe, rcond=None)[0][0])
+
+
 @_claim("3a", "keyed-receiver error exponent")
 def _claim_slope_helstrom():
     pe = np.array([detection.helstrom_binary_pure(math.sqrt(s), -math.sqrt(s)).value
                    for s in _SLOPE_GRID])
-    slope = _ls_slope(_SLOPE_GRID, np.log(pe))
+    slope = _slope(np.log(pe))
     return slope, "-4 +/- 5%", abs(slope / -4.0 - 1.0) <= 0.05
 
 
@@ -122,24 +114,21 @@ def _claim_slope_quadrature():
     pe = np.array([detection.quadrature_binary(math.sqrt(s), -math.sqrt(s), "homodyne").value
                    for s in _SLOPE_GRID])
     log_pe = np.log(pe)
-    slope = _ls_slope(_SLOPE_GRID, log_pe)
+    slope = _slope(log_pe)
     ok = abs(slope / -2.0 - 1.0) <= 0.05
     detail = ""
     if not ok:
-        corrected = _exponent_without_prefactor(_SLOPE_GRID, log_pe)
+        # a log-S regressor absorbs the Gaussian tail's algebraic prefactor
+        corrected = _slope(log_pe, np.log(_SLOPE_GRID))
         detail = (f"Gaussian tail Q(2 sqrt(S)) carries a 1/sqrt(S) prefactor that "
                   f"steepens the finite-window slope; exponent after absorbing the "
                   f"prefactor: {corrected:.4f} (within 5% of -2)")
     return slope, "-2 +/- 5%", ok, detail
 
 
-def _otp_config() -> cipher.CipherConfig:
-    return cipher.CipherConfig(**OTP_CONFIG)
-
-
 @_claim("4a", "one-time-pad bound at the designed point")
 def _claim_otp_bound():
-    cfg = _otp_config()
+    cfg = cipher.CipherConfig(**OTP_CONFIG)
     c = cfg.constellation()
     ne = design_neighbor_error(cfg.M, cfg.S)
     even = np.tile([2.0 / len(c), 0.0], len(c) // 2)
@@ -150,7 +139,7 @@ def _claim_otp_bound():
 
 @_claim("4b", "one-time-pad empirical bit error")
 def _claim_otp_empirical():
-    cfg = _otp_config()
+    cfg = cipher.CipherConfig(**OTP_CONFIG)
     rng = np.random.default_rng(20240717)
     n = 100_000
     plaintext = rng.integers(0, 2, size=n)
@@ -163,25 +152,26 @@ def _claim_otp_empirical():
             f"ones-fraction {plaintext.mean():.5f}")
 
 
+def period_entropy(config: cipher.CipherConfig, record_seed: int) -> tuple[float, int]:
+    """The key's posterior entropy in bits after one register period of zero
+    plaintext, its record drawn by ``default_rng(record_seed)``; and the period."""
+    slots = cipher.slots_per_period(config)
+    plaintext = np.zeros(slots, dtype=np.int64)
+    rec = channel.transmit(cipher.encode(plaintext, config), config,
+                           np.random.default_rng(record_seed))
+    return attacks.key_posterior_entropy(rec, config, plaintext), slots
+
+
 @_claim("5a", "key equivocation after one period (designed)")
 def _claim_entropy_positive():
     cfg = cipher.CipherConfig(**ENTROPY_CONFIG)
-    slots = cipher.slots_per_period(cfg)
-    plaintext = np.zeros(slots, dtype=np.int64)
-    rng = np.random.default_rng(99)
-    rec = channel.transmit(cipher.encode(plaintext, cfg), cfg, rng)
-    h = attacks.key_posterior_entropy(rec, cfg, plaintext)
+    h, slots = period_entropy(cfg, 99)
     return h, "> 0 bits", h > 0.0, f"{slots} slots, |K|={cfg.key_bits}"
 
 
 @_claim("5b", "key equivocation after one period (control)")
 def _claim_entropy_control():
-    cfg = cipher.CipherConfig(**ENTROPY_CONTROL)
-    slots = cipher.slots_per_period(cfg)
-    plaintext = np.zeros(slots, dtype=np.int64)
-    rng = np.random.default_rng(99)
-    rec = channel.transmit(cipher.encode(plaintext, cfg), cfg, rng)
-    h = attacks.key_posterior_entropy(rec, cfg, plaintext)
+    h, _ = period_entropy(cipher.CipherConfig(**ENTROPY_CONTROL), 99)
     return h, "< 0.1 bits", h < 0.1
 
 
@@ -262,16 +252,8 @@ def _claim_roundtrip():
     failures = 0
     for m in (2, 4, 8, 16):
         cfg = cipher.CipherConfig(M=m, S=10.0, key_bits=8, seed=0x5B, osk=True)
-        rng = np.random.default_rng(m)
-        x = rng.integers(0, 2, size=503)
-        if not np.array_equal(cipher.decode(cipher.encode(x, cfg), cfg), x):
-            failures += 1
-        # every (symbol, bit) cell of the map must invert
-        for k in range(m):
-            for bit in (0, 1):
-                idx = (k + bit * m) % (2 * m)
-                if ((idx - k) % (2 * m)) // m != bit:
-                    failures += 1
+        x = np.random.default_rng(m).integers(0, 2, size=503)
+        failures += not np.array_equal(cipher.decode(cipher.encode(x, cfg), cfg), x)
     return failures, "0 failures", failures == 0
 
 

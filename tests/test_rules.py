@@ -9,7 +9,7 @@ import pytest
 from alphaeta import cipher, constellation
 from alphaeta.attacks import collective_usd_bound
 from alphaeta.channel import apply_loss
-from alphaeta.cipher import CipherConfig, keystream, lfsr_stream
+from alphaeta.cipher import CipherConfig, keystream, lfsr_period, lfsr_stream, reciprocal_taps
 from alphaeta.constellation import design_bases, design_neighbor_error, make_ask, make_psk
 from alphaeta.detection import pair_symmetric, srm_symmetric, usd_symmetric
 
@@ -43,21 +43,28 @@ ENTRY_POINTS = {
     "keystream-count": ("count", 3, lambda v: keystream(CONFIG, v), ()),
     "lfsr_stream-count": ("count", 3, lambda v: lfsr_stream(1, 3, v, 4), ()),
     "lfsr_stream-key_bits": ("key_bits", 4, lambda v: lfsr_stream(1, 3, 5, v), (0,)),
+    "lfsr_stream-seed": ("seed", 1, lambda v: lfsr_stream(v, 3, 4, 4), (0, 16)),
+    "lfsr_stream-taps": ("taps", 3, lambda v: lfsr_stream(1, v, 4, 4), (None,)),
+    "lfsr_period-key_bits": ("key_bits", 4, lambda v: lfsr_period(3, v), (0,)),
+    "lfsr_period-taps": ("taps", 3, lambda v: lfsr_period(v, 4), (None,)),
+    "reciprocal_taps-key_bits": ("key_bits", 4, lambda v: reciprocal_taps(3, v), (0,)),
+    "reciprocal_taps-taps": ("taps", 3, lambda v: reciprocal_taps(v, 4), (None,)),
     "apply_loss-kappa": ("kappa", 0.5, lambda v: apply_loss([1.0], v), (0, 1.5)),
 }
 
 
-def refused_values(valid, extra) -> list:
+def refused_values(name, valid, extra) -> list:
     """A bool, a string, non-finite and negative values and a numpy scalar;
-    for an integer quantity also a fraction and an integral float."""
-    common = [True, "10", math.nan, math.inf, -1, *extra]
+    for an integer quantity also a fraction and an integral float.  Taps are
+    a bit mask masked to |K| bits, so a negative int is a mask like any other."""
+    common = [True, "10", math.nan, math.inf, *([] if name == "taps" else [-1]), *extra]
     if type(valid) is int:
         return common + [2.5, float(valid), np.int64(valid)]
     return common + [np.float32(valid), np.int64(1)]
 
 
-CASES = [(entry, value) for entry, (_, valid, _, extra) in ENTRY_POINTS.items()
-         for value in refused_values(valid, extra)]
+CASES = [(entry, value) for entry, (name, valid, _, extra) in ENTRY_POINTS.items()
+         for value in refused_values(name, valid, extra)]
 
 
 @pytest.mark.parametrize("entry, value", CASES, ids=[f"{e}={v!r}" for e, v in CASES])
