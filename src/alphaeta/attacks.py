@@ -99,7 +99,11 @@ def _nearest(y: np.ndarray, beta: np.ndarray, kind: ModulationKind,
     if not beta.any():
         pos = np.zeros(len(y))
     elif kind is ModulationKind.PSK:
-        pos = np.angle(y * np.exp(-1j * math.pi * (lo + last / 2) / M)) * (M / math.pi) + last / 2
+        if half is None:
+            turn = np.exp(-1j * math.pi * (lo + last / 2) / M)
+        else:  # the two halves' turns, gathered: no per-sample exp
+            turn = np.exp(-1j * math.pi * (np.array([0, M]) + last / 2) / M)[half]
+        pos = np.angle(y * turn) * (M / math.pi) + last / 2
     else:
         pos = (y.real - beta[0].real) / (beta[1].real - beta[0].real) - lo
     # ceil(pos - 1/2) rounds half down; np.rint would round half to even

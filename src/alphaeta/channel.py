@@ -52,19 +52,33 @@ def received(config: CipherConfig) -> Constellation:
     return Constellation(apply_loss(c.amplitudes, config.kappa), c.kind)
 
 
+# Gaussian noise is drawn this many values at a time, so a sampler holds its
+# output plus one cache-sized block, not a temporary as long as the record
+_NOISE_BLOCK = 1 << 14
+
+
+def _add_normal(view: np.ndarray, sigma: float, rng: np.random.Generator) -> None:
+    """Add N(0, sigma^2) draws to the 1-d ``view`` in place, in index order, one
+    ``_NOISE_BLOCK`` at a time: the same stream and the same sums as one
+    ``rng.normal`` call of the view's length."""
+    for lo in range(0, len(view), _NOISE_BLOCK):
+        block = view[lo:lo + _NOISE_BLOCK]
+        block += rng.normal(0.0, sigma, size=len(block))
+
+
 def heterodyne_sample(amplitudes, rng: np.random.Generator) -> np.ndarray:
     """Simultaneous two-quadrature outcomes: mean alpha, variance 1/2 per quadrature.
 
-    The real quadratures of every slot are drawn first, then the imaginary
-    ones, each as one ``rng.normal`` call of the input's shape; records,
-    reports and claim 7b depend on that order.  A scalar input gives a
-    ``np.complex128`` scalar.
+    The real quadratures of every slot are drawn first, in C order, then the
+    imaginary ones; records, reports and claim 7b depend on that order.  The
+    noise is added to a copy of the amplitudes one block at a time
+    (``_add_normal``), so memory is the output plus one block.  A scalar
+    input gives a ``np.complex128`` scalar.
     """
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    out = np.empty(amps.shape, dtype=np.complex128)
-    out.real = rng.normal(0.0, HETERODYNE_SIGMA, size=amps.shape)
-    out.imag = rng.normal(0.0, HETERODYNE_SIGMA, size=amps.shape)
-    out += amps
+    out = np.array(amplitudes, dtype=np.complex128, order="C")
+    flat = out.reshape(-1)  # a view: the draws land in the output
+    _add_normal(flat.real, HETERODYNE_SIGMA, rng)
+    _add_normal(flat.imag, HETERODYNE_SIGMA, rng)
     return out[()]
 
 
@@ -86,8 +100,10 @@ def bob_receive(values, config: CipherConfig,
 
     ``values`` may be noiseless post-loss amplitudes (pass ``rng`` to let Bob
     draw his own homodyne noise at variance 1/4) or pre-sampled outcomes
-    (``rng=None`` adds nothing).  With beta the received points and p the
-    key index (``keystream``), bit 0 sits at beta_p and bit 1 at
+    (``rng=None`` adds nothing).  His draws, one per slot in slot order, are
+    added one block at a time (``_add_normal``), so they hold one block, not
+    a record-length temporary.  With beta the received points and p the key
+    index (``keystream``), bit 0 sits at beta_p and bit 1 at
     beta_{p+M}; along d_p = beta_{p+M} - beta_p the bit is 1 past the
     midpoint, on a ring and a ladder alike.  Where d_p = 0 (S = 0) the axis
     is 0 and the noise alone decides.  Returns the decoded bits.
@@ -103,7 +119,7 @@ def bob_receive(values, config: CipherConfig,
     proj = rotated.real
     proj -= offset[p]
     if rng is not None:
-        proj += rng.normal(0.0, COHERENT_SIGMA, size=len(y))
+        _add_normal(proj, COHERENT_SIGMA, rng)
     return (proj > 0).astype(np.int64)
 
 

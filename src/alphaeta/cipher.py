@@ -105,9 +105,10 @@ def _lfsr_extend(head: np.ndarray, taps: int, nbits: int, count: int) -> np.ndar
 
 
 def _register_taps(taps: int, key_bits: int) -> int:
-    """Bare ``taps``, an int, masked to ``key_bits``, which obeys ``RULES["register"]``."""
+    """Bare ``taps``, which obey ``RULES["taps"]``, masked to ``key_bits``, which
+    obeys ``RULES["register"]``."""
     _check("key_bits", key_bits, RULES["register"])
-    _check("taps", taps, (lambda v: type(v) is int, "an integer"))
+    _check("taps", taps)
     return taps & ((1 << key_bits) - 1)
 
 
@@ -157,7 +158,7 @@ FIELD_RULES = {
     "S": RULES["S"],
     "key_bits": (lambda v: type(v) is int and v >= 4, "an integer >= 4"),
     "seed": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "lfsr_taps": (lambda v: v is None or type(v) is int, "an integer or None"),
+    "lfsr_taps": (lambda v: v is None or RULES["taps"][0](v), f"{RULES['taps'][1]} or None"),
     "osk": (lambda v: type(v) is bool, "true or false"),
     "kind": (lambda v: v in ("psk", "ask"), "one of 'psk', 'ask'"),
     "kappa": RULES["kappa"],

@@ -53,6 +53,7 @@ RULES = {
     "bases": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
     "count": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),  # of samples
     "register": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),  # its length |K|
+    "taps": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),  # its feedback mask
 }
 
 

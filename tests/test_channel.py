@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ class TestHeterodyneSampling:
         assert np.shape(got) == shape
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_memory_is_the_output_plus_one_block(self):
+        # the noise is added to the output a block at a time: no temporary
+        # as long as the record, which would peak at the output + 3.2 MB here
+        amps = np.zeros(400_000, dtype=complex)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            y = heterodyne_sample(amps, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < y.nbytes + 2**20
 
 
 class TestTransmit:

@@ -633,6 +633,9 @@ SCHEMA_CASES = {
     "seed-null": ({**GOOD_CONFIG, "seed": None}, []),
     "taps-float": ({**GOOD_CONFIG, "lfsr_taps": 1.5}, []),
     "taps-string": ({**GOOD_CONFIG, "lfsr_taps": "0x829"}, []),
+    # a negative mask would be read as two's complement; the schema allows it
+    "taps-negative": ({**GOOD_CONFIG, "lfsr_taps": -13}, ["/lfsr_taps"]),
+    "taps-negative-string": ({**GOOD_CONFIG, "lfsr_taps": "-0xD"}, ["/lfsr_taps"]),
     "osk-int": ({**GOOD_CONFIG, "osk": 1}, []),
     "kappa-string": ({**GOOD_CONFIG, "kappa": "1"}, []),
     "ask-min-bool": ({**GOOD_CONFIG, "ask_S_min": True}, []),
@@ -678,7 +681,7 @@ DRIFT_GRID = ([("M", v) for v in (0, 1, 3, 4, 4.0, True, np.int64(4))]
               + [("S", v) for v in (-1, 0, math.inf, math.nan, 10 ** 400, "10")]
               + [("key_bits", v) for v in (3, 4, 8.0)]
               + [("seed", v) for v in (0, 1, np.int64(5), True)]
-              + [("lfsr_taps", v) for v in (None, 3, 3.5)]
+              + [("lfsr_taps", v) for v in (None, 3, 3.5, -1, -13)]
               + [("osk", v) for v in (False, True, 2, "yes", None)]
               + [("kind", v) for v in ("psk", "qam")]
               + [("kappa", v) for v in (0, 1, 1.5, "1")]

@@ -44,27 +44,28 @@ ENTRY_POINTS = {
     "lfsr_stream-count": ("count", 3, lambda v: lfsr_stream(1, 3, v, 4), ()),
     "lfsr_stream-key_bits": ("key_bits", 4, lambda v: lfsr_stream(1, 3, 5, v), (0,)),
     "lfsr_stream-seed": ("seed", 1, lambda v: lfsr_stream(v, 3, 4, 4), (0, 16)),
-    "lfsr_stream-taps": ("taps", 3, lambda v: lfsr_stream(1, v, 4, 4), (None,)),
+    "lfsr_stream-taps": ("taps", 3, lambda v: lfsr_stream(1, v, 4, 4), (None, -13)),
     "lfsr_period-key_bits": ("key_bits", 4, lambda v: lfsr_period(3, v), (0,)),
-    "lfsr_period-taps": ("taps", 3, lambda v: lfsr_period(v, 4), (None,)),
+    "lfsr_period-taps": ("taps", 3, lambda v: lfsr_period(v, 4), (None, -13)),
     "reciprocal_taps-key_bits": ("key_bits", 4, lambda v: reciprocal_taps(3, v), (0,)),
-    "reciprocal_taps-taps": ("taps", 3, lambda v: reciprocal_taps(v, 4), (None,)),
+    "reciprocal_taps-taps": ("taps", 3, lambda v: reciprocal_taps(v, 4), (None, -13)),
     "apply_loss-kappa": ("kappa", 0.5, lambda v: apply_loss([1.0], v), (0, 1.5)),
 }
 
 
-def refused_values(name, valid, extra) -> list:
+def refused_values(valid, extra) -> list:
     """A bool, a string, non-finite and negative values and a numpy scalar;
-    for an integer quantity also a fraction and an integral float.  Taps are
-    a bit mask masked to |K| bits, so a negative int is a mask like any other."""
-    common = [True, "10", math.nan, math.inf, *([] if name == "taps" else [-1]), *extra]
+    for an integer quantity also a fraction and an integral float.  A
+    negative int is refused as taps too: masked as two's complement it would
+    name a polynomial (-13 at |K| = 4 is taps 3)."""
+    common = [True, "10", math.nan, math.inf, -1, *extra]
     if type(valid) is int:
         return common + [2.5, float(valid), np.int64(valid)]
     return common + [np.float32(valid), np.int64(1)]
 
 
-CASES = [(entry, value) for entry, (name, valid, _, extra) in ENTRY_POINTS.items()
-         for value in refused_values(name, valid, extra)]
+CASES = [(entry, value) for entry, (_, valid, _, extra) in ENTRY_POINTS.items()
+         for value in refused_values(valid, extra)]
 
 
 @pytest.mark.parametrize("entry, value", CASES, ids=[f"{e}={v!r}" for e, v in CASES])
