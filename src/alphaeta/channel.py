@@ -66,31 +66,22 @@ def _add_normal(view: np.ndarray, sigma: float, rng: np.random.Generator) -> Non
         block += rng.normal(0.0, sigma, size=len(block))
 
 
-def heterodyne_sample(amplitudes, rng: np.random.Generator) -> np.ndarray:
-    """Simultaneous two-quadrature outcomes: mean alpha, variance 1/2 per quadrature.
-
-    The real quadratures of every slot are drawn first, in C order, then the
-    imaginary ones; records, reports and claim 7b depend on that order.  The
-    noise is added to a copy of the amplitudes one block at a time
-    (``_add_normal``), so memory is the output plus one block.  A scalar
-    input gives a ``np.complex128`` scalar.
-    """
-    out = np.array(amplitudes, dtype=np.complex128, order="C")
-    flat = out.reshape(-1)  # a view: the draws land in the output
-    _add_normal(flat.real, HETERODYNE_SIGMA, rng)
-    _add_normal(flat.imag, HETERODYNE_SIGMA, rng)
-    return out[()]
-
-
 def transmit(indices, config: CipherConfig, rng: np.random.Generator) -> MeasurementRecord:
-    """Propagate encoded slots through the loss channel and sample the heterodyne tap.
+    """Propagate encoded slots through the loss channel and sample the heterodyne
+    tap: each outcome has mean the received point, variance 1/2 per quadrature.
 
-    The returned record is what an unkeyed observer collects; Bob's keyed
-    reception is a separate homodyne path (see ``bob_receive``).  Indices
-    outside [0, 2M) or not integers raise ``ValueError``.
+    The sent points are gathered into the record, and the noise is added there
+    (``_add_normal``): the real quadratures of every slot first, in slot order,
+    then the imaginary ones; records, reports and claim 7b depend on that
+    order.  Memory is the record plus one block.  The returned record is what
+    an unkeyed observer collects; Bob's keyed reception is a separate homodyne
+    path (see ``bob_receive``).  Indices outside [0, 2M), not integers, or not
+    one-dimensional raise ``ValueError`` before any draw.
     """
-    amps = received(config).amplitudes[_state_indices(indices, config)]
-    return MeasurementRecord(heterodyne_sample(amps, rng))
+    record = MeasurementRecord(received(config).amplitudes[_state_indices(indices, config)])
+    _add_normal(record.samples.real, HETERODYNE_SIGMA, rng)
+    _add_normal(record.samples.imag, HETERODYNE_SIGMA, rng)
+    return record
 
 
 def bob_receive(values, config: CipherConfig,

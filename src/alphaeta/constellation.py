@@ -20,7 +20,8 @@ class Constellation:
 
     Point s of a PSK constellation has phase pi*s/M, so indices s and s+M are
     antipodal and basis k is the pair {k, k+M}.  ASK points are a strictly
-    increasing real-amplitude ladder.
+    increasing real-amplitude ladder.  ``kind`` may be given by its value
+    ("psk", "ask"); any other raises ``ValueError``.
     """
 
     amplitudes: np.ndarray
@@ -29,6 +30,7 @@ class Constellation:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "kind", ModulationKind(self.kind))
         if len(amps) < 2 or len(amps) % 2:
             raise ValueError(f"need an even number of points, at least two; got {len(amps)}")
 

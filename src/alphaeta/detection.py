@@ -153,7 +153,7 @@ def helstrom_binary_mixed(c: Constellation, q0, q1) -> BoundReport:
     for q in (q0, q1):
         if q.shape != (len(c),):
             raise ValueError(f"each hypothesis needs {len(c)} point probabilities")
-        if np.any(q < 0):
+        if not np.all(q >= 0):  # NaN fails this test too
             raise ValueError("probabilities must be nonnegative")
         if abs(q.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must sum to 1 within 1e-12")

@@ -206,7 +206,10 @@ _BLOCK = 8192
 
 def _first_argmin(costs: list[np.ndarray]) -> np.ndarray:
     """Index of the smallest of equally shaped cost arrays, elementwise; ties
-    go to the first, as in ``np.argmin``."""
+    go to the first, as in ``np.argmin``.  Not ``np.argmin`` itself: that
+    needs the costs stacked into one new array, and over claim 7b's decisions
+    it took 1.7-1.9 times as long as this running minimum (20-32 ms against
+    11-17 ms, medians of 15 on 2 cores)."""
     best, idx = costs[0], np.zeros(costs[0].shape, dtype=np.int64)
     for k in range(1, len(costs)):
         idx[costs[k] < best] = k
@@ -217,10 +220,12 @@ def _first_argmin(costs: list[np.ndarray]) -> np.ndarray:
 @_claim("7b", "collective = product of per-slot successes")
 def _claim_collective_enumeration():
     rng = np.random.default_rng(7)
-    trials, s_energy, m_states = 200_000, 0.8, 2
-    amps = math.sqrt(s_energy) * np.exp(2j * np.pi * np.arange(m_states) / m_states)
+    trials, m_states = 200_000, 2
+    # the protocol's two-point ring, sqrt(0.8) exp(i pi {0, 1}), through its own tap
+    cfg = cipher.CipherConfig(M=1, S=0.8, key_bits=4, seed=1)
+    amps = channel.received(cfg).amplitudes
     sym = rng.integers(0, m_states, size=(trials, 2))
-    y = channel.heterodyne_sample(amps[sym], rng)
+    y = channel.transmit(sym.ravel(), cfg, rng).samples.reshape(trials, 2)
     slot_hits = joint_hits = 0
     # blocks keep every temporary in cache instead of faulting in fresh
     # multi-MB arrays per step

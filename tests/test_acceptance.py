@@ -118,15 +118,15 @@ def test_pinned_figure(claim_id):
 
 def test_collective_claim_samples_through_the_heterodyne_tap(monkeypatch):
     shapes = []
-    sample = channel.heterodyne_sample
+    tap = channel.transmit
 
-    def spy(amplitudes, rng):
-        shapes.append(amplitudes.shape)
-        return sample(amplitudes, rng)
+    def spy(indices, config, rng):
+        shapes.append(np.shape(indices))
+        return tap(indices, config, rng)
 
-    monkeypatch.setattr(channel, "heterodyne_sample", spy)
+    monkeypatch.setattr(channel, "transmit", spy)
     assert reproduce.run_claim("7b").passed
-    assert shapes == [(200_000, 2)]
+    assert shapes == [(400_000,)]
 
 
 @pytest.mark.parametrize("shape, m", [((9,), 1), ((9,), 3), ((7, 2), 2), ((7, 2), 4)])

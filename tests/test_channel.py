@@ -1,26 +1,33 @@
+import ast
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import alphaeta
 from alphaeta.channel import (
+    _NOISE_BLOCK,
     MeasurementRecord,
+    _add_normal,
     apply_loss,
     bob_receive,
-    heterodyne_sample,
     received,
     save_record,
     transmit,
 )
 from alphaeta.cipher import CipherConfig, encode
-from alphaeta.constellation import gram_matrix, make_ask
+from alphaeta.constellation import COHERENT_SIGMA, HETERODYNE_SIGMA, gram_matrix, make_ask
 from alphaeta.detection import helstrom_binary_pure, quadrature_binary
 
 from oracles import bob_nearest_bits, heterodyne_sample_sum
+
+# record lengths on either side of the noise blocks' boundaries
+BLOCK_EDGES = [0, 1, _NOISE_BLOCK - 1, _NOISE_BLOCK, _NOISE_BLOCK + 1, 3 * _NOISE_BLOCK + 5]
 
 
 class TestApplyLoss:
@@ -60,9 +67,16 @@ class TestApplyLoss:
 
 
 class TestHeterodyneSampling:
+    """``transmit`` is the one heterodyne tap: each outcome is its received
+    point plus complex noise of variance 1/2 per quadrature."""
+
+    # one point of mean 3 (M=1: the ring {3, -3}) and the vacuum (S=0)
+    THREE = CipherConfig(M=1, S=9.0, key_bits=4, seed=1)
+    VACUUM = CipherConfig(M=1, S=0.0, key_bits=4, seed=1)
+
     def test_moments(self):
         rng = np.random.default_rng(42)
-        y = heterodyne_sample(np.full(1_000_000, 3.0 + 0.0j), rng)
+        y = transmit(np.zeros(1_000_000, dtype=np.int64), self.THREE, rng).samples
         assert y.real.mean() == pytest.approx(3.0, abs=0.002)
         assert y.imag.mean() == pytest.approx(0.0, abs=0.002)
         assert y.real.var() == pytest.approx(0.5, abs=0.003)
@@ -70,45 +84,98 @@ class TestHeterodyneSampling:
 
     def test_vacuum_is_symmetric_cloud(self):
         rng = np.random.default_rng(7)
-        y = heterodyne_sample(np.zeros(200_000, dtype=complex), rng)
+        y = transmit(np.zeros(200_000, dtype=np.int64), self.VACUUM, rng).samples
         assert abs(y.mean()) < 0.005
         assert np.mean(np.abs(y) ** 2) == pytest.approx(1.0, abs=0.01)
 
-    def test_deterministic_under_seed(self):
-        a = heterodyne_sample(np.ones(100), np.random.default_rng(5))
-        b = heterodyne_sample(np.ones(100), np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
-
     @pytest.mark.parametrize("complex_input", [False, True])
-    @pytest.mark.parametrize("shape", [(), (0,), (5,), (7, 2)])
+    @pytest.mark.parametrize("shape", [(n,) for n in BLOCK_EDGES])
     def test_bitwise_equal_to_one_expression(self, shape, complex_input):
-        # records, reports and claim 7b depend on these exact draws
-        src = np.random.default_rng(3)
-        amps = 2.0 * src.normal(size=shape)
-        if complex_input:
-            amps = amps + 1j * src.normal(size=shape)
-        if shape == ():
-            amps = amps.item()  # a Python scalar
+        # records, reports and claim 7b depend on these exact draws, across
+        # the tap's block boundaries; a ladder's points are real, a ring's complex
+        fields = (dict(M=4, S=2.0, kappa=0.5) if complex_input
+                  else dict(M=4, S=16.0, kind="ask", ask_S_min=2.5))
+        cfg = CipherConfig(key_bits=8, seed=0x21, **fields)
+        idx = np.random.default_rng(3).integers(0, 2 * cfg.M, size=shape)
         rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
-        got = heterodyne_sample(amps, rng)
-        want = heterodyne_sample_sum(amps, oracle_rng)
-        assert type(got) is type(want)  # np.complex128 for a scalar, else an array
-        assert np.shape(got) == shape
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = transmit(idx, cfg, rng).samples
+        want = heterodyne_sample_sum(received(cfg).amplitudes[idx], oracle_rng)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
+    @pytest.mark.parametrize("bad", [np.int64(3), 3, [[0, 1], [2, 3]]], ids=["0-d", "int", "2-d"])
+    def test_non_1d_indices_refused_before_any_draw(self, bad):
+        # one sample per slot: a scalar or a matrix of indices is refused by
+        # the record's rule, and the caller's generator is left where it was
+        cfg = CipherConfig(M=4, S=2.0, key_bits=8, seed=0x21)
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="one-dimensional"):
+            transmit(bad, cfg, rng)
+        assert rng.bit_generator.state == before
+
     def test_memory_is_the_output_plus_one_block(self):
-        # the noise is added to the output a block at a time: no temporary
-        # as long as the record, which would peak at the output + 3.2 MB here
-        amps = np.zeros(400_000, dtype=complex)
+        # the sent points are gathered into the record and the noise is added
+        # there a block at a time: no second record-length array
+        cfg = CipherConfig(M=4, S=2.0, key_bits=8, seed=0x21)
+        idx = np.random.default_rng(0).integers(0, 8, size=400_000)
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            y = heterodyne_sample(amps, rng)
+            rec = transmit(idx, cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < y.nbytes + 2**20
+        assert peak < rec.samples.nbytes + 2**20
+
+
+class TestAddNormal:
+    @pytest.mark.parametrize("sigma", [COHERENT_SIGMA, HETERODYNE_SIGMA],
+                             ids=["homodyne", "heterodyne"])
+    @pytest.mark.parametrize("n", BLOCK_EDGES)
+    def test_blocks_equal_one_normal_call(self, n, sigma):
+        base = np.random.default_rng(3).normal(size=n)
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        got = base.copy()
+        _add_normal(got, sigma, rng)
+        want = base + oracle_rng.normal(0.0, sigma, size=n)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _callers(attribute: str | None = None, name: str | None = None) -> set[tuple[str, str]]:
+    """(module, innermost enclosing function or "<module>") of every call in
+    ``src/alphaeta`` to ``<anything>.<attribute>(...)`` or ``<name>(...)``."""
+    found = set()
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == attribute
+                    or isinstance(f, ast.Name) and f.id == name):
+                found.add((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(Path(alphaeta.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    return found
+
+
+class TestOneNoiseSource:
+    """Every Gaussian draw of the package goes through ``_add_normal``, and
+    only the two receivers call it: the tap (``transmit``) and Bob."""
+
+    def test_only_add_normal_draws_normals(self):
+        assert _callers(attribute="normal") == {("channel", "_add_normal")}
+        assert _callers(attribute="standard_normal") == set()
+
+    def test_only_the_receivers_add_noise(self):
+        assert _callers(name="_add_normal") == {("channel", "transmit"),
+                                                ("channel", "bob_receive")}
 
 
 class TestTransmit:

@@ -226,6 +226,15 @@ class TestNeighborError:
         two = Constellation(np.array([1.0, -1.0]), ModulationKind.PSK)
         assert design_neighbor_error(1, 1.0) == neighbor_confusion(two) > 0
 
+    def test_kind_is_a_modulation_kind(self):
+        # a kind's value names it, as a config's kind does; any other kind is
+        # refused, not routed as a ladder
+        ring = make_psk(2, 1.0).amplitudes
+        assert Constellation(ring, "psk").kind is ModulationKind.PSK
+        assert Constellation(ring, "ask").kind is ModulationKind.ASK
+        with pytest.raises(ValueError, match="not a valid ModulationKind"):
+            Constellation(ring, "bogus")
+
 
 class TestDesignBases:
     def test_result_verifies_bound(self):

@@ -272,6 +272,11 @@ class TestHelstromRing:
         assert gram.method == "gram_eigen"
         assert helstrom_binary_mixed(c, q0, q1).value == pytest.approx(gram.value, abs=1e-12)
 
+    def test_kind_named_by_its_value_routes_as_a_ring(self):
+        c, q0, q1 = self.half_rings(4, 10.0, False)
+        named = Constellation(c.amplitudes, "psk")
+        assert helstrom_binary_mixed(named, q0, q1) == helstrom_binary_mixed(c, q0, q1)
+
     @pytest.mark.parametrize("N, S", [(8, 5.0), (16, 50.0)])
     @pytest.mark.parametrize("skewed", [False, True], ids=["uniform", "skewed"])
     def test_matches_mpmath_oracle(self, N, S, skewed):
@@ -585,3 +590,10 @@ class TestEnsembleValidation:
         c = make_psk(2, 1.0)
         with pytest.raises(ValueError, match="nonnegative"):
             helstrom_binary_mixed(c, self.GOOD, np.array([1.5, -0.5, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("c", [make_psk(2, 1.0), make_ask(2, 1.5, 6.0, 1.0)],
+                             ids=["ring", "ladder"])
+    def test_nan_probability_rejected(self, c):
+        # by the probability rule, not as a LinAlgError from the eigensolver
+        with pytest.raises(ValueError, match="nonnegative"):
+            helstrom_binary_mixed(c, self.GOOD, np.array([np.nan, 0.5, 0.5, 0.0]))
