@@ -88,6 +88,12 @@ class TestHeterodyneSampling:
         assert abs(y.mean()) < 0.005
         assert np.mean(np.abs(y) ** 2) == pytest.approx(1.0, abs=0.01)
 
+    def test_deterministic_under_seed(self):
+        idx = np.zeros(100, dtype=np.int64)
+        a = transmit(idx, self.THREE, np.random.default_rng(5)).samples
+        b = transmit(idx, self.THREE, np.random.default_rng(5)).samples
+        np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("complex_input", [False, True])
     @pytest.mark.parametrize("shape", [(n,) for n in BLOCK_EDGES])
     def test_bitwise_equal_to_one_expression(self, shape, complex_input):
