@@ -20,13 +20,42 @@ import numpy as np
 import numpy.random  # numpy 2 loads it on first use; load it with the module
 
 from . import __version__, attacks, channel, cipher, detection, reproduce
-from .constellation import RULES, _check, design_bases, design_neighbor_error
+from .constellation import RULES, ModulationKind, _check, design_bases, design_neighbor_error
 
-# the choices of simulate's --plaintext and --attack, for flags and manifests alike
-_PLAINTEXTS = ("random", "zeros")
-_ATTACKS = ("bob", "ctoa-data", "ctoa-key", "kpa", "key-entropy")
-# bounds kinds of the two states +-sqrt(S), so --n must be 2
-_BINARY_KINDS = ("helstrom", "quadrature-homodyne", "quadrature-heterodyne")
+
+def _bob(config, record, indices, plaintext, rng) -> dict:
+    beta = channel.received(config).amplitudes
+    bits = channel.bob_receive(beta[indices], config, rng=rng)
+    return {
+        "attack_kind": "bob_keyed_reception",
+        "empirical": dataclasses.asdict(
+            attacks._rate(int(np.count_nonzero(bits != plaintext)), len(plaintext))),
+        # every keyed pair {k, k + M} is as far apart as {0, M}, on a ring and an equally spaced ladder
+        "bound": dataclasses.asdict(detection.helstrom_binary_pure(beta[0], beta[config.M])),
+    }
+
+
+# simulate's choices, for flags and manifests alike: --plaintext name -> its n bits drawn
+# from rng (zeros draws nothing); --attack name -> (report file, report body, called as _bob is)
+_PLAINTEXTS = {
+    "random": lambda n, rng: rng.integers(0, 2, size=n),
+    "zeros": lambda n, rng: np.zeros(n, dtype=np.int64),
+}
+_ATTACKS = {
+    "bob": ("report_bob.json", _bob),
+    "ctoa-data": ("report_ctoa_data.json", lambda config, record, indices, plaintext, rng:
+                  dataclasses.asdict(attacks.eve_ctoa_data(record, config, plaintext))),
+    "ctoa-key": ("report_ctoa_key.json", lambda config, record, indices, plaintext, rng:
+                 dataclasses.asdict(attacks.eve_key_symbol(record, config, indices, None))),
+    "kpa": ("report_kpa_key.json", lambda config, record, indices, plaintext, rng:
+            dataclasses.asdict(attacks.eve_key_symbol(record, config, indices, plaintext))),
+    "key-entropy": ("report_key_entropy.json", lambda config, record, indices, plaintext, rng: {
+        "attack_kind": "kpa_key_posterior",
+        "key_posterior_entropy_bits": attacks.key_posterior_entropy(record, config, plaintext),
+        "key_bits": config.key_bits,
+        "trials": len(plaintext),
+    }),
+}
 # simulate's run, by manifest key: the flag (--name, "_" written "-", parsed to
 # args.name), its parser keywords, its default (None: it must be given), what
 # its rule asks, and the rule, which a value from the flag or a manifest must pass
@@ -34,10 +63,10 @@ _RUN = {
     "seed": ("seed", {"type": int}, None, "an integer >= 0", lambda v: type(v) is int and v >= 0),
     "bits": ("bits", {"type": int}, 10000, "an integer >= 1", lambda v: type(v) is int and v >= 1),
     "plaintext": ("plaintext", {}, "random", f"one of {', '.join(_PLAINTEXTS)}",
-                  lambda v: v in _PLAINTEXTS),
+                  lambda v: type(v) is str and v in _PLAINTEXTS),
     "attacks": ("attack", {"nargs": "+"}, ["bob"], f"one or more of {', '.join(_ATTACKS)}, none twice",
-                lambda v: type(v) is list and v != [] and all(a in _ATTACKS for a in v)
-                and len(set(v)) == len(v)),
+                lambda v: type(v) is list and v != []
+                and all(type(a) is str and a in _ATTACKS for a in v) and len(set(v)) == len(v)),
     "save_record": ("save_record", {"action": "store_true", "default": None}, False,
                     "true or false", lambda v: type(v) is bool),
 }
@@ -126,19 +155,16 @@ def _emit(rows: list[dict], args, name: str) -> None:
 
 # --- bounds ------------------------------------------------------------------
 
-def _bound_row(n: int, s: float, kind: str) -> dict:
-    if kind == "srm":
-        rep = detection.srm_symmetric(n, s)
-    elif kind == "usd":
-        rep = detection.usd_symmetric(n, s)
-    elif kind == "helstrom":
-        rep = detection.helstrom_binary_pure(np.sqrt(s), -np.sqrt(s))
-    else:  # quadrature-homodyne | quadrature-heterodyne
-        rep = detection.quadrature_binary(np.sqrt(s), -np.sqrt(s), kind.split("-")[1])
-    return {
-        "n": n, "s": s, "attack": kind, "value": rep.value, "kind": rep.kind,
-        "method": rep.method,
-    }
+# --kind name -> (its figure at (n, s), whether it bounds the two states +-sqrt(s): --n must be 2)
+_BOUNDS = {
+    "helstrom": (lambda n, s: detection.helstrom_binary_pure(np.sqrt(s), -np.sqrt(s)), True),
+    "quadrature-homodyne": (lambda n, s: detection.quadrature_binary(np.sqrt(s), -np.sqrt(s),
+                                                                     "homodyne"), True),
+    "quadrature-heterodyne": (lambda n, s: detection.quadrature_binary(np.sqrt(s), -np.sqrt(s),
+                                                                       "heterodyne"), True),
+    "srm": (detection.srm_symmetric, False),
+    "usd": (detection.usd_symmetric, False),
+}
 
 
 def cmd_bounds(args) -> int:
@@ -149,9 +175,11 @@ def cmd_bounds(args) -> int:
     for n, s in grid:  # before any row: the binary kinds take sqrt(s)
         _check("--n", n, RULES["N"])
         _check("--s", s, RULES["S"])
-    if args.kind in _BINARY_KINDS and set(ns) != {2}:
+    figure, two_states = _BOUNDS[args.kind]
+    if two_states and set(ns) != {2}:
         raise ValueError(f"--kind {args.kind} is a two-state bound; --n must be 2")
-    _emit([_bound_row(n, s, args.kind) for n, s in grid], args, f"bounds_{args.kind}")
+    _emit([{"n": n, "s": s, "attack": args.kind, **dataclasses.asdict(figure(n, s))} for n, s in grid],
+          args, f"bounds_{args.kind}")
     return 0
 
 
@@ -190,52 +218,17 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    n = args.bits
-    if args.plaintext == "zeros":
-        plaintext = np.zeros(n, dtype=np.int64)
-    else:
-        plaintext = rng.integers(0, 2, size=n)
-
+    plaintext = _PLAINTEXTS[args.plaintext](args.bits, rng)
     indices = cipher.encode(plaintext, config)
     record = channel.transmit(indices, config, rng)
 
     outputs: list[str] = []
-
-    def dump(name: str, payload: dict) -> None:
+    for attack in args.attack:
+        name, body = _ATTACKS[attack]
         path = outdir / name
-        path.write_text(json.dumps({**payload, "seed": args.seed}, indent=2, sort_keys=True) + "\n")
+        payload = {**body(config, record, indices, plaintext, rng), "seed": args.seed}
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         outputs.append(str(path))
-
-    for kind in args.attack:
-        if kind == "bob":
-            beta = channel.received(config).amplitudes
-            bits = channel.bob_receive(beta[indices], config, rng=rng)
-            dump("report_bob.json", {
-                "attack_kind": "bob_keyed_reception",
-                "empirical": dataclasses.asdict(
-                    attacks._rate(int(np.count_nonzero(bits != plaintext)), n)),
-                # every keyed pair {k, k + M} lies as far apart as {0, M}, on
-                # a ring and on an equally spaced ladder alike
-                "bound": dataclasses.asdict(
-                    detection.helstrom_binary_pure(beta[0], beta[config.M])),
-            })
-        elif kind == "ctoa-data":
-            rep = attacks.eve_ctoa_data(record, config, plaintext)
-            dump("report_ctoa_data.json", dataclasses.asdict(rep))
-        elif kind == "ctoa-key":
-            rep = attacks.eve_key_symbol(record, config, indices, None)
-            dump("report_ctoa_key.json", dataclasses.asdict(rep))
-        elif kind == "kpa":
-            rep = attacks.eve_key_symbol(record, config, indices, plaintext)
-            dump("report_kpa_key.json", dataclasses.asdict(rep))
-        else:  # key-entropy
-            dump("report_key_entropy.json", {
-                "attack_kind": "kpa_key_posterior",
-                "key_posterior_entropy_bits":
-                    attacks.key_posterior_entropy(record, config, plaintext),
-                "key_bits": config.key_bits,
-                "trials": n,
-            })
 
     if args.save_record:
         rec_path = outdir / "record.bin"
@@ -314,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bounds", help="tabulate discrimination bounds over an (N, S) grid")
     b.add_argument("--n", type=_numbers(int), default=[2], help="comma-separated state counts")
     b.add_argument("--s", type=_numbers(float), required=True, help="comma-separated photon numbers")
-    b.add_argument("--kind", default="srm",
-                   choices=[*_BINARY_KINDS, "srm", "usd"])
+    b.add_argument("--kind", default="srm", choices=_BOUNDS)
     b.set_defaults(fn=cmd_bounds)
 
     s = sub.add_parser("simulate", help="encrypt, transmit, and run receiver/attack reports")
@@ -331,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("design", help="pick the base count for a target neighbor confusion")
     d.add_argument("--target-pe", type=float, required=True)
     d.add_argument("--s", type=float, required=True)
-    d.add_argument("--kind", default="psk", choices=["psk", "ask"])
+    d.add_argument("--kind", default="psk", choices=[kind.value for kind in ModulationKind])
     d.add_argument("--s-min", type=float, default=None)
     d.set_defaults(fn=cmd_design)
 

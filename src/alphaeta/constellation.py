@@ -19,7 +19,8 @@ class Constellation:
     """An ordered set of 2M coherent states with modulation metadata.
 
     Point s of a PSK constellation has phase pi*s/M, so indices s and s+M are
-    antipodal and basis k is the pair {k, k+M}.  ASK points are a strictly
+    antipodal and basis k is the pair {k, k+M}; PSK points farther than 1e-12 r
+    from r e^{i pi s/M}, r = |point 0|, raise ``ValueError``.  ASK points are a strictly
     increasing real-amplitude ladder.  ``kind`` may be given by its value
     ("psk", "ask"); any other raises ``ValueError``.
     """
@@ -33,6 +34,11 @@ class Constellation:
         object.__setattr__(self, "kind", ModulationKind(self.kind))
         if len(amps) < 2 or len(amps) % 2:
             raise ValueError(f"need an even number of points, at least two; got {len(amps)}")
+        if self.kind is ModulationKind.PSK:
+            r = abs(amps[0])
+            ring = r * np.exp(1j * math.pi * np.arange(len(amps)) / (len(amps) // 2))
+            if not np.all(abs(amps - ring) <= 1e-12 * r):
+                raise ValueError("PSK points must be r e^{i pi s / M}, r = |point 0|, to within 1e-12 r")
 
     def __len__(self) -> int:
         return len(self.amplitudes)
@@ -47,7 +53,8 @@ def _real(v) -> bool:
 # ``_check`` applies to a config's fields (cipher.FIELD_RULES takes these rows) and the
 # library's bare arguments alike: an integer is an int, not a bool, float or numpy integer
 RULES = {
-    "M": (lambda v: type(v) is int and v >= 1 and not v & (v - 1), "an integer power of two"),
+    "M": (lambda v: type(v) is int and 1 <= v <= 1 << 61 and not v & (v - 1),  # 2M fits an int64
+          "an integer power of two, at most 2**61"),
     "S": (lambda v: _real(v) and v >= 0, "finite and >= 0"),
     "kappa": (lambda v: _real(v) and 0 < v <= 1, "a number in (0, 1]"),
     "ask_S_min": (lambda v: v is None or _real(v), "a finite number or None"),

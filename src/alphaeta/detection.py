@@ -120,8 +120,8 @@ def helstrom_binary_mixed(c: Constellation, q0, q1) -> BoundReport:
     smallest shift s with 2s | N and w_{j+s} = -w_j (exactly, in floats).
     Then w^ vanishes except at odd multiples of g = N / 2s, and Delta splits
     into g bipartite blocks: E_r = r + 2g i against O_r = E_r + g (r < g,
-    i < s), B_r[i, i'] = root(E_r[i]) w^(E_r[i] - O_r[i']) root(O_r[i'])
-    with root = sqrt(lambda), and Tr|Delta| = (2/N) sum_r sum sigma(B_r).
+    i < s), B_r = diag(root(E_r)) T diag(root(O_r)), T[i, i'] = w^(2g (i - i') - g)
+    Toeplitz for every r, root = sqrt(lambda), and Tr|Delta| = (2/N) sum_r sum sigma(B_r).
     s = M (the half rings) is one M x M block; s = 1 (the even/odd
     mixtures) is M 1 x 1 blocks, Tr|Delta| = (2/N) |w^(M)|
     sum_{k<M} sqrt(lambda_k lambda_{k+M}).  Weights with no such shift take
@@ -135,7 +135,7 @@ def helstrom_binary_mixed(c: Constellation, q0, q1) -> BoundReport:
     would lose the sign (-1)^{c2} of the wrapped half.  Delta equals
     P D^{1/2} K D^{1/2} P^* / N with K_kl = kern(k - l) real symmetric and
     P = diag(e^{i pi c2 k / N}) unitary, so the blocks B_r and the N x N
-    matrix are read from kern in real arithmetic, with the same singular
+    matrix read Toeplitz views of kern in real arithmetic, with the same singular
     values and eigenvalues.  The candidate c2 is the argmax of the circular
     self-convolution sum_t w_t w_{c2 - t}, which by Cauchy-Schwarz reaches
     sum w^2 exactly at a mirror centre; it is then confirmed exactly, and any
@@ -179,23 +179,23 @@ def _ring_trace_norm(w: np.ndarray, S: float) -> float:
     circulant spectrum (see ``helstrom_binary_mixed``)."""
     N = len(w)
     root = np.exp(0.5 * _ring_log_spectrum(N, S))
-    k = np.arange(N)
     d = np.arange(1 - N, N)  # signed k - l; kern[d + N - 1] is the entry at k - l = d
     kern = N * np.fft.ifft(w)[d % N]
     # sum_t w_t w_{c - t} peaks at sum w^2 exactly when w mirrors about c / 2
     c2 = int(np.argmax(np.fft.irfft(np.fft.rfft(w) ** 2, N)))
-    if np.array_equal(w[(c2 - k) % N], w):
+    if np.array_equal(np.roll(w[::-1], c2 + 1), w):  # w_{(c2 - j) mod N} = w_j
         kern = (kern * np.exp(-1j * np.pi * (c2 * d % (2 * N)) / N)).real
     s = next((s for s in range(1, N // 2 + 1)
               if N % (2 * s) == 0 and np.array_equal(np.roll(w, -s), -w)), None)
     if s is not None:
         g = N // (2 * s)
-        even = np.arange(g)[:, None] + 2 * g * np.arange(s)
-        odd = even + g
-        blocks = (root[even][:, :, None] * kern[even[:, :, None] - odd[:, None, :] + N - 1]
-                  * root[odd][:, None, :])
+        toeplitz = np.lib.stride_tricks.sliding_window_view(kern[g - 1::2 * g][:2 * s - 1], s)[:, ::-1]
+        roots = root.reshape(s, 2, g).transpose(2, 1, 0)  # [r, 0] on E_r, [r, 1] on O_r
+        blocks = roots[:, 0, :, None] * toeplitz
+        blocks *= roots[:, 1, None, :]
         return 2.0 * float(np.linalg.svd(blocks, compute_uv=False).sum()) / N
-    delta = root[:, None] * kern[k[:, None] - k + N - 1] * root
+    delta = root[:, None] * np.lib.stride_tricks.sliding_window_view(kern, N)[:, ::-1]  # kern(k - l)
+    delta *= root
     return float(np.abs(np.linalg.eigvalsh(delta)).sum()) / N
 
 

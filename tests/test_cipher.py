@@ -313,6 +313,15 @@ class TestEncodeDecode:
         x = rng.integers(0, 2, size=4 * m * cfg.key_bits)
         np.testing.assert_array_equal(decode(encode(x, cfg), cfg), x)
 
+    @pytest.mark.parametrize("osk", [False, True])
+    def test_round_trip_at_the_largest_M(self, osk):
+        # M = 2**61 is the cap of RULES["M"]: its 2M = 2**62 indices fit an int64
+        cfg = CipherConfig(M=1 << 61, S=1.0, key_bits=16, seed=3, osk=osk)
+        x = np.random.default_rng(61).integers(0, 2, size=300)
+        s = encode(x, cfg)
+        assert s.min() >= 0 and s.max() < 1 << 62
+        np.testing.assert_array_equal(decode(s, cfg), x)
+
     @given(st.integers(1, 255), st.integers(0, 3), st.booleans())
     def test_round_trip_fuzz(self, seed, m_exp, osk):
         cfg = CipherConfig(M=1 << m_exp, S=1.0, key_bits=8, seed=seed, osk=osk)

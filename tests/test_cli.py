@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 import shlex
 import subprocess
@@ -27,9 +28,13 @@ GOOD_MANIFEST = {"seed": 5, "bits": 100, "plaintext": "random", "attacks": ["bob
                  "save_record": False, "config": GOOD_CONFIG}
 
 
+# subprocesses import the package from the source tree, installed or not
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "alphaeta", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -532,6 +537,11 @@ RUN_REFUSALS = {
                                   "--save-record"),
     "save-record-null-manifest": ({"save_record": None}, ["--from-manifest", "m.json"],
                                   "manifest 'save_record'"),
+    # the choices are table keys: a value that is no string is refused, not hashed
+    "plaintext-list-manifest": ({"plaintext": ["zeros"]}, ["--from-manifest", "m.json"],
+                                "manifest 'plaintext'"),
+    "attack-list-manifest": ({"attacks": [["bob"]]}, ["--from-manifest", "m.json"],
+                             "manifest 'attacks'"),
 }
 
 
@@ -775,7 +785,7 @@ class TestRuntimeImports:
             f"assert alphaeta.cli.main({argv!r}) == 0\n"
             "assert reproduce.run_claim('1a').passed\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=ENV)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
 

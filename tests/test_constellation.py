@@ -16,6 +16,9 @@ from alphaeta.constellation import (
     make_psk,
 )
 
+from alphaeta.channel import received
+from alphaeta.cipher import CipherConfig
+
 from oracles import neighbor_chord, neighbor_confusion
 
 amplitudes = st.complex_numbers(max_magnitude=12.0, allow_nan=False, allow_infinity=False)
@@ -234,6 +237,30 @@ class TestNeighborError:
         assert Constellation(ring, "ask").kind is ModulationKind.ASK
         with pytest.raises(ValueError, match="not a valid ModulationKind"):
             Constellation(ring, "bogus")
+
+    @pytest.mark.parametrize("points", [
+        [1, 2, -1, -2],  # two radii: the ring figures read only point 0's
+        [1, 1j, -1, 1j],  # point 3 off its phase
+        [1j, -1, -1j, 1],  # the ring rotated: point 0 off phase 0
+        make_psk(4, 10.0).amplitudes * (1 + 1e-10 * (np.arange(8) == 5)),
+        [math.nan, -math.nan],
+    ], ids=["two-radii", "off-phase", "rotated", "1e-10-off", "nan"])
+    def test_psk_points_are_a_ring(self, points):
+        # a PSK figure reads the radius of point 0 and the ring's phases, so
+        # other points would get the figure of another ring
+        with pytest.raises(ValueError, match=r"^PSK points must be r e\^\{i pi s / M\}"):
+            Constellation(points, "psk")
+        assert Constellation(points, "ask").kind is ModulationKind.ASK
+
+    @pytest.mark.parametrize("M", [1, 2, 64, 512, 4096])
+    @pytest.mark.parametrize("S", [0.0, 1e-3, 1.0, 4000.0, 1e6])
+    def test_rings_built_and_received_pass(self, M, S):
+        # make_psk's points, and the received points after any loss, are
+        # rings to within rounding
+        ring = make_psk(M, S).amplitudes
+        for kappa in (1e-6, 0.01, 0.5, 0.999):
+            received(CipherConfig(M=M, S=S, key_bits=4, seed=1, kappa=kappa))
+        Constellation(ring * (1 + 1e-13 * (np.arange(2 * M) == M)), "psk")
 
 
 class TestDesignBases:

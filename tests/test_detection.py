@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -368,6 +369,23 @@ class TestHelstromRing:
         dtypes = self.spy(monkeypatch, "svd")
         helstrom_binary_mixed(*self.half_rings(512, 4000.0))
         assert dtypes == [np.float64]
+
+    @pytest.mark.parametrize("skewed, limit", [(False, 3 * 2**20), (True, 20 * 2**20)],
+                             ids=["half-rings", "skewed"])
+    def test_memory_is_one_block_set(self, skewed, limit):
+        # the blocks and the N x N matrix are Toeplitz views of the kernel,
+        # scaled by the roots in place: at M = 512 the real half-ring block
+        # is 2 MiB and the complex skewed matrix 16 MiB, with no index array
+        # or gather beside them
+        c, q0, q1 = self.half_rings(512, 4000.0, skewed)
+        helstrom_binary_mixed(c, q0, q1)
+        tracemalloc.start()
+        try:
+            helstrom_binary_mixed(c, q0, q1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestHelstromLadder:

@@ -18,6 +18,9 @@ CONFIG = CipherConfig(M=4, S=1.0, key_bits=8, seed=0x3C)
 # (quantity named in the refusal, a value the call accepts, the call,
 # values beyond the common ones that it refuses)
 ENTRY_POINTS = {
+    # 2M = 2**62 is the largest power of two an int64 holds
+    "CipherConfig-M": ("M", 1 << 61, lambda v: CipherConfig(M=v, S=1.0, key_bits=16, seed=3),
+                       (0, 3, 1 << 62, 1 << 63)),
     "make_psk-M": ("M", 4, lambda v: make_psk(v, 1.0), ()),
     "make_psk-S": ("S", 1.0, lambda v: make_psk(4, v), ()),
     "make_ask-M": ("M", 2, lambda v: make_ask(v, 2.0, 4.0, 1.0), (0,)),
